@@ -215,11 +215,6 @@ def sigmoid(a: Tensor, clamp_eps: float = 0.0) -> Tensor:
     return _node(out, (a,), lambda g: (g * raw * (1.0 - raw) * mask,))
 
 
-def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
-    mask = (a.data > lo) & (a.data < hi)
-    return _node(np.clip(a.data, lo, hi), (a,), lambda g: (g * mask,))
-
-
 def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     """Affine map ``x @ W.T + b`` for x of shape (n,) or (B, n), W (m, n)."""
     xd, wd, bd = x.data, weights.data, bias.data
@@ -335,12 +330,6 @@ class Adam:
             m_hat = self.m[i] / (1 - self.beta1**t)
             v_hat = self.v[i] / (1 - self.beta2**t)
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {"step": np.array([float(self.step_count)])}
-        for i in range(len(self.params)):
-            out[f"m{i}"], out[f"v{i}"] = self.m[i], self.v[i]
-        return out
 
 
 # -- checkpoint container ------------------------------------------------------

@@ -184,17 +184,10 @@ def assemble_pqc(
     )
 
 
-def param_count(template: CircuitTemplate) -> int:
-    """Number of trainable angles the template consumes."""
-    return template.param_slots
-
-
 def _format_ref(ref: tuple) -> str:
     tag = ref[0]
     if tag == "p":
         return f"t{ref[1]}"
-    if tag == "in":
-        return f"in{ref[1]}"
     if tag == "enc1":
         return f"z{ref[1]}"
     return f"zz({ref[1]},{ref[2]})"

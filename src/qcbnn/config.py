@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .circuits import Architecture
 from .samplers import NoiseLaw, PriorSpec
-from .training import TrainConfig
+from .training import TrainConfig, TrainSettings
 
 
 class ConfigError(ValueError):
@@ -21,39 +21,23 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class RunConfig:
-    """Full harness configuration: training knobs plus sweep lists,
-    dataset source and output controls."""
+class RunConfig(TrainSettings):
+    """Full harness configuration: the shared training settings plus sweep
+    lists, noise and prior laws, dataset source and output controls."""
 
     # sweep axes
     archs: list[Architecture] = field(default_factory=lambda: [Architecture.CIRCUIT_III])
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2, 3])
     layers_list: list[int] = field(default_factory=lambda: [1])
     reupload_list: list[bool] = field(default_factory=lambda: [False])
-    # training
-    epochs: int = 50
-    batch_size: int = 10
-    alpha: float = 1.0
-    beta: float = 1.0
-    lr_generator: float = 0.005
-    lr_discriminator: float = 0.01
-    lr_classifier: float = 0.002
-    disc_steps: int = 1
-    samples_per_step: int = 1
-    n_ensemble: int = 100
-    eval_ensemble: int = 8
-    sampler: str = "quantum"
-    noise_law: str = "uniform"
-    noise_mu: float = 3.141592653589793
-    noise_sigma: float = 1.0
-    noise_dim: int = 4
-    prior_law: str = "uniform"
-    prior_mu: float = 0.0
-    prior_sigma: float = 0.5
-    embedding_pairs: str = "adjacent"
-    cr_axis: str = "X"
-    conv_stride: int = 2
-    scale_likelihood: bool = True
+    # noise and prior laws, flattened into scalar keys
+    noise_law: str = NoiseLaw.kind
+    noise_mu: float = NoiseLaw.mu
+    noise_sigma: float = NoiseLaw.sigma
+    noise_dim: int = NoiseLaw.dim
+    prior_law: str = PriorSpec.law
+    prior_mu: float = PriorSpec.mu
+    prior_sigma: float = PriorSpec.sigma
     # dataset
     dataset: str = "synth"
     dataset_format: str = "binary"
@@ -77,33 +61,21 @@ class RunConfig:
                 "conflicting sweep lengths: layers_list and reupload_list "
                 f"have {len(self.layers_list)} and {len(self.reupload_list)} entries"
             )
+        # every cell must make a valid run, so bad input fails before any output
+        try:
+            for cell in self.cells():
+                self.train_config(*cell)
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
 
     def train_config(self, arch: Architecture, layers: int, reupload: bool,
                      seed: int) -> TrainConfig:
         """Materialize the per-run training config for one sweep cell."""
+        shared = {f.name: getattr(self, f.name) for f in fields(TrainSettings)}
         return TrainConfig(
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            alpha=self.alpha,
-            beta=self.beta,
-            lr_generator=self.lr_generator,
-            lr_discriminator=self.lr_discriminator,
-            lr_classifier=self.lr_classifier,
-            disc_steps=self.disc_steps,
-            samples_per_step=self.samples_per_step,
-            n_ensemble=self.n_ensemble,
-            eval_ensemble=self.eval_ensemble,
-            seed=seed,
-            sampler=self.sampler,
-            arch=arch,
-            layers=layers,
-            reupload=reupload,
-            embedding_pairs=self.embedding_pairs,
-            cr_axis=self.cr_axis,
+            **shared, seed=seed, arch=arch, layers=layers, reupload=reupload,
             noise=NoiseLaw(self.noise_law, self.noise_dim, self.noise_mu, self.noise_sigma),
             prior=PriorSpec(self.prior_law, self.prior_mu, self.prior_sigma),
-            conv_stride=self.conv_stride,
-            scale_likelihood=self.scale_likelihood,
         )
 
     def cells(self):

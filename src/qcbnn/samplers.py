@@ -14,17 +14,12 @@ tell generated chunks from prior chunks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .statevector import (
-    CircuitTemplate,
-    _shift_terms,
-    parameter_shift_grad,
-    run_circuit_batch,
-)
+from .statevector import CircuitTemplate, run_circuit_batch
 
 N_CHUNKS = 16
 CHUNK_DIM = 4
@@ -53,11 +48,6 @@ class NoiseLaw:
             raise ValueError("noise dimension must be positive")
 
 
-def sample_noise(rng: np.random.Generator, law: NoiseLaw) -> np.ndarray:
-    """One noise vector of shape (law.dim,)."""
-    return sample_noise_block(rng, law, 1)[0]
-
-
 def sample_noise_block(rng: np.random.Generator, law: NoiseLaw, count: int) -> np.ndarray:
     """``count`` i.i.d. noise vectors as a (count, dim) array."""
     if law.kind == "uniform":
@@ -77,10 +67,6 @@ class PriorSpec:
     def __post_init__(self):
         if self.law not in ("uniform", "clipped-gaussian"):
             raise ValueError(f"unknown prior law {self.law!r}")
-
-
-def prior_sample(spec: PriorSpec, rng: np.random.Generator) -> np.ndarray:
-    return prior_sample_block(spec, rng, 1)[0]
 
 
 def prior_sample_block(spec: PriorSpec, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -112,10 +98,6 @@ class WeightSample:
     def kernels(self) -> np.ndarray:
         return self.chunks.reshape(KERNEL_SHAPE)
 
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, noise: np.ndarray) -> "WeightSample":
-        return cls(np.asarray(flat, dtype=np.float64).reshape(N_CHUNKS, CHUNK_DIM), noise)
-
 
 # --- generators ---------------------------------------------------------------
 
@@ -143,7 +125,6 @@ class QuantumWeightSampler:
         if self.noise_law.dim != template.input_slots:
             raise ValueError("noise dimension must match the template's input slots")
         self.n_chunks = n_chunks
-        self._plan: tuple[np.ndarray, np.ndarray] | None = None
 
     def expectations(self, noise: np.ndarray) -> np.ndarray:
         """Chunk matrix for given noise rows, shape (rows, 4)."""
@@ -153,27 +134,6 @@ class QuantumWeightSampler:
         noise = sample_noise_block(rng, self.noise_law, self.n_chunks)
         return WeightSample(self.expectations(noise), noise)
 
-    def _shift_plan(self) -> tuple[np.ndarray, np.ndarray]:
-        """Shift offsets (R, P) and combination weights (R, P), cached."""
-        if self._plan is None:
-            slot_kind = {}
-            for gate in self.template.gates:
-                for ref in gate.angles:
-                    if ref[0] == "p":
-                        slot_kind[ref[1]] = gate.kind
-            offsets, weights = [], []
-            p = self.template.param_slots
-            for j in range(p):
-                for shift, weight in _shift_terms(slot_kind[j]):
-                    row = np.zeros(p)
-                    row[j] = shift
-                    offsets.append(row)
-                    wrow = np.zeros(p)
-                    wrow[j] = weight
-                    weights.append(wrow)
-            self._plan = (np.array(offsets), np.array(weights))
-        return self._plan
-
     def jacobian(self, noise: np.ndarray) -> np.ndarray:
         """d(chunk)/d(theta) for every noise row: (rows, 4, param_slots).
 
@@ -181,7 +141,7 @@ class QuantumWeightSampler:
         row-wise it agrees with parameter_shift_grad.
         """
         noise = np.asarray(noise, dtype=np.float64)
-        offsets, weights = self._shift_plan()
+        offsets, weights = self.template.shift_plan
         r = offsets.shape[0]
         if r == 0:
             return np.zeros((noise.shape[0], CHUNK_DIM, 0))
@@ -191,10 +151,6 @@ class QuantumWeightSampler:
         evals = run_circuit_batch(self.template, params_big, inputs_big)
         evals = evals.reshape(noise.shape[0], r, CHUNK_DIM)
         return np.einsum("crq,rp->cqp", evals, weights)
-
-    def grad_single(self, noise_row: np.ndarray) -> np.ndarray:
-        """Reference (4, P) Jacobian via the unbatched shift-rule path."""
-        return parameter_shift_grad(self.template, self.theta.data, noise_row)
 
     def parameters(self) -> list[ad.Tensor]:
         return [self.theta]
@@ -275,11 +231,6 @@ class Discriminator:
     def named_tensors(self) -> dict[str, ad.Tensor]:
         return {"disc_w1": self.w1, "disc_b1": self.b1,
                 "disc_w2": self.w2, "disc_b2": self.b2}
-
-
-def discriminate(disc: Discriminator, chunk: np.ndarray) -> float:
-    """Probability the discriminator assigns to one chunk; in (eps, 1-eps)."""
-    return disc.prob(chunk)
 
 
 def logit(p: float) -> float:

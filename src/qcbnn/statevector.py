@@ -14,7 +14,6 @@ against a trainable-parameter vector and a noise-input vector at run
 time.  Supported reference forms::
 
     ("p", k)         params[k]                    trainable slot
-    ("in", i)        inputs[i]                    raw input slot
     ("enc1", i)      2 * inputs[i]                single-feature encoding
     ("enc2", i, j)   2 * (pi - z_i) * (pi - z_j)  pairwise feature encoding
 """
@@ -23,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +43,7 @@ GATE_SIGNATURES = {
     "ZZ": (2, 1),
 }
 
-_ANGLE_REF_TAGS = {"p": 1, "in": 1, "enc1": 1, "enc2": 2}
+_ANGLE_REF_TAGS = {"p": 1, "enc1": 1, "enc2": 2}
 
 
 @dataclass(frozen=True)
@@ -112,6 +112,25 @@ class CircuitTemplate:
             )
         if seen_inputs and not seen_inputs <= set(range(self.input_slots)):
             raise ValueError(f"input reference out of range: {sorted(seen_inputs)}")
+
+    @cached_property
+    def shift_plan(self) -> tuple[np.ndarray, np.ndarray]:
+        """Parameter-shift offsets and weights, both (R, param_slots).
+
+        Row r shifts one trainable slot by the shift rule of the gate that
+        holds it, so that for every output f,
+        df/dtheta = sum_r weights[r] * f(theta + offsets[r]).
+        """
+        slot_kind = {ref[1]: gate.kind for gate in self.gates
+                     for ref in gate.angles if ref[0] == "p"}
+        terms = [(j, shift, weight) for j in range(self.param_slots)
+                 for shift, weight in _shift_terms(slot_kind[j])]
+        offsets = np.zeros((len(terms), self.param_slots))
+        weights = np.zeros((len(terms), self.param_slots))
+        for r, (j, shift, weight) in enumerate(terms):
+            offsets[r, j] = shift
+            weights[r, j] = weight
+        return offsets, weights
 
 
 class StateVector:
@@ -328,8 +347,6 @@ def resolve_angles(gate: Gate, params: np.ndarray, inputs: np.ndarray) -> np.nda
         tag = ref[0]
         if tag == "p":
             cols.append(params[..., ref[1]])
-        elif tag == "in":
-            cols.append(inputs[..., ref[1]])
         elif tag == "enc1":
             cols.append(2.0 * inputs[..., ref[1]])
         else:  # enc2
@@ -426,24 +443,8 @@ def parameter_shift_grad(template: CircuitTemplate, params, inputs) -> np.ndarra
     params, inputs = _check_slots(template, params, inputs)
     if params.ndim != 1 or inputs.ndim != 1:
         raise ValueError("parameter_shift_grad takes single vectors")
-
-    slot_kind: dict[int, str] = {}
-    for gate in template.gates:
-        for ref in gate.angles:
-            if ref[0] == "p":
-                slot_kind[ref[1]] = gate.kind
-    rows = []
-    combine: list[tuple[int, float]] = []  # (param slot, weight) per batch row
-    for j in range(template.param_slots):
-        for shift, weight in _shift_terms(slot_kind[j]):
-            shifted = params.copy()
-            shifted[j] += shift
-            rows.append(shifted)
-            combine.append((j, weight))
-    if not rows:
+    offsets, weights = template.shift_plan
+    if not len(offsets):
         return np.zeros((template.n_qubits, 0))
-    evals = run_circuit_batch(template, np.stack(rows), inputs)
-    grad = np.zeros((template.n_qubits, template.param_slots))
-    for row, (j, weight) in enumerate(combine):
-        grad[:, j] += weight * evals[row]
-    return grad
+    evals = run_circuit_batch(template, params + offsets, inputs)
+    return np.einsum("rq,rp->qp", evals, weights)

@@ -66,8 +66,9 @@ class EnsemblePrediction:
 
 
 @dataclass
-class TrainConfig:
-    """Everything a seeded training run depends on."""
+class TrainSettings:
+    """Training knobs shared by every run of a sweep, with their defaults
+    and validation; the run and sweep configs both extend this."""
 
     epochs: int = 50
     batch_size: int = 10
@@ -80,34 +81,40 @@ class TrainConfig:
     samples_per_step: int = 1
     n_ensemble: int = 100
     eval_ensemble: int = 8
-    seed: int = 0
     sampler: str = "quantum"  # quantum | classical | vi
-    arch: Architecture = Architecture.CIRCUIT_III
-    layers: int = 1
-    reupload: bool = False
     embedding_pairs: str = "adjacent"
     cr_axis: str = "X"
-    noise: NoiseLaw = field(default_factory=NoiseLaw)
-    prior: PriorSpec = field(default_factory=PriorSpec)
     conv_stride: int = 2
     scale_likelihood: bool = True
 
     def __post_init__(self):
-        positives = dict(
-            epochs=self.epochs, batch_size=self.batch_size, alpha_=self.alpha + 1,
-            beta_=self.beta + 1, lr_generator=self.lr_generator,
-            lr_discriminator=self.lr_discriminator, lr_classifier=self.lr_classifier,
-            disc_steps=self.disc_steps, samples_per_step=self.samples_per_step,
-            n_ensemble=self.n_ensemble, eval_ensemble=self.eval_ensemble,
-            conv_stride=self.conv_stride, layers=self.layers,
-        )
-        for name, value in positives.items():
-            if value <= 0:
-                raise ValueError(f"{name.rstrip('_')} must be positive")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be non-negative")
+        for name in ("epochs", "batch_size", "lr_generator", "lr_discriminator",
+                     "lr_classifier", "disc_steps", "samples_per_step", "n_ensemble",
+                     "eval_ensemble", "conv_stride"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("alpha", "beta"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         if self.sampler not in ("quantum", "classical", "vi"):
             raise ValueError(f"unknown sampler {self.sampler!r}")
+
+
+@dataclass
+class TrainConfig(TrainSettings):
+    """Everything a seeded training run depends on."""
+
+    seed: int = 0
+    arch: Architecture = Architecture.CIRCUIT_III
+    layers: int = 1
+    reupload: bool = False
+    noise: NoiseLaw = field(default_factory=NoiseLaw)
+    prior: PriorSpec = field(default_factory=PriorSpec)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.layers <= 0:
+            raise ValueError("layers must be positive")
 
 
 # --- plain-VI weight posterior -----------------------------------------------
@@ -302,7 +309,6 @@ def combined_loss_graph(model: ModelState, chunk_tensors: list[ad.Tensor],
     (images None) the likelihood term vanishes and only the adversarial
     term remains.
     """
-    cfg = model.config
     s = len(chunk_tensors)
     logit_sum = None
     lik_sum = None
@@ -319,6 +325,13 @@ def combined_loss_graph(model: ModelState, chunk_tensors: list[ad.Tensor],
     else:
         likelihood = ad.Tensor(0.0)
         kl = logit_mean
+    return _combine(model.config, likelihood, kl)
+
+
+def _combine(cfg: TrainConfig, likelihood: ad.Tensor,
+             kl: ad.Tensor) -> tuple[ad.Tensor, LossBreakdown]:
+    """alpha * likelihood + beta * kl and its breakdown; the discriminator
+    objective is filled in by the step that ran it."""
     combined = ad.add(ad.mul(likelihood, cfg.alpha), ad.mul(kl, cfg.beta))
     breakdown = LossBreakdown(
         likelihood_term=float(likelihood.data),
@@ -329,24 +342,6 @@ def combined_loss_graph(model: ModelState, chunk_tensors: list[ad.Tensor],
         combined=float(combined.data),
     )
     return combined, breakdown
-
-
-def generator_loss(model: ModelState, weight_samples: list[WeightSample],
-                   images, labels, data_scale: float = 1.0) -> float:
-    """Value of the adversarial-KL objective for given weight draws:
-    mean over draws of [chunk-averaged logit(d) - log p(D|w)]."""
-    total = 0.0
-    for ws in weight_samples:
-        d = model.disc.forward(ws.chunks).data[:, 0]
-        logit_mean = float(np.mean(np.log(d) - np.log(1.0 - d)))
-        log_p = 0.0
-        if images is not None:
-            probs = forward_probs_np(model, images, ws.kernels)
-            log_p = data_scale * float(
-                np.sum(np.log(probs[np.arange(len(labels)), labels]))
-            )
-        total += logit_mean - log_p
-    return total / len(weight_samples)
 
 
 # --- training loop ----------------------------------------------------------------
@@ -375,41 +370,46 @@ def _quantum_theta_grad(sampler: QuantumWeightSampler, noise_blocks, chunk_tenso
 def train_step(model: ModelState, images, labels, data_scale: float,
                rng_noise: np.random.Generator, rng_prior: np.random.Generator,
                ) -> LossBreakdown:
-    """One adversarial step: discriminator ascent, then combined descent."""
+    """One training step: for the adversarial samplers, discriminator
+    ascent then combined descent; for the plain-VI posterior, descent on
+    the likelihood plus its analytic KL."""
     cfg = model.config
     sampler = model.sampler
 
     if isinstance(sampler, GaussianPosterior):
-        return _vi_step(model, images, labels, data_scale, rng_noise)
+        eps = rng_noise.standard_normal((sampler.n_chunks, CHUNK_DIM))
+        likelihood = _nll_graph(model, sampler.forward(eps), images, labels, data_scale)
+        combined, breakdown = _combine(cfg, likelihood, sampler.kl_to_standard_normal())
+    else:
+        noise_blocks = [
+            sample_noise_block(rng_noise, sampler.noise_law, sampler.n_chunks)
+            for _ in range(cfg.samples_per_step)
+        ]
+        chunk_values = [
+            sampler.expectations(noise) if isinstance(sampler, QuantumWeightSampler)
+            else sampler.forward(noise).data
+            for noise in noise_blocks
+        ]
 
-    noise_blocks = [
-        sample_noise_block(rng_noise, sampler.noise_law, sampler.n_chunks)
-        for _ in range(cfg.samples_per_step)
-    ]
-    chunk_values = [
-        sampler.expectations(noise) if isinstance(sampler, QuantumWeightSampler)
-        else sampler.forward(noise).data
-        for noise in noise_blocks
-    ]
+        disc_value = float("nan")
+        for _ in range(cfg.disc_steps):
+            prior_chunks = prior_sample_block(cfg.prior, rng_prior,
+                                              sampler.n_chunks * cfg.samples_per_step)
+            objective = _disc_objective_graph(model.disc, prior_chunks,
+                                              np.concatenate(chunk_values))
+            disc_value = float(objective.data)
+            loss_d = ad.mul(objective, -1.0)
+            model.opt_discriminator.zero_grad()
+            loss_d.backward()
+            model.opt_discriminator.step()
 
-    disc_value = float("nan")
-    for _ in range(cfg.disc_steps):
-        prior_chunks = prior_sample_block(cfg.prior, rng_prior,
-                                          sampler.n_chunks * cfg.samples_per_step)
-        objective = _disc_objective_graph(model.disc, prior_chunks,
-                                          np.concatenate(chunk_values))
-        disc_value = float(objective.data)
-        loss_d = ad.mul(objective, -1.0)
-        model.opt_discriminator.zero_grad()
-        loss_d.backward()
-        model.opt_discriminator.step()
+        chunk_tensors = [_draw_chunk_tensor(model, noise) for noise in noise_blocks]
+        combined, breakdown = combined_loss_graph(model, chunk_tensors, images, labels,
+                                                  data_scale)
+        breakdown.discriminator_loss = disc_value
 
-    chunk_tensors = [_draw_chunk_tensor(model, noise) for noise in noise_blocks]
-    combined, breakdown = combined_loss_graph(model, chunk_tensors, images, labels, data_scale)
-    breakdown.discriminator_loss = disc_value
     if not math.isfinite(breakdown.combined):
         raise DivergenceError("non-finite training loss")
-
     model.opt_generator.zero_grad()
     model.opt_classifier.zero_grad()
     combined.backward()
@@ -418,33 +418,6 @@ def train_step(model: ModelState, images, labels, data_scale: float,
     model.opt_generator.step()
     if images is not None:
         model.opt_classifier.step()
-    return breakdown
-
-
-def _vi_step(model: ModelState, images, labels, data_scale: float,
-             rng_noise: np.random.Generator) -> LossBreakdown:
-    cfg = model.config
-    posterior: GaussianPosterior = model.sampler
-    eps = rng_noise.standard_normal((posterior.n_chunks, CHUNK_DIM))
-    chunks = posterior.forward(eps)
-    likelihood = _nll_graph(model, chunks, images, labels, data_scale)
-    kl = posterior.kl_to_standard_normal()
-    combined = ad.add(ad.mul(likelihood, cfg.alpha), ad.mul(kl, cfg.beta))
-    breakdown = LossBreakdown(
-        likelihood_term=float(likelihood.data),
-        kl_term=float(kl.data),
-        discriminator_loss=float("nan"),
-        alpha=cfg.alpha,
-        beta=cfg.beta,
-        combined=float(combined.data),
-    )
-    if not math.isfinite(breakdown.combined):
-        raise DivergenceError("non-finite training loss")
-    model.opt_generator.zero_grad()
-    model.opt_classifier.zero_grad()
-    combined.backward()
-    model.opt_generator.step()
-    model.opt_classifier.step()
     return breakdown
 
 

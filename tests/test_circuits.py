@@ -9,7 +9,6 @@ from qcbnn.circuits import (
     build_calculation_layer,
     build_embedding,
     format_template,
-    param_count,
 )
 from qcbnn.statevector import (
     CircuitTemplate,
@@ -109,7 +108,7 @@ class TestAssembly:
     @pytest.mark.parametrize("layers", [1, 2, 3])
     def test_layer_scaling(self, arch, layers):
         template = assemble_pqc(arch, 4, layers=layers)
-        assert param_count(template) == layers * SINGLE_LAYER_PARAMS[arch]
+        assert template.param_slots == layers * SINGLE_LAYER_PARAMS[arch]
 
     def test_reupload_repeats_embedding(self):
         l2 = assemble_pqc(Architecture.CIRCUIT_III, 4, layers=2, reupload=False)
@@ -119,9 +118,9 @@ class TestAssembly:
         assert l2.param_slots == l2re.param_slots == 14
 
     def test_param_count_examples(self):
-        assert param_count(assemble_pqc(Architecture.MATIC_I, 4)) == 4
-        assert param_count(assemble_pqc(Architecture.ROMERO, 4)) == 4
-        assert param_count(assemble_pqc(Architecture.CIRCUIT_II, 4)) == 15
+        assert assemble_pqc(Architecture.MATIC_I, 4).param_slots == 4
+        assert assemble_pqc(Architecture.ROMERO, 4).param_slots == 4
+        assert assemble_pqc(Architecture.CIRCUIT_II, 4).param_slots == 15
 
     def test_rejects_zero_layers(self):
         with pytest.raises(ValueError):

