@@ -1,5 +1,5 @@
-"""Dataset container, loaders, normalization, splits, and a synthetic
-image generator for desk-scale experiments.
+"""Dataset container, loaders, splits, and a synthetic image generator
+for desk-scale experiments.
 
 Images are grayscale H x W grids stored as floats in [0, 1] with an
 underlying 0..255 byte quantization, so the binary container round-trips
@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import autodiff as ad
 from .seeding import stream
 
 DATASET_MAGIC = b"QBNNDATA"
@@ -130,16 +129,6 @@ def load_dataset(path, format: str = "binary") -> Dataset:
     raise ValueError(f"unknown dataset format {format!r}")
 
 
-def save_dataset_csv(path, dataset: Dataset):
-    n, h, w = dataset.images.shape
-    pixels = np.rint(dataset.images * 255.0).astype(np.int64).reshape(n, h * w)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["label"] + [f"p{i}" for i in range(h * w)])
-        for label, row in zip(dataset.labels, pixels):
-            writer.writerow([int(label)] + row.tolist())
-
-
 def convert_breastmnist_npz(npz_path, out_dir):
     """Convert the public breast-ultrasound npz archive (not bundled) into
     one binary container per split.  Returns the written paths."""
@@ -158,26 +147,6 @@ def convert_breastmnist_npz(npz_path, out_dir):
         save_dataset(path, Dataset(images, labels))
         written[tag] = path
     return written
-
-
-# --- normalization ---------------------------------------------------------------
-
-
-def normalize(dataset: Dataset, per_image: bool = True) -> Dataset:
-    """Min-max scale pixels to [0, 1]; constant images map to all zeros.
-
-    ``per_image=False`` scales with the global min/max of the whole set.
-    """
-    images = dataset.images
-    if per_image:
-        lo = images.min(axis=(1, 2), keepdims=True)
-        hi = images.max(axis=(1, 2), keepdims=True)
-    else:
-        lo = images.min()
-        hi = images.max()
-    span = np.where(hi - lo > 0, hi - lo, 1.0)
-    scaled = np.where(hi - lo > 0, (images - lo) / span, 0.0)
-    return replace(dataset, images=scaled)
 
 
 # --- synthetic data ----------------------------------------------------------------
@@ -266,54 +235,3 @@ def split(dataset: Dataset, fractions, seed: int) -> Dataset:
         tags[order[start : start + size]] = name
         start += size
     return replace(dataset, tags=tags.astype(str))
-
-
-# --- learnability oracle -----------------------------------------------------------
-
-_FEATURE_KERNELS = np.array(
-    [
-        [[0.25, 0.25], [0.25, 0.25]],  # local mean
-        [[0.5, 0.5], [-0.5, -0.5]],  # horizontal edge
-        [[0.5, -0.5], [0.5, -0.5]],  # vertical edge
-        [[0.5, -0.5], [-0.5, 0.5]],  # checkerboard / diagonal texture
-    ]
-)
-
-
-def patch_features(images: np.ndarray) -> np.ndarray:
-    """Four fixed 2x2 patch statistics per image: mean response magnitude
-    of a mean, horizontal-edge, vertical-edge and checkerboard kernel."""
-    single = images.ndim == 2
-    x = images[None] if single else images
-    windows = np.lib.stride_tricks.sliding_window_view(x, (2, 2), axis=(1, 2))[:, ::2, ::2]
-    responses = np.einsum("bxykl,fkl->bfxy", windows, _FEATURE_KERNELS)
-    feats = np.abs(responses).mean(axis=(2, 3))
-    return feats[0] if single else feats
-
-
-def reference_classifier_accuracy(dataset: Dataset, epochs: int = 50, seed: int = 0,
-                                  lr: float = 0.05) -> float:
-    """Train accuracy of a tiny fixed-feature 4 -> 8 -> 2 classifier.
-
-    Serves as the learnability check for generated datasets: if this
-    model cannot fit the training set, the convolutional models have no
-    chance either.
-    """
-    feats = patch_features(dataset.images)
-    feats = (feats - feats.mean(axis=0)) / (feats.std(axis=0) + 1e-9)
-    labels = dataset.labels
-    rng = stream(seed, "reference")
-    w1 = ad.Tensor(rng.normal(0, 0.5, size=(8, 4)), requires_grad=True)
-    b1 = ad.Tensor(np.zeros(8), requires_grad=True)
-    w2 = ad.Tensor(rng.normal(0, 0.5, size=(2, 8)), requires_grad=True)
-    b2 = ad.Tensor(np.zeros(2), requires_grad=True)
-    opt = ad.Adam([w1, b1, w2, b2], lr=lr)
-    for _ in range(epochs):
-        hidden = ad.tanh(ad.dense(ad.Tensor(feats), w1, b1))
-        loss = ad.mean(ad.softmax_cross_entropy(ad.dense(hidden, w2, b2), labels))
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
-    hidden = np.tanh(feats @ w1.data.T + b1.data)
-    logits = hidden @ w2.data.T + b2.data
-    return float((logits.argmax(axis=1) == labels).mean())

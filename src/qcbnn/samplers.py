@@ -137,19 +137,11 @@ class QuantumWeightSampler:
     def jacobian(self, noise: np.ndarray) -> np.ndarray:
         """d(chunk)/d(theta) for every noise row: (rows, 4, param_slots).
 
-        Evaluates all shifted circuits for all rows in one batched run;
+        Evaluates the grid of shifted thetas by noise rows in one run;
         row-wise it agrees with parameter_shift_grad.
         """
-        noise = np.asarray(noise, dtype=np.float64)
         offsets, weights = self.template.shift_plan
-        r = offsets.shape[0]
-        if r == 0:
-            return np.zeros((noise.shape[0], CHUNK_DIM, 0))
-        shifted = self.theta.data[None, :] + offsets  # (R, P)
-        params_big = np.tile(shifted, (noise.shape[0], 1))
-        inputs_big = np.repeat(noise, r, axis=0)
-        evals = run_circuit_batch(self.template, params_big, inputs_big)
-        evals = evals.reshape(noise.shape[0], r, CHUNK_DIM)
+        evals = run_circuit_batch(self.template, self.theta.data + offsets, noise)
         return np.einsum("crq,rp->cqp", evals, weights)
 
     def parameters(self) -> list[ad.Tensor]:

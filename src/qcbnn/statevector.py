@@ -6,8 +6,9 @@ Conventions, fixed across the package:
   so |q0 q1 .. q_{n-1}> lives at index q0*2^(n-1) + q1*2^(n-2) + ... + q_{n-1}.
 * Angles are radians; amplitudes are complex128 (gradient tolerances
   demand double precision).
-* Every operation is pure: states are never mutated in place, identical
-  inputs give bit-identical outputs, and no function touches global state.
+* Every operation is pure: states are never mutated in place (the grid
+  executor updates only buffers it allocated itself), identical inputs
+  give bit-identical outputs, and no function touches global state.
 
 Circuit templates carry symbolic angle references that are resolved
 against a trainable-parameter vector and a noise-input vector at run
@@ -16,6 +17,26 @@ time.  Supported reference forms::
     ("p", k)         params[k]                    trainable slot
     ("enc1", i)      2 * inputs[i]                single-feature encoding
     ("enc2", i, j)   2 * (pi - z_i) * (pi - z_j)  pairwise feature encoding
+
+Two executors share the gate matrices.  ``run_circuit`` applies one gate
+at a time to a ``StateVector``; it is the reference path that tests
+compare against.  ``run_circuit_batch`` evaluates a grid,
+``result[b, r] = run_circuit(template, params[r], inputs[b])``, from the
+template's compiled ``blocks``, computed once per template:
+
+* a run of gates that read no input (constant and trainable gates, H
+  included) becomes one 2^n x 2^n unitary per params row, or one shared
+  unitary when no gate of the run reads params;
+* a run of input-reading diagonal gates and angle-free permutations (every
+  embedding gate: RZ(enc1) and CNOT.RZ(enc2).CNOT) becomes one fixed index
+  permutation and one coefficient matrix A, applied per input row as
+  ``amps[..., perm] * exp(i * angles @ A)``;
+* any other input-reading gate is applied on its own, and so is every
+  gate that reads no input on templates wider than ``_FUSE_MAX_QUBITS``.
+
+So the input-only blocks run once per input row and the params-only
+blocks once per params row, whatever the grid size.  <Z> is read as
+``|psi|^2 @ zsign``.
 """
 
 from __future__ import annotations
@@ -131,6 +152,28 @@ class CircuitTemplate:
             offsets[r, j] = shift
             weights[r, j] = weight
         return offsets, weights
+
+    @cached_property
+    def blocks(self) -> tuple:
+        """The gate list split into fused blocks, in circuit order."""
+        fuse = self.n_qubits <= _FUSE_MAX_QUBITS
+        runs: list[tuple[type, list[Gate]]] = []
+        for gate in self.gates:
+            reads_input = any(ref[0] != "p" for ref in gate.angles)
+            if reads_input and gate.kind in _DIAGONAL_PHASES:
+                kind = _PhasePermutation
+            elif gate.kind in _PERMUTATIONS and runs and runs[-1][0] is _PhasePermutation:
+                kind = _PhasePermutation
+            elif reads_input or not fuse:
+                kind = _GateByGate
+            else:
+                kind = _FusedUnitary
+            if runs and runs[-1][0] is kind:
+                runs[-1][1].append(gate)
+            else:
+                runs.append((kind, [gate]))
+        lifts: dict[tuple[int, ...], np.ndarray] = {}
+        return tuple(kind(gates, self.n_qubits, lifts) for kind, gates in runs)
 
 
 class StateVector:
@@ -326,17 +369,6 @@ def expectation_z(state: StateVector, qubit: int) -> float:
     return float(np.clip(marginal[0] - marginal[1], -1.0, 1.0))
 
 
-def _all_z_expectations(amps: np.ndarray, n: int) -> np.ndarray:
-    """Per-qubit <Z> for (B, 2^n) amplitude rows; returns (B, n)."""
-    probs = (np.abs(amps) ** 2).reshape((-1,) + (2,) * n)
-    out = np.empty((probs.shape[0], n))
-    for q in range(n):
-        others = tuple(i + 1 for i in range(n) if i != q)
-        marginal = probs.sum(axis=others)
-        out[:, q] = marginal[:, 0] - marginal[:, 1]
-    return np.clip(out, -1.0, 1.0)
-
-
 # --- template execution -----------------------------------------------------
 
 
@@ -383,30 +415,180 @@ def run_circuit(template: CircuitTemplate, params, inputs) -> np.ndarray:
 
 
 def run_circuit_batch(template: CircuitTemplate, params, inputs) -> np.ndarray:
-    """Vectorized execution over B rows of params/inputs; returns (B, n).
+    """Grid execution: ``result[b, r] = run_circuit(template, params[r], inputs[b])``.
 
-    Either argument may be a single vector, which is broadcast across the
-    other's rows.  Row b of the result equals run_circuit on row b.
+    ``params`` is (R, P) or (P,) and ``inputs`` is (B, I) or (I,); a 1-D
+    argument drops its axis, so the result is (B, R, n), (B, n), (R, n)
+    or (n,).
     """
     params, inputs = _check_slots(template, params, inputs)
-    if params.ndim == 1:
-        params = params[None, :]
-    if inputs.ndim == 1:
-        inputs = inputs[None, :]
-    b = max(params.shape[0], inputs.shape[0])
-    params = np.broadcast_to(params, (b, params.shape[1]))
-    inputs = np.broadcast_to(inputs, (b, inputs.shape[1]))
-
+    if params.ndim > 2 or inputs.ndim > 2:
+        raise ValueError("run_circuit_batch takes 1-D or 2-D params and inputs")
+    grid_params, grid_inputs = np.atleast_2d(params), np.atleast_2d(inputs)
     n = template.n_qubits
-    amps = np.zeros((b, 2**n), dtype=np.complex128)
-    amps[:, 0] = 1.0
-    for gate in template.gates:
-        angles = resolve_angles(gate, params, inputs)
-        mat = gate_matrix(gate.kind, angles)
-        if gate.kind in ("H", "CNOT"):
-            mat = mat[0] if mat.ndim == 3 else mat  # angle-free: one shared matrix
-        amps = _apply_matrix(amps, mat, gate.targets, n)
-    return _all_z_expectations(amps, n)
+    # psi has axes (params row, input row, amplitude); an axis stays 1
+    # until a block reads that argument
+    psi = np.zeros((1, 1, 2**n), dtype=np.complex128)
+    psi[..., 0] = 1.0
+    for block in template.blocks:
+        psi = block.apply(psi, grid_params, grid_inputs)
+    probs = psi.real**2
+    probs += psi.imag**2
+    del psi
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    z = np.clip(probs @ (1.0 - 2.0 * bits), -1.0, 1.0)
+    z = np.broadcast_to(z, (len(grid_params), len(grid_inputs), n)).swapaxes(0, 1)
+    if params.ndim == 1:
+        z = z[:, 0]
+    if inputs.ndim == 1:
+        z = z[0]
+    return np.ascontiguousarray(z)
+
+
+# --- compiled blocks ----------------------------------------------------------
+
+# Fused unitaries are dense 2^n x 2^n matrices per params row, built through
+# a (k^2, 4^n) lift per target tuple, so their cost grows as 4^n; past this
+# width, gates that read no input are applied one at a time instead.
+_FUSE_MAX_QUBITS = 5
+
+# Diagonal kinds: phase of each diagonal entry per unit angle, in the basis
+# order of gate_matrix.
+_DIAGONAL_PHASES = {
+    "RZ": np.array([-0.5, 0.5]),
+    "PHASE": np.array([0.0, 1.0]),
+    "CRZ": np.array([0.0, 0.0, -0.5, 0.5]),
+    "ZZ": np.array([-0.5, 0.5, 0.5, -0.5]),
+}
+# Angle-free permutation kinds: the column holding the 1 of each matrix row.
+_PERMUTATIONS = {"CNOT": np.argmax(_CNOT_MATRIX.real, axis=1)}
+
+
+def _split_index(n: int, targets: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """For every basis index: its gate-local index on ``targets`` and the
+    index with the target bits cleared."""
+    index = np.arange(2**n)
+    local = np.zeros(2**n, dtype=np.intp)
+    for q in targets:
+        local = 2 * local + ((index >> (n - 1 - q)) & 1)
+    mask = sum(1 << (n - 1 - q) for q in targets)
+    return local, index & ~mask
+
+
+def _spread(n: int, targets: tuple[int, ...], local: np.ndarray) -> np.ndarray:
+    """Basis-index bits of gate-local indices (inverse of the local part)."""
+    out = np.zeros_like(local)
+    for m, q in enumerate(targets):
+        out |= ((local >> (len(targets) - 1 - m)) & 1) << (n - 1 - q)
+    return out
+
+
+def _lift(n: int, targets: tuple[int, ...]) -> np.ndarray:
+    """0/1 (k^2, 4^n) map taking a gate's flattened k x k matrix M to the
+    transposed full-space matrix: ``(M.ravel() @ lift).reshape(2^n, 2^n)[j, i]``
+    is entry (i, j) of M acting on ``targets``."""
+    d, k = 2**n, 2 ** len(targets)
+    local, rest = _split_index(n, targets)
+    col = np.arange(k)
+    j = rest[:, None] | _spread(n, targets, col)[None, :]  # (d, k)
+    lift = np.zeros((k * k, d * d), dtype=np.complex128)
+    lift[local[:, None] * k + col, j * d + np.arange(d)[:, None]] = 1.0
+    return lift
+
+
+class _FusedUnitary:
+    """Consecutive gates that read no input, multiplied into one transposed
+    unitary per params row (``psi_row @ matrix``)."""
+
+    def __init__(self, gates: list[Gate], n: int, lifts: dict):
+        self.dim = 2**n
+        # each factor is a constant (dim, dim) matrix or a (gate, lift) pair
+        self.factors: list = []
+        for gate in gates:
+            lift = lifts.get(gate.targets)
+            if lift is None:
+                lift = lifts[gate.targets] = _lift(n, gate.targets)
+            if gate.angles:
+                self.factors.append((gate, lift))
+                continue
+            const = self._lifted(gate_matrix(gate.kind, np.zeros((1, 0))), lift)[0]
+            if self.factors and isinstance(self.factors[-1], np.ndarray):
+                const = self.factors.pop() @ const
+            self.factors.append(const)
+
+    def _lifted(self, sub: np.ndarray, lift: np.ndarray) -> np.ndarray:
+        return (sub.reshape(len(sub), -1) @ lift).reshape(len(sub), self.dim, self.dim)
+
+    def matrix(self, params: np.ndarray) -> np.ndarray:
+        """(R, 2^n, 2^n) for R params rows, or (2^n, 2^n) when no gate reads params."""
+        out = None
+        for factor in self.factors:
+            if not isinstance(factor, np.ndarray):
+                gate, lift = factor
+                factor = self._lifted(gate_matrix(gate.kind, resolve_angles(gate, params, None)), lift)
+            out = factor if out is None else out @ factor
+        return out
+
+    def apply(self, psi, params, inputs):
+        return psi @ self.matrix(params)
+
+
+class _PhasePermutation:
+    """Input-reading diagonal gates and angle-free permutations, fused into
+    ``amps[..., perm] * exp(i * angles @ coeffs)``."""
+
+    def __init__(self, gates: list[Gate], n: int, lifts: dict):
+        perm = np.arange(2**n)
+        rows: list[np.ndarray] = []
+        self.gates: list[Gate] = []
+        for gate in gates:
+            local, rest = _split_index(n, gate.targets)
+            if gate.kind in _PERMUTATIONS:
+                source = rest | _spread(n, gate.targets, _PERMUTATIONS[gate.kind][local])
+                perm = perm[source]
+                rows = [row[source] for row in rows]
+            else:
+                rows.append(_DIAGONAL_PHASES[gate.kind][local])
+                self.gates.append(gate)
+        self.perm = None if np.array_equal(perm, np.arange(2**n)) else perm
+        self.coeffs = np.array(rows)  # (angles, 2^n)
+
+    def apply(self, psi, params, inputs):
+        angles = np.concatenate([resolve_angles(g, params, inputs) for g in self.gates], axis=-1)
+        phase = (angles @ self.coeffs) * 1j
+        np.exp(phase, out=phase)
+        if self.perm is not None:
+            psi = psi[..., self.perm]
+        phase = phase[None]
+        # Multiply into whichever operand already has the result's shape:
+        # every psi a block receives was allocated by the current run, so the
+        # update is invisible to callers and keeps the peak near two states.
+        shape = np.broadcast_shapes(psi.shape, phase.shape)
+        if psi.shape == shape:
+            psi *= phase
+            return psi
+        if phase.shape == shape:
+            phase *= psi
+            return phase
+        return psi * phase
+
+
+class _GateByGate:
+    """Gates applied one at a time on every grid cell."""
+
+    def __init__(self, gates: list[Gate], n: int, lifts: dict):
+        self.gates = gates
+        self.n = n
+
+    def apply(self, psi, params, inputs):
+        r, b, d = len(params), len(inputs), 2**self.n
+        cell_params = np.broadcast_to(params[:, None, :], (r, b, params.shape[1]))
+        cell_inputs = np.broadcast_to(inputs[None, :, :], (r, b, inputs.shape[1]))
+        amps = np.broadcast_to(psi, (r, b, d)).reshape(r * b, d)
+        for gate in self.gates:
+            angles = resolve_angles(gate, cell_params, cell_inputs).reshape(r * b, -1)
+            amps = _apply_matrix(amps, gate_matrix(gate.kind, angles), gate.targets, self.n)
+        return amps.reshape(r, b, d)
 
 
 # --- parameter-shift gradients ----------------------------------------------

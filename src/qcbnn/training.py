@@ -422,18 +422,17 @@ def train_step(model: ModelState, images, labels, data_scale: float,
 
 
 def train_epoch(model: ModelState, images: np.ndarray, labels: np.ndarray,
-                epoch: int, n_data: int | None = None) -> list[LossBreakdown]:
+                epoch: int) -> list[LossBreakdown]:
     """All batches of one epoch in a deterministic shuffled order."""
     cfg = model.config
     n = len(images)
-    n_data = n_data if n_data is not None else n
     order = stream(cfg.seed, "batch-order", epoch).permutation(n)
     rng_noise = stream(cfg.seed, "noise", epoch)
     rng_prior = stream(cfg.seed, "prior", epoch)
     trace = []
     for start in range(0, n, cfg.batch_size):
         idx = order[start : start + cfg.batch_size]
-        scale = (n_data / len(idx)) if cfg.scale_likelihood else 1.0
+        scale = (n / len(idx)) if cfg.scale_likelihood else 1.0
         trace.append(
             train_step(model, images[idx], labels[idx], scale, rng_noise, rng_prior)
         )

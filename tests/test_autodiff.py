@@ -160,6 +160,17 @@ class TestConv2d:
         loss_x(x).backward()
         np.testing.assert_allclose(x.grad, grad_of(loss_x, images0), rtol=1e-4, atol=1e-7)
 
+    def test_constant_images_get_no_gradient(self):
+        rng = np.random.default_rng(8)
+        images = ad.Tensor(rng.normal(size=(2, 6, 6)))
+        kernels = ad.Tensor(rng.normal(size=(3, 2, 2)), requires_grad=True)
+        ad.summation(ad.conv2d(images, kernels)).backward()
+        assert images.grad is None
+        # d(sum of outputs)/dk[f, i, j] sums the pixels at window offset (i, j)
+        offsets = [[images.data[:, i::2, j::2].sum() for j in range(2)] for i in range(2)]
+        np.testing.assert_allclose(kernels.grad, np.broadcast_to(offsets, (3, 2, 2)),
+                                   atol=1e-12)
+
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits(self):

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcbnn.circuits import Architecture, assemble_pqc
 from qcbnn.statevector import (
+    GATE_SIGNATURES,
     CircuitTemplate,
     Gate,
     StateVector,
@@ -16,6 +19,7 @@ from qcbnn.statevector import (
     parameter_shift_grad,
     run_circuit,
     run_circuit_batch,
+    _FUSE_MAX_QUBITS,
 )
 
 from conftest import finite_difference_grad
@@ -191,9 +195,10 @@ class TestRunCircuit:
     def test_romero_outputs_bounded(self):
         template = assemble_pqc(Architecture.ROMERO, 4)
         rng = np.random.default_rng(0)
-        params = rng.uniform(0, 2 * math.pi, (1000, template.param_slots))
-        inputs = rng.uniform(0, 2 * math.pi, (1000, template.input_slots))
+        params = rng.uniform(0, 2 * math.pi, (40, template.param_slots))
+        inputs = rng.uniform(0, 2 * math.pi, (25, template.input_slots))
         out = run_circuit_batch(template, params, inputs)
+        assert out.shape == (25, 40, 4)
         assert out.min() >= -1.0 and out.max() <= 1.0
 
     def test_slot_count_mismatch(self):
@@ -213,13 +218,80 @@ class TestRunCircuit:
     def test_batch_matches_single(self):
         template = assemble_pqc(Architecture.CIRCUIT_II, 4)
         rng = np.random.default_rng(2)
-        params = rng.uniform(0, 2 * math.pi, (8, template.param_slots))
-        inputs = rng.uniform(0, 2 * math.pi, (8, template.input_slots))
-        batch = run_circuit_batch(template, params, inputs)
-        for b in range(8):
-            np.testing.assert_allclose(
-                batch[b], run_circuit(template, params[b], inputs[b]), atol=1e-13
-            )
+        params = rng.uniform(0, 2 * math.pi, (4, template.param_slots))
+        inputs = rng.uniform(0, 2 * math.pi, (3, template.input_slots))
+        grid = run_circuit_batch(template, params, inputs)
+        assert grid.shape == (3, 4, 4)
+        for b in range(3):
+            for r in range(4):
+                np.testing.assert_allclose(
+                    grid[b, r], run_circuit(template, params[r], inputs[b]), atol=1e-13
+                )
+
+
+@st.composite
+def random_templates(draw):
+    """Templates over every gate kind with p/enc1/enc2 angle refs mixed
+    freely within a gate, on any ordered pair of distinct wires, up to one
+    qubit past the widest fused unitary."""
+    n = draw(st.integers(1, _FUSE_MAX_QUBITS + 1))
+    input_slots = draw(st.integers(0, 3))
+    kinds = sorted(k for k, (n_targets, _) in GATE_SIGNATURES.items() if n_targets <= n)
+    tags = ["p", "enc1", "enc2"] if input_slots else ["p"]
+    inputs = st.integers(0, max(input_slots - 1, 0))
+    gates, slots = [], 0
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(kinds))
+        n_targets, n_angles = GATE_SIGNATURES[kind]
+        targets = tuple(draw(st.permutations(range(n)))[:n_targets])
+        refs = []
+        for _ in range(n_angles):
+            tag = draw(st.sampled_from(tags))
+            if tag == "p":
+                refs.append(("p", slots))
+                slots += 1
+            elif tag == "enc1":
+                refs.append(("enc1", draw(inputs)))
+            else:
+                refs.append(("enc2", draw(inputs), draw(inputs)))
+        gates.append(Gate(kind, targets, tuple(refs)))
+    return CircuitTemplate(n, tuple(gates), slots, input_slots)
+
+
+_MIXED = CircuitTemplate(3, (
+    Gate("H", (0,)), Gate("H", (2,)),
+    Gate("RZ", (2,), (("enc1", 0),)), Gate("CNOT", (2, 0)), Gate("CNOT", (0, 1)),
+    Gate("ZZ", (2, 1), (("enc2", 0, 1),)), Gate("PHASE", (0,), (("enc1", 1),)),
+    Gate("U3", (1,), (("p", 0), ("enc1", 1), ("p", 1))),
+    Gate("RX", (0,), (("enc2", 1, 0),)), Gate("CRY", (2, 0), (("enc1", 0),)),
+    Gate("CRZ", (2, 1), (("p", 2),)), Gate("CNOT", (1, 2)), Gate("CRX", (0, 2), (("p", 3),)),
+), 4, 2)
+
+
+class TestCompiledExecutor:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(template=random_templates(), seed=st.integers(0, 2**32 - 1))
+    @example(template=assemble_pqc(Architecture.MATIC_I, 4, 2, True), seed=0)
+    @example(template=assemble_pqc(Architecture.CIRCUIT_IV, 4, 2, True, cr_axis="Z"), seed=1)
+    @example(template=_MIXED, seed=2)
+    def test_grid_matches_reference_path(self, template, seed):
+        rng = np.random.default_rng(seed)
+        params = rng.uniform(-2 * math.pi, 2 * math.pi, (3, template.param_slots))
+        inputs = rng.uniform(0, 2 * math.pi, (2, template.input_slots))
+        grid = run_circuit_batch(template, params, inputs)
+        assert grid.shape == (2, 3, template.n_qubits)
+        for b in range(2):
+            for r in range(3):
+                np.testing.assert_allclose(
+                    grid[b, r], run_circuit(template, params[r], inputs[b]), rtol=0, atol=1e-12
+                )
+        # a 1-D argument drops its grid axis
+        np.testing.assert_allclose(run_circuit_batch(template, params[1], inputs), grid[:, 1],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(run_circuit_batch(template, params, inputs[0]), grid[0],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(run_circuit_batch(template, params[2], inputs[1]),
+                                   grid[1, 2], rtol=0, atol=1e-12)
 
 
 class TestParameterShift:
