@@ -2,8 +2,9 @@
 
 Just enough machinery for the models in this package: elementwise
 arithmetic with broadcasting, matrix products, a strided 2-D convolution
-with externally injected weights, dense layers, the usual activations, a
-stabilized softmax cross-entropy, and Adam.
+with externally injected weights (one patch-matrix GEMM over an image
+batch, with a gradient for the kernels only), dense layers, the usual
+activations, a stabilized softmax cross-entropy, and Adam.
 
 Every operation builds a fresh graph node; calling ``backward`` on a
 scalar loss walks the graph once in reverse topological order and
@@ -232,38 +233,33 @@ def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     return _node(out, (x, weights, bias), vjp)
 
 
-def conv2d(images: Tensor, kernels: Tensor, stride: int = 2) -> Tensor:
+def conv2d(images: np.ndarray, kernels: Tensor, stride: int = 2) -> Tensor:
     """Valid cross-correlation with F kernels, no padding, no bias.
 
-    ``images`` is (H, W) or (B, H, W); ``kernels`` is (F, kh, kw).  The
-    output is (F, H', W') or (B, F, H', W') with H' = (H - kh)//stride + 1.
+    ``images`` is a plain (B, H, W) array and ``kernels`` is (F, kh, kw);
+    the output is (B, F, H', W') with H' = (H - kh)//stride + 1.  The
+    strided windows form one (B*H'*W', kh*kw) patch matrix, so the forward
+    and the kernel gradient are each one matrix product.  Images are data:
+    only the kernels receive a gradient.
     """
-    single = images.data.ndim == 2
-    x = images.data[None] if single else images.data
+    x = np.asarray(images, dtype=np.float64)
     k = kernels.data
     if x.ndim != 3 or k.ndim != 3:
         raise ValueError("conv2d expects (B, H, W) images and (F, kh, kw) kernels")
-    kh, kw = k.shape[1], k.shape[2]
+    f, kh, kw = k.shape
     if x.shape[1] < kh or x.shape[2] < kw:
         raise ValueError("image smaller than kernel")
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
     windows = windows[:, ::stride, ::stride]  # (B, H', W', kh, kw)
-    out = np.einsum("bxykl,fkl->bfxy", windows, k)
-    hp, wp = out.shape[2], out.shape[3]
+    b, hp, wp = windows.shape[:3]
+    patches = windows.reshape(b * hp * wp, kh * kw)
+    out = (patches @ k.reshape(f, -1).T).reshape(b, hp, wp, f).transpose(0, 3, 1, 2)
 
     def vjp(g):
-        g = g[None] if single else g
-        dk = np.einsum("bxykl,bfxy->fkl", windows, g)
-        if not (images.requires_grad or images._parents):
-            return None, dk
-        dx = np.zeros_like(x)
-        for di in range(kh):
-            for dj in range(kw):
-                view = dx[:, di : di + stride * hp : stride, dj : dj + stride * wp : stride]
-                view += np.einsum("bfxy,f->bxy", g, k[:, di, dj])
-        return (dx[0] if single else dx), dk
+        g_flat = g.transpose(0, 2, 3, 1).reshape(-1, f)
+        return ((g_flat.T @ patches).reshape(k.shape),)
 
-    return _node(out[0] if single else out, (images, kernels), vjp)
+    return _node(out, (kernels,), vjp)
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:

@@ -213,10 +213,6 @@ class Discriminator:
         h = ad.leaky_relu(ad.dense(x, self.w1, self.b1), slope=0.01)
         return ad.sigmoid(ad.dense(h, self.w2, self.b2), clamp_eps=_SHIFT_EPS)
 
-    def prob(self, chunk: np.ndarray) -> float:
-        """Scalar probability for a single 4-vector."""
-        return float(self.forward(np.asarray(chunk)[None, :]).data[0, 0])
-
     def parameters(self) -> list[ad.Tensor]:
         return [self.w1, self.b1, self.w2, self.b2]
 

@@ -155,17 +155,6 @@ class GaussianPosterior:
         return {"vi_mu": self.mu, "vi_log_sigma": self.log_sigma}
 
 
-def gaussian_kl(mu_q: float, sigma_q: float, mu_p: float = 0.0, sigma_p: float = 1.0) -> float:
-    """Closed-form KL(N(mu_q, sigma_q^2) || N(mu_p, sigma_p^2))."""
-    if sigma_q <= 0 or sigma_p <= 0:
-        raise ValueError("standard deviations must be positive")
-    return (
-        math.log(sigma_p / sigma_q)
-        + (sigma_q**2 + (mu_q - mu_p) ** 2) / (2 * sigma_p**2)
-        - 0.5
-    )
-
-
 # --- model assembly -----------------------------------------------------------
 
 
@@ -250,21 +239,17 @@ def build_model(config: TrainConfig, image_shape: tuple[int, int]) -> ModelState
 
 
 def classifier_logits(model: ModelState, images: np.ndarray, kernels: ad.Tensor) -> ad.Tensor:
-    """Differentiable conv -> relu -> dense logits for a (B, H, W) batch."""
-    feats = ad.relu(ad.conv2d(ad.Tensor(images), kernels, model.config.conv_stride))
+    """Conv -> relu -> dense logits for a (B, H, W) batch; the one
+    classifier forward, differentiable in the kernels and the dense head.
+    Features flatten in (f, x, y) order, the layout of ``dense_w``."""
+    feats = ad.relu(ad.conv2d(images, kernels, model.config.conv_stride))
     flat = ad.reshape(feats, (images.shape[0], -1))
     return ad.dense(flat, model.dense_w, model.dense_b)
 
 
 def forward_probs_np(model: ModelState, images: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    """Graph-free forward pass; returns (B, 2) softmax probabilities."""
-    stride = model.config.conv_stride
-    windows = np.lib.stride_tricks.sliding_window_view(images, (2, 2), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride]
-    feats = np.maximum(np.einsum("bxykl,fkl->bfxy", windows, kernels), 0.0)
-    flat = feats.reshape(images.shape[0], -1)
-    logits = flat @ model.dense_w.data.T + model.dense_b.data
-    return ad.softmax_np(logits)
+    """(B, 2) softmax probabilities of ``classifier_logits`` for fixed kernels."""
+    return ad.softmax_np(classifier_logits(model, images, ad.Tensor(kernels)).data)
 
 
 # --- loss surfaces ---------------------------------------------------------------

@@ -112,62 +112,57 @@ class TestDense:
 
 class TestConv2d:
     def test_paper_geometry(self):
-        out = ad.conv2d(ad.Tensor(np.zeros((28, 28))),
-                        ad.Tensor(np.zeros((16, 2, 2))), stride=2)
-        assert out.shape == (16, 14, 14)
+        out = ad.conv2d(np.zeros((3, 28, 28)), ad.Tensor(np.zeros((16, 2, 2))), stride=2)
+        assert out.shape == (3, 16, 14, 14)
 
     def test_all_ones(self):
-        out = ad.conv2d(ad.Tensor(np.ones((2, 2))), ad.Tensor(np.ones((1, 2, 2))),
-                        stride=1)
+        out = ad.conv2d(np.ones((1, 2, 2)), ad.Tensor(np.ones((1, 2, 2))), stride=1)
         assert out.data.reshape(-1)[0] == pytest.approx(4.0)
 
     def test_zero_kernel(self):
         rng = np.random.default_rng(1)
-        out = ad.conv2d(ad.Tensor(rng.normal(size=(5, 5))),
-                        ad.Tensor(np.zeros((3, 2, 2))), stride=1)
-        np.testing.assert_array_equal(out.data, np.zeros((3, 4, 4)))
+        out = ad.conv2d(rng.normal(size=(2, 5, 5)), ad.Tensor(np.zeros((3, 2, 2))), stride=1)
+        np.testing.assert_array_equal(out.data, np.zeros((2, 3, 4, 4)))
 
     @pytest.mark.parametrize("stride", [1, 2, 3])
     def test_matches_scipy_correlate(self, stride):
         rng = np.random.default_rng(stride)
-        image = rng.normal(size=(9, 9))
+        images = rng.normal(size=(3, 9, 7))
         kernels = rng.normal(size=(4, 2, 2))
-        out = ad.conv2d(ad.Tensor(image), ad.Tensor(kernels), stride=stride).data
-        for f in range(4):
-            full = signal.correlate2d(image, kernels[f], mode="valid")
-            np.testing.assert_allclose(out[f], full[::stride, ::stride], atol=1e-12)
+        out = ad.conv2d(images, ad.Tensor(kernels), stride=stride).data
+        for b in range(3):
+            for f in range(4):
+                full = signal.correlate2d(images[b], kernels[f], mode="valid")
+                np.testing.assert_allclose(out[b, f], full[::stride, ::stride], atol=1e-12)
+
+    def test_rejects_single_image(self):
+        with pytest.raises(ValueError, match="expects"):
+            ad.conv2d(np.zeros((28, 28)), ad.Tensor(np.zeros((16, 2, 2))))
 
     def test_image_smaller_than_kernel(self):
-        with pytest.raises(ValueError):
-            ad.conv2d(ad.Tensor(np.zeros((1, 1))), ad.Tensor(np.zeros((1, 2, 2))))
+        with pytest.raises(ValueError, match="smaller"):
+            ad.conv2d(np.zeros((1, 1, 1)), ad.Tensor(np.zeros((1, 2, 2))))
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_gradients_match_finite_differences(self, stride):
         rng = np.random.default_rng(6)
-        images0 = rng.normal(size=(2, 6, 6))
+        images = rng.normal(size=(2, 6, 6))
         kernels0 = rng.normal(size=(3, 2, 2))
 
         def loss_k(k):
-            return ad.summation(ad.relu(ad.conv2d(ad.Tensor(images0), k, stride)))
-
-        def loss_x(x):
-            return ad.summation(ad.relu(ad.conv2d(x, ad.Tensor(kernels0), stride)))
+            return ad.summation(ad.relu(ad.conv2d(images, k, stride)))
 
         k = ad.Tensor(kernels0, requires_grad=True)
         loss_k(k).backward()
         np.testing.assert_allclose(k.grad, grad_of(loss_k, kernels0), rtol=1e-4, atol=1e-7)
-        x = ad.Tensor(images0, requires_grad=True)
-        loss_x(x).backward()
-        np.testing.assert_allclose(x.grad, grad_of(loss_x, images0), rtol=1e-4, atol=1e-7)
 
     def test_constant_images_get_no_gradient(self):
         rng = np.random.default_rng(8)
-        images = ad.Tensor(rng.normal(size=(2, 6, 6)))
+        images = rng.normal(size=(2, 6, 6))
         kernels = ad.Tensor(rng.normal(size=(3, 2, 2)), requires_grad=True)
         ad.summation(ad.conv2d(images, kernels)).backward()
-        assert images.grad is None
         # d(sum of outputs)/dk[f, i, j] sums the pixels at window offset (i, j)
-        offsets = [[images.data[:, i::2, j::2].sum() for j in range(2)] for i in range(2)]
+        offsets = [[images[:, i::2, j::2].sum() for j in range(2)] for i in range(2)]
         np.testing.assert_allclose(kernels.grad, np.broadcast_to(offsets, (3, 2, 2)),
                                    atol=1e-12)
 
@@ -212,7 +207,7 @@ class TestSoftmaxCrossEntropy:
         labels = np.array([1, 0, 1])
 
         def loss(kern):
-            feats = ad.relu(ad.conv2d(ad.Tensor(images), kern, 2))
+            feats = ad.relu(ad.conv2d(images, kern, 2))
             flat = ad.reshape(feats, (3, -1))
             logits = ad.dense(flat, ad.Tensor(w0), ad.Tensor(np.zeros(2)))
             return ad.mean(ad.softmax_cross_entropy(logits, labels))

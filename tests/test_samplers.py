@@ -178,17 +178,17 @@ class TestDiscriminator:
         disc = Discriminator(np.random.default_rng(0))
         for p in disc.parameters():
             p.data = np.zeros_like(p.data)
-        assert disc.prob(np.array([0.3, -0.1, 0.9, 0.0])) == pytest.approx(0.5)
+        assert disc.forward(np.array([[0.3, -0.1, 0.9, 0.0]])).data[0, 0] == pytest.approx(0.5)
 
     def test_output_clamped(self):
         disc = Discriminator(np.random.default_rng(1))
         disc.w2.data = np.full_like(disc.w2.data, 1e4)
         disc.b2.data = np.array([1e4])
-        p = disc.prob(np.ones(4))
+        p = disc.forward(np.ones((1, 4))).data[0, 0]
         assert p == pytest.approx(1.0 - 1e-7)
         disc.b2.data = np.array([-1e6])
         disc.w2.data = np.zeros_like(disc.w2.data)
-        assert disc.prob(np.ones(4)) == pytest.approx(1e-7)
+        assert disc.forward(np.ones((1, 4))).data[0, 0] == pytest.approx(1e-7)
 
     def test_gradient_matches_finite_differences(self):
         disc = Discriminator(np.random.default_rng(2))

@@ -38,6 +38,30 @@ def _np_disc_forward(disc, chunks):
     return np.clip(p, 1e-7, 1 - 1e-7)[:, 0]
 
 
+def gaussian_kl(mu_q, sigma_q, mu_p=0.0, sigma_p=1.0):
+    """Closed-form KL(N(mu_q, sigma_q^2) || N(mu_p, sigma_p^2))."""
+    if sigma_q <= 0 or sigma_p <= 0:
+        raise ValueError("standard deviations must be positive")
+    return (
+        math.log(sigma_p / sigma_q)
+        + (sigma_q**2 + (mu_q - mu_p) ** 2) / (2 * sigma_p**2)
+        - 0.5
+    )
+
+
+def einsum_forward_probs(model, images, kernels):
+    """Numpy oracle of the classifier forward: windowed einsum conv, relu,
+    and dense over features flattened in (f, x, y) order, the layout that
+    stored ``dense_w`` checkpoints were trained against."""
+    stride = model.config.conv_stride
+    windows = np.lib.stride_tricks.sliding_window_view(images, (2, 2), axis=(1, 2))
+    windows = windows[:, ::stride, ::stride]
+    feats = np.maximum(np.einsum("bxykl,fkl->bfxy", windows, kernels), 0.0)
+    flat = feats.reshape(images.shape[0], -1)
+    logits = flat @ model.dense_w.data.T + model.dense_b.data
+    return ad.softmax_np(logits)
+
+
 def generator_loss(model, weight_samples, images, labels, data_scale=1.0):
     """Numpy oracle of the adversarial-KL objective for given weight draws:
     mean over draws of [chunk-averaged logit(d) - log p(D|w)]."""
@@ -303,6 +327,19 @@ class TestEndToEndGradient:
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-7)
 
 
+class TestForwardProbs:
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_matches_einsum_feature_layout_oracle(self, tiny_split, stride):
+        train, _ = tiny_split
+        model = tr.build_model(tr.TrainConfig(seed=5, sampler="classical",
+                                              conv_stride=stride), (28, 28))
+        kernels = np.random.default_rng(stride).normal(size=(16, 2, 2))
+        images = train.images[:12]
+        np.testing.assert_allclose(tr.forward_probs_np(model, images, kernels),
+                                   einsum_forward_probs(model, images, kernels),
+                                   rtol=0, atol=1e-15)
+
+
 class TestEnsemblePrediction:
     def test_single_member_equals_its_softmax(self, tiny_split):
         train, _ = tiny_split
@@ -350,16 +387,16 @@ class TestEnsemblePrediction:
 
 class TestPlainVi:
     def test_gaussian_kl_closed_forms(self):
-        assert tr.gaussian_kl(0.0, 1.0) == pytest.approx(0.0, abs=1e-15)
-        assert tr.gaussian_kl(1.0, 1.0) == pytest.approx(0.5, abs=1e-15)
+        assert gaussian_kl(0.0, 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert gaussian_kl(1.0, 1.0) == pytest.approx(0.5, abs=1e-15)
         with pytest.raises(ValueError):
-            tr.gaussian_kl(0.0, 0.0)
+            gaussian_kl(0.0, 0.0)
 
     def test_posterior_kl_graph_matches_closed_form(self):
         posterior = tr.GaussianPosterior(np.random.default_rng(0))
         value = posterior.kl_to_standard_normal().item()
         mu, sigma = posterior.mu.data, np.exp(posterior.log_sigma.data)
-        expected = np.sum([tr.gaussian_kl(m, s) for m, s in
+        expected = np.sum([gaussian_kl(m, s) for m, s in
                            zip(mu.reshape(-1), sigma.reshape(-1))])
         assert value == pytest.approx(float(expected), rel=1e-12)
 
