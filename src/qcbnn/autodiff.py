@@ -3,7 +3,9 @@
 Just enough machinery for the models in this package: elementwise
 arithmetic with broadcasting, matrix products, a strided 2-D convolution
 with externally injected weights (one patch-matrix GEMM over an image
-batch, with a gradient for the kernels only), dense layers, the usual
+batch, with a gradient for the kernels only; ``conv_windows`` is the
+strided-window view it shares with the graph-free ensemble forward in
+``training``), dense layers, the usual
 activations, a stabilized softmax cross-entropy, and Adam.
 
 Every operation builds a fresh graph node; calling ``backward`` on a
@@ -233,6 +235,19 @@ def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     return _node(out, (x, weights, bias), vjp)
 
 
+def conv_windows(images: np.ndarray, kernel_hw: tuple[int, int], stride: int) -> np.ndarray:
+    """(B, H', W', kh, kw) view of the valid stride-``stride`` windows of a
+    (B, H, W) image batch, H' = (H - kh)//stride + 1; no copy is made."""
+    x = np.asarray(images, dtype=np.float64)
+    kh, kw = kernel_hw
+    if x.ndim != 3:
+        raise ValueError(f"convolution expects (B, H, W) images, got shape {x.shape}")
+    if x.shape[1] < kh or x.shape[2] < kw:
+        raise ValueError("image smaller than kernel")
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
+    return windows[:, ::stride, ::stride]
+
+
 def conv2d(images: np.ndarray, kernels: Tensor, stride: int = 2) -> Tensor:
     """Valid cross-correlation with F kernels, no padding, no bias.
 
@@ -242,15 +257,11 @@ def conv2d(images: np.ndarray, kernels: Tensor, stride: int = 2) -> Tensor:
     and the kernel gradient are each one matrix product.  Images are data:
     only the kernels receive a gradient.
     """
-    x = np.asarray(images, dtype=np.float64)
     k = kernels.data
-    if x.ndim != 3 or k.ndim != 3:
-        raise ValueError("conv2d expects (B, H, W) images and (F, kh, kw) kernels")
+    if k.ndim != 3:
+        raise ValueError(f"conv2d expects (F, kh, kw) kernels, got shape {k.shape}")
     f, kh, kw = k.shape
-    if x.shape[1] < kh or x.shape[2] < kw:
-        raise ValueError("image smaller than kernel")
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride]  # (B, H', W', kh, kw)
+    windows = conv_windows(images, (kh, kw), stride)  # (B, H', W', kh, kw)
     b, hp, wp = windows.shape[:3]
     patches = windows.reshape(b * hp * wp, kh * kw)
     out = (patches @ k.reshape(f, -1).T).reshape(b, hp, wp, f).transpose(0, 3, 1, 2)

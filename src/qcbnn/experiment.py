@@ -30,7 +30,7 @@ import numpy as np
 
 from . import svg
 from .autodiff import load_checkpoint, save_checkpoint
-from .config import RunConfig, format_config, parse_config
+from .config import ConfigError, RunConfig, format_config, parse_config
 from .data import Dataset, SynthSpec, load_dataset, split, synth_generate
 from .metrics import build_eval_report, kde_density, report_rows
 from .samplers import CHUNK_DIM
@@ -166,13 +166,14 @@ def train_one_run(config: RunConfig, tagged: Dataset, arch, layers, reupload, se
 
 def dump_weight_samples(model: ModelState, n_draws: int, path):
     """Weight-sample dump: one row per (circuit pass, qubit) value."""
+    if n_draws < 1:
+        raise ConfigError(f"draw count must be >= 1, got {n_draws}")
     samples = draw_weight_samples(model, n_draws, stream(model.config.seed, "dump"))
-    rows = []
-    for d, ws in enumerate(samples):
-        for c in range(ws.chunks.shape[0]):
-            for q in range(CHUNK_DIM):
-                rows.append([d * ws.chunks.shape[0] + c, q, ws.chunks[c, q]])
-    _write_csv(path, ["pass_index", "qubit", "value"], rows)
+    values = np.concatenate([ws.chunks for ws in samples]).reshape(-1).tolist()
+    with open(path, "w", newline="") as fh:
+        fh.write("pass_index,qubit,value\n")
+        fh.writelines(f"{i // CHUNK_DIM},{i % CHUNK_DIM},{v!r}\n"
+                      for i, v in enumerate(values))
 
 
 def run_train(config: RunConfig, progress: bool = False) -> str:
@@ -233,14 +234,18 @@ def run_evaluate(run_dir: str, out_path: str | None = None,
                  dataset: Dataset | None = None, n_ensemble: int | None = None,
                  tag: str = "test") -> str:
     """Evaluate a stored run on a dataset split; writes a report CSV."""
+    if n_ensemble is not None and n_ensemble < 1:
+        raise ConfigError(f"ensemble size must be >= 1, got {n_ensemble}")
     config_probe = None
     if dataset is None:
         with open(os.path.join(run_dir, "config.cfg")) as fh:
             config_probe = parse_config(fh.read())
         dataset = resolve_dataset(config_probe)
     subset = dataset.subset(tag) if dataset.tags is not None else dataset
+    if len(subset) == 0:
+        raise ConfigError(f"split {tag!r} has no images to evaluate")
     model, config = load_run(run_dir, subset.images.shape[1:])
-    n = n_ensemble or config.n_ensemble
+    n = config.n_ensemble if n_ensemble is None else n_ensemble
     probs, votes = ensemble_outputs(model, subset.images, n, ("eval-" + tag,))
     report = build_eval_report(probs, votes, subset.labels,
                                config.calibration_bins, config.subset_reference)

@@ -184,8 +184,14 @@ class ModelState:
         return {name: t.data for name, t in self.named_tensors().items()}
 
     def load_arrays(self, arrays: dict[str, np.ndarray]):
-        """Restore parameters from a checkpoint dictionary."""
-        for name, tensor in self.named_tensors().items():
+        """Restore parameters from a checkpoint dictionary; it must hold
+        exactly this model's tensors, with matching shapes."""
+        named = self.named_tensors()
+        unknown = sorted(set(arrays) - set(named))
+        if unknown:
+            raise ValueError(f"checkpoint has tensors {unknown} that a model with the "
+                             f"{self.config.sampler!r} sampler does not have")
+        for name, tensor in named.items():
             if name not in arrays:
                 raise ValueError(f"checkpoint missing tensor {name!r}")
             if arrays[name].shape != tensor.data.shape:
@@ -247,9 +253,43 @@ def classifier_logits(model: ModelState, images: np.ndarray, kernels: ad.Tensor)
     return ad.dense(flat, model.dense_w, model.dense_b)
 
 
+# Images per block of the graph-free forward are chosen so that one
+# member's (b, F, H'*W') activation holds about this many floats (512 kB).
+EVAL_BLOCK_FLOATS = 1 << 16
+
+
 def forward_probs_np(model: ModelState, images: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    """(B, 2) softmax probabilities of ``classifier_logits`` for fixed kernels."""
-    return ad.softmax_np(classifier_logits(model, images, ad.Tensor(kernels)).data)
+    """Softmax probabilities of ``classifier_logits`` for fixed kernels,
+    computed without an autodiff graph.
+
+    One (F, kh, kw) kernel set gives (B, 2); a stacked (M, F, kh, kw)
+    array gives (M, B, 2), one row per member.  The (B, kh*kw, H'*W')
+    patch matrix is built once; per cache-sized image block and member,
+    ``K_m @ patches`` is already the (b, F, H'*W') activation in the
+    (f, x, y) feature order of ``dense_w``, so relu runs in place and the
+    dense layer reads it without a transposing copy.
+    """
+    stack = np.asarray(kernels, dtype=np.float64)
+    single = stack.ndim == 3
+    if single:
+        stack = stack[None]
+    m, f, kh, kw = stack.shape
+    windows = ad.conv_windows(images, (kh, kw), model.config.conv_stride)
+    b, hp, wp = windows.shape[:3]
+    patches = windows.transpose(0, 3, 4, 1, 2).reshape(b, kh * kw, hp * wp)
+    flat_kernels = stack.reshape(m, f, kh * kw)
+    dense_wt = model.dense_w.data.T
+    logits = np.empty((m, b, dense_wt.shape[1]))
+    block = max(1, EVAL_BLOCK_FLOATS // (f * hp * wp))
+    for start in range(0, b, block):
+        patches_blk = patches[start : start + block]
+        for i in range(m):
+            z = flat_kernels[i] @ patches_blk  # (block, F, H'*W')
+            np.maximum(z, 0.0, out=z)
+            logits[i, start : start + block] = z.reshape(len(z), -1) @ dense_wt
+    logits += model.dense_b.data
+    probs = ad.softmax_np(logits)
+    return probs[0] if single else probs
 
 
 # --- loss surfaces ---------------------------------------------------------------
@@ -472,24 +512,21 @@ def draw_weight_samples(model: ModelState, count: int,
 def ensemble_outputs(model: ModelState, images: np.ndarray, n_members: int,
                      stream_tag=("eval",), seed: int | None = None,
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Averaged probabilities (M, 2) and member votes (N, M) on a batch."""
+    """Averaged probabilities (N, 2) and member votes (M, N) on a batch of
+    N images, from one ``forward_probs_np`` call over all M members."""
+    if n_members < 1:
+        raise ValueError(f"ensemble size must be >= 1, got {n_members}")
+    if len(images) == 0:
+        raise ValueError("ensemble evaluation needs at least one image, got 0")
     rng = stream(model.config.seed if seed is None else seed, *stream_tag)
     samples = draw_weight_samples(model, n_members, rng)
-    m = len(images)
-    probs_sum = np.zeros((m, 2))
-    votes = np.empty((n_members, m), dtype=np.int64)
-    for i, ws in enumerate(samples):
-        member = forward_probs_np(model, images, ws.kernels)
-        probs_sum += member
-        votes[i] = member.argmax(axis=1)
-    return probs_sum / n_members, votes
+    members = forward_probs_np(model, images, np.stack([ws.kernels for ws in samples]))
+    return members.sum(axis=0) / n_members, members.argmax(axis=2)
 
 
 def predict_ensemble(model: ModelState, image: np.ndarray, n_members: int,
                      stream_tag=("predict",), seed: int | None = None) -> EnsemblePrediction:
     """Averaged prediction over ``n_members`` independent weight draws."""
-    if n_members < 1:
-        raise ValueError("ensemble size must be >= 1")
     probs, votes = ensemble_outputs(model, image[None], n_members, stream_tag, seed)
     return EnsemblePrediction(
         class_probabilities=probs[0],

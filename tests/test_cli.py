@@ -6,8 +6,16 @@ import pytest
 from qcbnn import cli
 from qcbnn.circuits import Architecture
 from qcbnn.config import ConfigError, RunConfig, apply_settings, format_config, parse_config
-from qcbnn.experiment import run_report, run_toy_adversarial, run_train
-from qcbnn.training import DivergenceError, TrainConfig
+from qcbnn.experiment import (
+    _write_csv,
+    dump_weight_samples,
+    run_report,
+    run_toy_adversarial,
+    run_train,
+)
+from qcbnn.samplers import CHUNK_DIM
+from qcbnn.seeding import stream
+from qcbnn.training import DivergenceError, TrainConfig, build_model, draw_weight_samples
 
 TINY = [
     "--sampler", "classical", "--seed", "0,1", "--epochs", "2",
@@ -174,6 +182,24 @@ class TestEvaluateCommand:
     def test_missing_run_dir(self, tmp_path, capsys):
         assert cli.main(["evaluate", str(tmp_path / "nope")]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_non_positive_ensemble_rejected(self, tiny_run, tmp_path, capsys, size):
+        run_dir = os.path.join(tiny_run, "classical", "seed0")
+        out_csv = tmp_path / "eval.csv"
+        code = cli.main(["evaluate", run_dir, "--ensemble", size, "--out-csv", str(out_csv)])
+        assert code == cli.EXIT_CONFIG
+        assert f"ensemble size must be >= 1, got {size}" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    def test_missing_split_rejected(self, tiny_run, tmp_path, capsys):
+        run_dir = os.path.join(tiny_run, "classical", "seed0")
+        out_csv = tmp_path / "eval.csv"
+        code = cli.main(["evaluate", run_dir, "--split", "validation",
+                         "--out-csv", str(out_csv)])
+        assert code == cli.EXIT_CONFIG
+        assert "split 'validation' has no images" in capsys.readouterr().err
+        assert not out_csv.exists()
+
 
 class TestSampleWeightsCommand:
     def test_fresh_model_dump(self, tmp_path):
@@ -191,6 +217,26 @@ class TestSampleWeightsCommand:
         code = cli.main(["sample-weights", "--run-dir", run_dir, "--draws", "2",
                          "--out-csv", str(out_csv)])
         assert code == 0 and out_csv.exists()
+
+
+    @pytest.mark.parametrize("draws", ["0", "-2"])
+    def test_non_positive_draws_rejected(self, tmp_path, capsys, draws):
+        out_csv = tmp_path / "ws.csv"
+        code = cli.main(["sample-weights", "--draws", draws, "--out-csv", str(out_csv)])
+        assert code == cli.EXIT_CONFIG
+        assert f"draw count must be >= 1, got {draws}" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("sampler", ["quantum", "classical", "vi"])
+    def test_dump_bytes_match_csv_writer_oracle(self, tmp_path, sampler):
+        model = build_model(TrainConfig(seed=2, sampler=sampler), (28, 28))
+        dump_weight_samples(model, 7, tmp_path / "fast.csv")
+        samples = draw_weight_samples(model, 7, stream(model.config.seed, "dump"))
+        rows = [[d * len(ws.chunks) + c, q, ws.chunks[c, q]]
+                for d, ws in enumerate(samples)
+                for c in range(len(ws.chunks)) for q in range(CHUNK_DIM)]
+        _write_csv(tmp_path / "oracle.csv", ["pass_index", "qubit", "value"], rows)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
 class TestToyAdversarialCommand:

@@ -340,6 +340,108 @@ class TestForwardProbs:
                                    rtol=0, atol=1e-15)
 
 
+def per_member_probs(model, images, kernel_stack):
+    """Oracle: the autodiff classifier forward, one member at a time."""
+    return np.stack([
+        ad.softmax_np(tr.classifier_logits(model, images, ad.Tensor(k)).data)
+        for k in kernel_stack
+    ])
+
+
+def classical_model_with_bias(seed, stride):
+    model = tr.build_model(tr.TrainConfig(seed=seed, sampler="classical",
+                                          conv_stride=stride), (28, 28))
+    model.dense_b.data = np.array([0.3, -0.2])  # a fresh model's bias is zero
+    return model
+
+
+def images_per_block(stride):
+    hp, wp = tr.conv_output_shape((28, 28), stride)
+    return max(1, tr.EVAL_BLOCK_FLOATS // (16 * hp * wp))
+
+
+class TestMemberBlockedForward:
+    @pytest.mark.parametrize("n_members", [1, 9])
+    @pytest.mark.parametrize("n_images", ["1", "7", "block+1"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_stacked_matches_per_member_oracle(self, tiny_split, stride, n_images,
+                                               n_members):
+        train, _ = tiny_split
+        count = images_per_block(stride) + 1 if n_images == "block+1" else int(n_images)
+        assert count <= len(train.images)
+        model = classical_model_with_bias(6, stride)
+        kernels = np.random.default_rng(n_members).normal(size=(n_members, 16, 2, 2))
+        images = train.images[:count]
+        got = tr.forward_probs_np(model, images, kernels)
+        want = per_member_probs(model, images, kernels)
+        assert got.shape == (n_members, count, 2)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(got.argmax(axis=2), want.argmax(axis=2))
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_single_and_stacked_forms_agree(self, tiny_split, stride):
+        train, _ = tiny_split
+        model = classical_model_with_bias(7, stride)
+        kernels = np.random.default_rng(3).normal(size=(4, 16, 2, 2))
+        images = train.images[:images_per_block(stride) + 3]
+        stacked = tr.forward_probs_np(model, images, kernels)
+        for k, member in zip(kernels, stacked):
+            single = tr.forward_probs_np(model, images, k)
+            assert single.shape == (len(images), 2)
+            np.testing.assert_array_equal(single, member)
+
+    def test_repeat_calls_bit_identical(self, tiny_split):
+        train, _ = tiny_split
+        model = quantum_model(seed=8)
+        first = tr.ensemble_outputs(model, train.images, 11, stream_tag=("again",))
+        second = tr.ensemble_outputs(model, train.images, 11, stream_tag=("again",))
+        for a, b in zip(first, second):
+            assert a.tobytes() == b.tobytes()
+
+    def test_peak_memory_at_100_members_200_images(self, synth_split):
+        import tracemalloc
+
+        train, _ = synth_split
+        model = quantum_model(seed=9)
+        images = train.images[:200]
+        assert len(images) == 200
+        tr.ensemble_outputs(model, images, 100)  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            tr.ensemble_outputs(model, images, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, f"peak {peak / 1e6:.2f} MB"
+
+    @pytest.mark.parametrize("n_members", [0, -3])
+    def test_rejects_non_positive_member_count(self, tiny_split, n_members):
+        train, _ = tiny_split
+        model = quantum_model(seed=10)
+        with pytest.raises(ValueError, match=f"got {n_members}"):
+            tr.ensemble_outputs(model, train.images[:3], n_members)
+
+    def test_rejects_empty_image_batch(self, tiny_split):
+        train, _ = tiny_split
+        model = quantum_model(seed=10)
+        with pytest.raises(ValueError, match="at least one image"):
+            tr.ensemble_outputs(model, train.images[:0], 4)
+
+
+class TestCheckpointArrays:
+    def test_quantum_checkpoint_under_classical_config_rejected(self):
+        arrays = quantum_model(seed=11).named_arrays()
+        classical = tr.build_model(tr.TrainConfig(seed=11, sampler="classical"), (28, 28))
+        with pytest.raises(ValueError, match=r"\['theta'\].*'classical' sampler"):
+            classical.load_arrays(arrays)
+
+    def test_extra_tensor_rejected(self):
+        model = quantum_model(seed=13)
+        arrays = dict(model.named_arrays(), stray=np.zeros(3))
+        with pytest.raises(ValueError, match=r"\['stray'\].*'quantum' sampler"):
+            model.load_arrays(arrays)
+
+
 class TestEnsemblePrediction:
     def test_single_member_equals_its_softmax(self, tiny_split):
         train, _ = tiny_split
