@@ -1,25 +1,37 @@
-"""Stochastic convolution weights from quantum and classical generators.
+"""Stochastic convolution weights from the three weight generators.
 
-Both samplers emit 16 chunks of 4 values per draw, reshaped into the 16
-2x2 convolution kernels.  A quick pooled-density comparison shows how
-architecture choice shapes the weight distribution even before training.
+The quantum, classical and plain-VI generators share one contract: a
+noise law, and ``expectations(noise)`` mapping noise rows to chunks of 4
+values.  A draw is 16 chunks, reshaped into the 16 2x2 convolution
+kernels; many draws are one noise block and one generator call.  A
+quick pooled-density comparison shows how architecture choice shapes
+the weight distribution even before training.
 """
 
 import numpy as np
 
 from qcbnn.circuits import Architecture, assemble_pqc
 from qcbnn.metrics import kde_density
-from qcbnn.samplers import ClassicalWeightSampler, QuantumWeightSampler
+from qcbnn.samplers import (
+    ClassicalWeightSampler,
+    GaussianPosterior,
+    QuantumWeightSampler,
+    WeightSample,
+    sample_noise_block,
+)
 from qcbnn.seeding import stream
 
 rng = stream(7, "demo")
 
 
-def pooled_weights(sampler, draws=200):
-    return np.concatenate([sampler.sample(rng).flat for _ in range(draws)])
+def draw(sampler, draws=1):
+    """(draws * 16, 4) chunk rows and the noise that produced them."""
+    noise = sample_noise_block(rng, sampler.noise_law, draws * sampler.n_chunks)
+    return sampler.expectations(noise), noise
 
 
-def show(name, pooled):
+def show(name, sampler, draws=200):
+    pooled = draw(sampler, draws)[0].reshape(-1)
     grid = np.linspace(-1.1, 1.1, 45)
     density = kde_density(pooled, grid).density
     bar = "".join(" .:-=+*#%@"[min(int(d * 4), 9)] for d in density)
@@ -29,15 +41,13 @@ def show(name, pooled):
 for arch in (Architecture.MATIC_I, Architecture.CIRCUIT_III):
     template = assemble_pqc(arch, 4)
     theta = stream(7, "theta", arch.value).uniform(0, 2 * np.pi, template.param_slots)
-    sampler = QuantumWeightSampler(template, theta)
-    ws = sampler.sample(rng)
-    assert ws.kernels.shape == (16, 2, 2)
-    show(arch.value, pooled_weights(sampler))
+    show(arch.value, QuantumWeightSampler(template, theta))
 
 classical = ClassicalWeightSampler(stream(7, "gen"))
-show("classical", pooled_weights(classical))
+show("classical", classical)
+show("vi", GaussianPosterior(stream(7, "vi")))
 
-ws = classical.sample(rng)
+ws = WeightSample(*draw(classical))
 print("\none draw: chunks", ws.chunks.shape, "-> kernels", ws.kernels.shape,
       "noise", ws.noise.shape)
 print("first kernel:\n", np.round(ws.kernels[0], 4))

@@ -5,7 +5,7 @@ discriminator keeps the weight distribution honest against the uniform
 prior, and the classifier head is trained jointly.  Finishes with the
 full uncertainty report on the held-out test split.
 
-Takes about half a minute on one core.
+Takes a second or two on one core.
 """
 
 import numpy as np

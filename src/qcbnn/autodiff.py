@@ -369,11 +369,11 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         blob = fh.read()
     if blob[:8] != CHECKPOINT_MAGIC:
         raise ValueError("bad checkpoint magic")
-    (version,) = struct.unpack_from("<I", blob, 8)
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
     pos, out = 12, {}
     try:
+        (version,) = struct.unpack_from("<I", blob, 8)
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version}")
         while pos < len(blob):
             (name_len,) = struct.unpack_from("<I", blob, pos)
             pos += 4

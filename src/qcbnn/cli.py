@@ -10,8 +10,8 @@ Subcommands::
 
 Flags mirror config keys; ``--set key=value`` reaches any key that has
 no dedicated flag.  The QBNN_OUT environment variable overrides the
-output root.  Exit codes: 0 ok, 2 configuration error, 3 runtime
-divergence.
+output root.  Exit codes: 0 ok, 2 configuration error (a missing input
+file included), 3 runtime divergence, 4 any other I/O error.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .training import DivergenceError
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
+EXIT_IO = 4
 
 
 def _add_config_flags(parser: argparse.ArgumentParser):
@@ -80,7 +81,8 @@ def main(argv=None) -> int:
         description="Hybrid quantum-classical Bayesian neural network harness.",
         epilog="Flags mirror config keys; use --set KEY=VALUE for the rest. "
                "QBNN_OUT overrides the output root. "
-               "Exit codes: 0 ok, 2 config error, 3 runtime divergence.",
+               "Exit codes: 0 ok, 2 config error, 3 runtime divergence, "
+               "4 I/O error.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -144,6 +146,9 @@ def main(argv=None) -> int:
     except DivergenceError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DIVERGENCE
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_IO
     return EXIT_OK
 
 

@@ -1,11 +1,21 @@
 """Stochastic-weight generators and their trainer networks.
 
 The convolution weights of the classifier are never trained directly:
-each forward pass draws them from a generator.  The quantum generator
-feeds a noise vector into a parametrized circuit and reads per-qubit
-expectation values; the classical benchmark generator is a minimal MLP
-fed with the same kind of noise.  Both emit weight samples in chunks of
-4 values (one circuit pass each); 16 chunks assemble the 16 2x2 kernels.
+each forward pass draws them from a generator.  Three generators share
+one contract: ``noise_law`` and ``n_chunks`` say what to draw,
+``expectations(noise)`` maps (rows, dim) noise to (rows, 4) chunk values,
+``forward(noise)`` is the same map as an autodiff tensor, and
+``parameters()``/``named_tensors()`` expose the trainable state.
+
+* ``QuantumWeightSampler`` feeds each noise vector into a parametrized
+  circuit and reads the per-qubit expectation values;
+* ``ClassicalWeightSampler``, the benchmark, is a 4-8-4 MLP fed with the
+  same kind of noise;
+* ``GaussianPosterior``, the plain-VI baseline, reparameterizes a
+  factorized Gaussian over the chunk matrix with standard-normal noise.
+
+Each draw is 16 chunks of 4 values (one circuit pass each), which
+assemble the 16 2x2 kernels; k draws are one block of 16k noise rows.
 
 The trainers are a prior over chunks and a discriminator that learns to
 tell generated chunks from prior chunks.
@@ -130,9 +140,10 @@ class QuantumWeightSampler:
         """Chunk matrix for given noise rows, shape (rows, 4)."""
         return run_circuit_batch(self.template, self.theta.data, noise)
 
-    def sample(self, rng: np.random.Generator) -> WeightSample:
-        noise = sample_noise_block(rng, self.noise_law, self.n_chunks)
-        return WeightSample(self.expectations(noise), noise)
+    def forward(self, noise: np.ndarray) -> ad.Tensor:
+        """Chunk matrix as a graph leaf; theta's gradient comes from
+        ``jacobian``, not from backpropagation."""
+        return ad.Tensor(self.expectations(noise), requires_grad=True)
 
     def jacobian(self, noise: np.ndarray) -> np.ndarray:
         """d(chunk)/d(theta) for every noise row: (rows, 4, param_slots).
@@ -181,10 +192,6 @@ class ClassicalWeightSampler:
     def expectations(self, noise: np.ndarray) -> np.ndarray:
         return self.forward(noise).data
 
-    def sample(self, rng: np.random.Generator) -> WeightSample:
-        noise = sample_noise_block(rng, self.noise_law, self.n_chunks)
-        return WeightSample(self.expectations(noise), noise)
-
     def parameters(self) -> list[ad.Tensor]:
         return [self.w1, self.b1, self.w2, self.b2]
 
@@ -193,13 +200,52 @@ class ClassicalWeightSampler:
                 "gen_w2": self.w2, "gen_b2": self.b2}
 
 
+class GaussianPosterior:
+    """Plain-VI baseline: a factorized Gaussian over the chunk matrix,
+    trained by reparameterization with an analytic KL to a standard
+    normal prior.  Its noise is the standard-normal ``eps``."""
+
+    noise_law = NoiseLaw("gaussian", CHUNK_DIM, 0.0, 1.0)
+
+    def __init__(self, rng: np.random.Generator, n_chunks: int = N_CHUNKS):
+        self.mu = ad.Tensor(rng.normal(0.0, 0.1, size=(n_chunks, CHUNK_DIM)),
+                            requires_grad=True)
+        self.log_sigma = ad.Tensor(np.full((n_chunks, CHUNK_DIM), -2.0),
+                                   requires_grad=True)
+        self.n_chunks = n_chunks
+
+    def forward(self, eps: np.ndarray) -> ad.Tensor:
+        """Differentiable chunk matrix for one draw's (n_chunks, 4) eps."""
+        sigma = ad.exp(self.log_sigma)
+        return ad.add(self.mu, ad.mul(sigma, eps))
+
+    def expectations(self, eps: np.ndarray) -> np.ndarray:
+        """mu + sigma * eps for (k * n_chunks, 4) eps rows, k draws."""
+        draws = eps.reshape(-1, self.n_chunks, CHUNK_DIM)
+        return (self.mu.data + np.exp(self.log_sigma.data) * draws).reshape(eps.shape)
+
+    def kl_to_standard_normal(self) -> ad.Tensor:
+        sigma_sq = ad.exp(ad.mul(self.log_sigma, 2.0))
+        per_element = ad.add(
+            ad.mul(ad.add(sigma_sq, ad.mul(self.mu, self.mu)), 0.5),
+            ad.add(ad.mul(self.log_sigma, -1.0), -0.5),
+        )
+        return ad.summation(per_element)
+
+    def parameters(self) -> list[ad.Tensor]:
+        return [self.mu, self.log_sigma]
+
+    def named_tensors(self) -> dict[str, ad.Tensor]:
+        return {"vi_mu": self.mu, "vi_log_sigma": self.log_sigma}
+
+
 # --- discriminator -------------------------------------------------------------
 
 
 class Discriminator:
     """Binary classifier on 4-value chunks: 4 -> 16 -> 1, sigmoid output.
 
-    Outputs are clamped into (1e-7, 1 - 1e-7) so the logit transform
+    Outputs are clamped into (1e-7, 1 - 1e-7) so log(d) - log(1 - d)
     stays finite.
     """
 
@@ -220,9 +266,3 @@ class Discriminator:
         return {"disc_w1": self.w1, "disc_b1": self.b1,
                 "disc_w2": self.w2, "disc_b2": self.b2}
 
-
-def logit(p: float) -> float:
-    """log(p / (1 - p)); rejects arguments outside the open unit interval."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"logit needs p in (0, 1), got {p}")
-    return math.log(p / (1.0 - p))

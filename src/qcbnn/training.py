@@ -13,7 +13,9 @@ reach the circuit angles through the parameter-shift Jacobian of the
 sampler and reach everything else by backpropagation.
 
 A plain variational-inference baseline (Gaussian weight posterior with
-an analytic KL term) shares all the surrounding machinery.
+an analytic KL term) shares all the surrounding machinery: every
+generator is drawn from and evaluated through the same contract
+(``noise_law``, ``n_chunks``, ``expectations``, ``forward``).
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from .circuits import Architecture, assemble_pqc
 from .samplers import (
     CHUNK_DIM,
     KERNEL_SHAPE,
-    N_CHUNKS,
     ClassicalWeightSampler,
     Discriminator,
+    GaussianPosterior,
     NoiseLaw,
     PriorSpec,
     QuantumWeightSampler,
@@ -55,14 +57,6 @@ class LossBreakdown:
     alpha: float
     beta: float
     combined: float
-
-
-@dataclass
-class EnsemblePrediction:
-    class_probabilities: np.ndarray
-    predicted: int
-    member_votes: np.ndarray
-    ensemble_size: int
 
 
 @dataclass
@@ -115,44 +109,6 @@ class TrainConfig(TrainSettings):
         super().__post_init__()
         if self.layers <= 0:
             raise ValueError("layers must be positive")
-
-
-# --- plain-VI weight posterior -----------------------------------------------
-
-
-class GaussianPosterior:
-    """Factorized Gaussian over the chunk matrix, trained by
-    reparameterization with an analytic KL to a standard normal prior."""
-
-    def __init__(self, rng: np.random.Generator, n_chunks: int = N_CHUNKS):
-        self.mu = ad.Tensor(rng.normal(0.0, 0.1, size=(n_chunks, CHUNK_DIM)),
-                            requires_grad=True)
-        self.log_sigma = ad.Tensor(np.full((n_chunks, CHUNK_DIM), -2.0),
-                                   requires_grad=True)
-        self.n_chunks = n_chunks
-
-    def forward(self, eps: np.ndarray) -> ad.Tensor:
-        sigma = ad.exp(self.log_sigma)
-        return ad.add(self.mu, ad.mul(sigma, eps))
-
-    def sample(self, rng: np.random.Generator) -> WeightSample:
-        eps = rng.standard_normal((self.n_chunks, CHUNK_DIM))
-        chunks = self.mu.data + np.exp(self.log_sigma.data) * eps
-        return WeightSample(chunks, eps)
-
-    def kl_to_standard_normal(self) -> ad.Tensor:
-        sigma_sq = ad.exp(ad.mul(self.log_sigma, 2.0))
-        per_element = ad.add(
-            ad.mul(ad.add(sigma_sq, ad.mul(self.mu, self.mu)), 0.5),
-            ad.add(ad.mul(self.log_sigma, -1.0), -0.5),
-        )
-        return ad.summation(per_element)
-
-    def parameters(self) -> list[ad.Tensor]:
-        return [self.mu, self.log_sigma]
-
-    def named_tensors(self) -> dict[str, ad.Tensor]:
-        return {"vi_mu": self.mu, "vi_log_sigma": self.log_sigma}
 
 
 # --- model assembly -----------------------------------------------------------
@@ -303,16 +259,6 @@ def _disc_objective_graph(disc: Discriminator, prior_chunks: np.ndarray,
     return ad.add(ad.mean(ad.log(d_gen)), ad.mean(ad.log(one_minus_prior)))
 
 
-def discriminator_loss(disc: Discriminator, prior_chunks, generated_chunks) -> float:
-    """Cross-entropy objective the discriminator ascends:
-    mean log d(generated) + mean log(1 - d(prior))."""
-    prior_chunks = np.atleast_2d(np.asarray(prior_chunks, dtype=np.float64))
-    generated_chunks = np.atleast_2d(np.asarray(generated_chunks, dtype=np.float64))
-    if prior_chunks.size == 0 or generated_chunks.size == 0:
-        raise ValueError("chunk sets must be non-empty")
-    return float(_disc_objective_graph(disc, prior_chunks, generated_chunks).data)
-
-
 def _logit_mean_graph(disc: Discriminator, chunks: ad.Tensor) -> ad.Tensor:
     d = disc.forward(chunks)
     return ad.mean(ad.add(ad.log(d), ad.mul(ad.log(ad.add(ad.mul(d, -1.0), 1.0)), -1.0)))
@@ -372,16 +318,6 @@ def _combine(cfg: TrainConfig, likelihood: ad.Tensor,
 # --- training loop ----------------------------------------------------------------
 
 
-def _draw_chunk_tensor(model: ModelState, noise: np.ndarray) -> ad.Tensor:
-    """Differentiable chunk tensor for one draw, sampler-appropriate."""
-    sampler = model.sampler
-    if isinstance(sampler, QuantumWeightSampler):
-        return ad.Tensor(sampler.expectations(noise), requires_grad=True)
-    if isinstance(sampler, ClassicalWeightSampler):
-        return sampler.forward(noise)
-    raise TypeError("unsupported sampler for adversarial training")
-
-
 def _quantum_theta_grad(sampler: QuantumWeightSampler, noise_blocks, chunk_tensors) -> np.ndarray:
     grad = np.zeros_like(sampler.theta.data)
     for noise, chunks in zip(noise_blocks, chunk_tensors):
@@ -401,8 +337,8 @@ def train_step(model: ModelState, images, labels, data_scale: float,
     cfg = model.config
     sampler = model.sampler
 
-    if isinstance(sampler, GaussianPosterior):
-        eps = rng_noise.standard_normal((sampler.n_chunks, CHUNK_DIM))
+    if isinstance(sampler, GaussianPosterior):  # analytic KL, no adversary
+        eps = sample_noise_block(rng_noise, sampler.noise_law, sampler.n_chunks)
         likelihood = _nll_graph(model, sampler.forward(eps), images, labels, data_scale)
         combined, breakdown = _combine(cfg, likelihood, sampler.kl_to_standard_normal())
     else:
@@ -410,11 +346,7 @@ def train_step(model: ModelState, images, labels, data_scale: float,
             sample_noise_block(rng_noise, sampler.noise_law, sampler.n_chunks)
             for _ in range(cfg.samples_per_step)
         ]
-        chunk_values = [
-            sampler.expectations(noise) if isinstance(sampler, QuantumWeightSampler)
-            else sampler.forward(noise).data
-            for noise in noise_blocks
-        ]
+        chunk_values = [sampler.expectations(noise) for noise in noise_blocks]
 
         disc_value = float("nan")
         for _ in range(cfg.disc_steps):
@@ -428,7 +360,7 @@ def train_step(model: ModelState, images, labels, data_scale: float,
             loss_d.backward()
             model.opt_discriminator.step()
 
-        chunk_tensors = [_draw_chunk_tensor(model, noise) for noise in noise_blocks]
+        chunk_tensors = [sampler.forward(noise) for noise in noise_blocks]
         combined, breakdown = combined_loss_graph(model, chunk_tensors, images, labels,
                                                   data_scale)
         breakdown.discriminator_loss = disc_value
@@ -438,7 +370,7 @@ def train_step(model: ModelState, images, labels, data_scale: float,
     model.opt_generator.zero_grad()
     model.opt_classifier.zero_grad()
     combined.backward()
-    if isinstance(sampler, QuantumWeightSampler):
+    if isinstance(sampler, QuantumWeightSampler):  # theta is outside the graph
         sampler.theta.grad = _quantum_theta_grad(sampler, noise_blocks, chunk_tensors)
     model.opt_generator.step()
     if images is not None:
@@ -499,14 +431,13 @@ def train_model(model: ModelState, train_images, train_labels,
 
 def draw_weight_samples(model: ModelState, count: int,
                         rng: np.random.Generator) -> list[WeightSample]:
-    """``count`` independent weight draws; quantum circuits run batched."""
+    """``count`` independent weight draws from one noise block and one
+    generator call; draw i is rows [i * n_chunks, (i + 1) * n_chunks)."""
     sampler = model.sampler
-    if isinstance(sampler, QuantumWeightSampler):
-        noise = sample_noise_block(rng, sampler.noise_law, count * sampler.n_chunks)
-        chunks = sampler.expectations(noise).reshape(count, sampler.n_chunks, CHUNK_DIM)
-        noise = noise.reshape(count, sampler.n_chunks, -1)
-        return [WeightSample(chunks[i], noise[i]) for i in range(count)]
-    return [sampler.sample(rng) for _ in range(count)]
+    noise = sample_noise_block(rng, sampler.noise_law, count * sampler.n_chunks)
+    chunks = sampler.expectations(noise).reshape(count, sampler.n_chunks, CHUNK_DIM)
+    noise = noise.reshape(count, sampler.n_chunks, -1)
+    return [WeightSample(chunks[i], noise[i]) for i in range(count)]
 
 
 def ensemble_outputs(model: ModelState, images: np.ndarray, n_members: int,
@@ -522,18 +453,6 @@ def ensemble_outputs(model: ModelState, images: np.ndarray, n_members: int,
     samples = draw_weight_samples(model, n_members, rng)
     members = forward_probs_np(model, images, np.stack([ws.kernels for ws in samples]))
     return members.sum(axis=0) / n_members, members.argmax(axis=2)
-
-
-def predict_ensemble(model: ModelState, image: np.ndarray, n_members: int,
-                     stream_tag=("predict",), seed: int | None = None) -> EnsemblePrediction:
-    """Averaged prediction over ``n_members`` independent weight draws."""
-    probs, votes = ensemble_outputs(model, image[None], n_members, stream_tag, seed)
-    return EnsemblePrediction(
-        class_probabilities=probs[0],
-        predicted=int(probs[0].argmax()),
-        member_votes=votes[:, 0],
-        ensemble_size=n_members,
-    )
 
 
 # --- toy prior-matching run ----------------------------------------------------------

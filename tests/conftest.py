@@ -1,7 +1,27 @@
+import os
+import pathlib
+
 import numpy as np
 import pytest
 
 from qcbnn import data as dio
+from qcbnn.samplers import WeightSample, sample_noise_block
+
+# pytest's ``pythonpath`` setting reaches only this process; subprocesses
+# that import qcbnn from an uninstalled checkout find it through this.
+_SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [_SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
+
+
+def per_draw_samples(sampler, count, rng):
+    """Oracle of ``draw_weight_samples``: ``count`` draws, each from its
+    own ``n_chunks``-row noise block and its own generator call."""
+    out = []
+    for _ in range(count):
+        noise = sample_noise_block(rng, sampler.noise_law, sampler.n_chunks)
+        out.append(WeightSample(sampler.expectations(noise), noise))
+    return out
 
 
 def finite_difference_grad(fn, x0: np.ndarray, h: float = 1e-4) -> np.ndarray:

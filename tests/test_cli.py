@@ -130,6 +130,14 @@ class TestTrainCommand:
     def test_unknown_set_key(self, capsys):
         assert cli.main(["train", "--set", "warp=9"]) == cli.EXIT_CONFIG
 
+    def test_out_under_regular_file_is_io_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        code = cli.main(["train"] + TINY + ["--out", str(blocker / "sub"), "--quiet"])
+        assert code == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("flags", [["--epochs", "0"], ["--sampler", "bogus"]],
                              ids=["epochs-0", "sampler-bogus"])
     def test_invalid_training_value_writes_nothing(self, flags, tmp_path):
@@ -275,6 +283,13 @@ class TestReportCommand:
 
     def test_empty_dir_is_config_error(self, tmp_path):
         assert cli.main(["report", str(tmp_path)]) == cli.EXIT_CONFIG
+
+    def test_regular_file_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "summary.csv"
+        path.write_text("x")
+        assert cli.main(["report", str(path)]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_report_is_pure_function_of_results(self, tiny_run, tmp_path):
         import shutil

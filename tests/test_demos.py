@@ -1,13 +1,15 @@
-"""Every ``from qcbnn.<module> import <name>`` in the demo scripts resolves.
+"""The demo scripts stay in step with the package.
 
-The demos are narrative scripts that no other test runs; this keeps them
-in step with the package when names are removed or renamed, without
-running any training.
+Every ``from qcbnn.<module> import <name>`` in them resolves, and every
+demo runs to completion in a subprocess.
 """
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -25,3 +27,13 @@ def test_demo_imports_resolve(path):
         for alias in node.names:
             assert hasattr(module, alias.name), \
                 f"{path.name}:{node.lineno} {node.module} has no {alias.name}"
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(path, tmp_path):
+    """Each demo runs to completion from a scratch directory; QBNN_OUT
+    points any artifacts it writes there too."""
+    env = dict(os.environ, QBNN_OUT=str(tmp_path / "out"))
+    proc = subprocess.run([sys.executable, str(path)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=600, check=False)
+    assert proc.returncode == 0, f"{path.name} exited {proc.returncode}\n{proc.stderr}"

@@ -14,13 +14,23 @@ from qcbnn.samplers import (
     PriorSpec,
     QuantumWeightSampler,
     WeightSample,
-    logit,
     prior_sample_block,
     sample_noise_block,
 )
 from qcbnn.statevector import CircuitTemplate, parameter_shift_grad
 
-from conftest import finite_difference_grad
+from conftest import finite_difference_grad, per_draw_samples
+
+
+def logit(p: float) -> float:
+    """log(p / (1 - p)); rejects arguments outside the open unit interval."""
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"logit needs p in (0, 1), got {p}")
+    return math.log(p / (1.0 - p))
+
+
+def one_draw(sampler, rng):
+    return per_draw_samples(sampler, 1, rng)[0]
 
 
 def make_quantum_sampler(seed=0, arch=Architecture.CIRCUIT_III):
@@ -90,14 +100,13 @@ class TestQuantumSampler:
     def test_all_weights_bounded(self):
         sampler = make_quantum_sampler()
         rng = np.random.default_rng(5)
-        for _ in range(1000 // N_CHUNKS + 1):
-            ws = sampler.sample(rng)
+        for ws in per_draw_samples(sampler, 1000 // N_CHUNKS + 1, rng):
             assert ws.flat.min() >= -1.0 and ws.flat.max() <= 1.0
 
     def test_same_stream_position_identical(self):
         sampler = make_quantum_sampler()
-        a = sampler.sample(np.random.default_rng(7))
-        b = sampler.sample(np.random.default_rng(7))
+        a = one_draw(sampler, np.random.default_rng(7))
+        b = one_draw(sampler, np.random.default_rng(7))
         np.testing.assert_array_equal(a.chunks, b.chunks)
         np.testing.assert_array_equal(a.noise, b.noise)
 
@@ -134,12 +143,12 @@ class TestClassicalSampler:
         sampler = ClassicalWeightSampler(np.random.default_rng(0))
         for p in sampler.parameters():
             p.data = np.zeros_like(p.data)
-        ws = sampler.sample(np.random.default_rng(1))
+        ws = one_draw(sampler, np.random.default_rng(1))
         np.testing.assert_array_equal(ws.chunks, np.zeros((N_CHUNKS, CHUNK_DIM)))
 
     def test_outputs_bounded_by_tanh(self):
         sampler = ClassicalWeightSampler(np.random.default_rng(2))
-        ws = sampler.sample(np.random.default_rng(3))
+        ws = one_draw(sampler, np.random.default_rng(3))
         assert np.abs(ws.chunks).max() < 1.0
 
     def test_gradient_matches_finite_differences(self):
@@ -167,8 +176,8 @@ class TestClassicalSampler:
     def test_same_geometry_as_quantum(self):
         classical = ClassicalWeightSampler(np.random.default_rng(0))
         quantum = make_quantum_sampler()
-        a = classical.sample(np.random.default_rng(1))
-        b = quantum.sample(np.random.default_rng(1))
+        a = one_draw(classical, np.random.default_rng(1))
+        b = one_draw(quantum, np.random.default_rng(1))
         assert a.chunks.shape == b.chunks.shape == (N_CHUNKS, CHUNK_DIM)
         assert a.kernels.shape == b.kernels.shape == (16, 2, 2)
 

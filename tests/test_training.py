@@ -1,4 +1,6 @@
 import math
+import os
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from qcbnn.samplers import (
     sample_noise_block,
 )
 from qcbnn.seeding import stream
+
+from conftest import per_draw_samples
 
 
 def zero_discriminator():
@@ -62,6 +66,35 @@ def einsum_forward_probs(model, images, kernels):
     return ad.softmax_np(logits)
 
 
+def discriminator_loss(disc, prior_chunks, generated_chunks) -> float:
+    """Cross-entropy objective the discriminator ascends:
+    mean log d(generated) + mean log(1 - d(prior))."""
+    prior_chunks = np.atleast_2d(np.asarray(prior_chunks, dtype=np.float64))
+    generated_chunks = np.atleast_2d(np.asarray(generated_chunks, dtype=np.float64))
+    if prior_chunks.size == 0 or generated_chunks.size == 0:
+        raise ValueError("chunk sets must be non-empty")
+    return float(tr._disc_objective_graph(disc, prior_chunks, generated_chunks).data)
+
+
+@dataclass
+class EnsemblePrediction:
+    class_probabilities: np.ndarray
+    predicted: int
+    member_votes: np.ndarray
+    ensemble_size: int
+
+
+def predict_ensemble(model, image, n_members, stream_tag=("predict",), seed=None):
+    """Averaged prediction for one image over ``n_members`` weight draws."""
+    probs, votes = tr.ensemble_outputs(model, image[None], n_members, stream_tag, seed)
+    return EnsemblePrediction(
+        class_probabilities=probs[0],
+        predicted=int(probs[0].argmax()),
+        member_votes=votes[:, 0],
+        ensemble_size=n_members,
+    )
+
+
 def generator_loss(model, weight_samples, images, labels, data_scale=1.0):
     """Numpy oracle of the adversarial-KL objective for given weight draws:
     mean over draws of [chunk-averaged logit(d) - log p(D|w)]."""
@@ -95,8 +128,8 @@ class TestDiscriminatorLoss:
     def test_constant_half_classifier(self):
         disc = zero_discriminator()
         rng = np.random.default_rng(1)
-        value = tr.discriminator_loss(disc, rng.uniform(-1, 1, (16, 4)),
-                                      rng.uniform(-1, 1, (16, 4)))
+        value = discriminator_loss(disc, rng.uniform(-1, 1, (16, 4)),
+                                   rng.uniform(-1, 1, (16, 4)))
         assert value == pytest.approx(2 * math.log(0.5), abs=1e-12)
 
     def test_perfect_discrimination_clamps_below_zero(self):
@@ -105,7 +138,7 @@ class TestDiscriminatorLoss:
         disc.w2.data = np.hstack([np.full((1, 1), 1e4), np.zeros((1, 15))])
         gen = np.full((8, 4), 1.0)    # drives d -> 1 (clamped)
         prior = np.full((8, 4), -1.0)  # drives d -> 0 (clamped)
-        value = tr.discriminator_loss(disc, prior, gen)
+        value = discriminator_loss(disc, prior, gen)
         assert -1e-5 < value < 0.0
 
     def test_matches_direct_sum_oracle(self):
@@ -117,11 +150,11 @@ class TestDiscriminatorLoss:
             np.mean(np.log(_np_disc_forward(disc, gen)))
             + np.mean(np.log(1 - _np_disc_forward(disc, prior)))
         )
-        assert tr.discriminator_loss(disc, prior, gen) == pytest.approx(expected, abs=1e-12)
+        assert discriminator_loss(disc, prior, gen) == pytest.approx(expected, abs=1e-12)
 
     def test_rejects_empty_sets(self):
         with pytest.raises(ValueError, match="non-empty"):
-            tr.discriminator_loss(zero_discriminator(), np.zeros((0, 4)), np.zeros((1, 4)))
+            discriminator_loss(zero_discriminator(), np.zeros((0, 4)), np.zeros((1, 4)))
 
 
 class TestGeneratorLoss:
@@ -129,7 +162,7 @@ class TestGeneratorLoss:
         train, _ = tiny_split
         model = quantum_model()
         model.disc = zero_discriminator()
-        ws = model.sampler.sample(np.random.default_rng(0))
+        ws = per_draw_samples(model.sampler, 1, np.random.default_rng(0))[0]
         images, labels = train.images[:4], train.labels[:4]
         value = generator_loss(model, [ws], images, labels, data_scale=1.0)
         probs = tr.forward_probs_np(model, images, ws.kernels)
@@ -139,7 +172,7 @@ class TestGeneratorLoss:
     def test_single_sample_single_datum_hand_computed(self, tiny_split):
         train, _ = tiny_split
         model = quantum_model(seed=3)
-        ws = model.sampler.sample(np.random.default_rng(1))
+        ws = per_draw_samples(model.sampler, 1, np.random.default_rng(1))[0]
         image, label = train.images[:1], train.labels[:1]
         value = generator_loss(model, [ws], image, label, data_scale=2.5)
         d = _np_disc_forward(model.disc, ws.chunks)
@@ -264,7 +297,7 @@ class TestTrainStepAndEpoch:
         opt = ad.Adam(disc.parameters(), lr=0.01)
         gen_eval = 0.75 + 0.05 * np.random.default_rng(11).uniform(-1, 1, (256, 4))
         prior_eval = prior_sample_block(PriorSpec(), np.random.default_rng(12), 256)
-        values = [tr.discriminator_loss(disc, prior_eval, gen_eval)]
+        values = [discriminator_loss(disc, prior_eval, gen_eval)]
         train_rng = np.random.default_rng(13)
         for _ in range(10):
             gen_batch = 0.75 + 0.05 * train_rng.uniform(-1, 1, (64, 4))
@@ -273,7 +306,7 @@ class TestTrainStepAndEpoch:
             opt.zero_grad()
             ad.mul(objective, -1.0).backward()
             opt.step()
-            values.append(tr.discriminator_loss(disc, prior_eval, gen_eval))
+            values.append(discriminator_loss(disc, prior_eval, gen_eval))
         increases = sum(b >= a for a, b in zip(values, values[1:]))
         assert increases >= 8
 
@@ -441,13 +474,30 @@ class TestCheckpointArrays:
         with pytest.raises(ValueError, match=r"\['stray'\].*'quantum' sampler"):
             model.load_arrays(arrays)
 
+    def test_every_truncation_is_a_value_error(self, tmp_path):
+        model = quantum_model(seed=14)
+        cut = tmp_path / "cut.qckpt"
+        ad.save_checkpoint(cut, model.named_arrays())
+        whole_blocks = 0
+        for size in reversed(range(cut.stat().st_size)):
+            os.truncate(cut, size)
+            try:
+                arrays = ad.load_checkpoint(cut)
+            except ValueError:
+                continue
+            whole_blocks += 1
+            with pytest.raises(ValueError, match="missing tensor"):
+                model.load_arrays(arrays)
+        # a cut on a block boundary is a well-formed shorter container
+        assert whole_blocks == len(model.named_arrays())
+
 
 class TestEnsemblePrediction:
     def test_single_member_equals_its_softmax(self, tiny_split):
         train, _ = tiny_split
         model = quantum_model(seed=30)
         image = train.images[0]
-        pred = tr.predict_ensemble(model, image, 1, stream_tag=("check",))
+        pred = predict_ensemble(model, image, 1, stream_tag=("check",))
         ws = tr.draw_weight_samples(model, 1, stream(model.config.seed, "check"))[0]
         member = tr.forward_probs_np(model, image[None], ws.kernels)[0]
         np.testing.assert_allclose(pred.class_probabilities, member, atol=1e-15)
@@ -457,7 +507,7 @@ class TestEnsemblePrediction:
         train, _ = tiny_split
         law = NoiseLaw("gaussian", mu=1.0, sigma=0.0)
         model = quantum_model(seed=31, noise=law)
-        pred = tr.predict_ensemble(model, train.images[0], 12)
+        pred = predict_ensemble(model, train.images[0], 12)
         assert len(set(pred.member_votes.tolist())) == 1
         assert (pred.member_votes == pred.predicted).mean() == 1.0
 
@@ -476,7 +526,7 @@ class TestEnsemblePrediction:
     def test_probabilities_sum_to_one(self, tiny_split):
         train, _ = tiny_split
         model = quantum_model(seed=33)
-        pred = tr.predict_ensemble(model, train.images[1], 7)
+        pred = predict_ensemble(model, train.images[1], 7)
         assert pred.class_probabilities.sum() == pytest.approx(1.0, abs=1e-9)
         assert pred.predicted == int(pred.class_probabilities.argmax())
 
@@ -484,7 +534,7 @@ class TestEnsemblePrediction:
         train, _ = tiny_split
         model = quantum_model(seed=34)
         with pytest.raises(ValueError):
-            tr.predict_ensemble(model, train.images[0], 0)
+            predict_ensemble(model, train.images[0], 0)
 
 
 class TestPlainVi:
@@ -512,9 +562,25 @@ class TestPlainVi:
 
     def test_reparameterized_sampling(self):
         posterior = tr.GaussianPosterior(np.random.default_rng(1))
-        ws = posterior.sample(np.random.default_rng(2))
+        ws = per_draw_samples(posterior, 1, np.random.default_rng(2))[0]
+        np.testing.assert_array_equal(
+            ws.noise, np.random.default_rng(2).standard_normal((16, 4)))
         expected = posterior.mu.data + np.exp(posterior.log_sigma.data) * ws.noise
         np.testing.assert_allclose(ws.chunks, expected, atol=1e-15)
+
+
+class TestDrawWeightSamples:
+    @pytest.mark.parametrize("count", [1, 7])
+    @pytest.mark.parametrize("sampler", ["quantum", "classical", "vi"])
+    def test_one_block_equals_per_draw_oracle(self, sampler, count):
+        model = tr.build_model(tr.TrainConfig(seed=4, sampler=sampler), (28, 28))
+        got = tr.draw_weight_samples(model, count, np.random.default_rng(count))
+        want = per_draw_samples(model.sampler, count, np.random.default_rng(count))
+        assert len(got) == count
+        for a, b in zip(got, want):
+            assert a.chunks.shape == (16, 4)
+            assert a.chunks.tobytes() == b.chunks.tobytes()
+            assert a.noise.tobytes() == b.noise.tobytes()
 
 
 class TestPriorMatching:
