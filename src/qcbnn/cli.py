@@ -35,18 +35,25 @@ EXIT_DIVERGENCE = 3
 EXIT_IO = 4
 
 
+# flags that mirror a config key (aliases resolved by ``apply_settings``)
+_CONFIG_FLAGS = {
+    "arch": "architecture id or comma list",
+    "seed": "seed or comma list",
+    "layers": "calculation-layer count or comma list",
+    "reupload": "re-uploading flag or comma list",
+    "alpha": "likelihood weight",
+    "beta": "adversarial-KL weight",
+    "ensemble": "prediction-time ensemble size",
+    "epochs": "training epochs",
+    "sampler": "quantum | classical | vi",
+    "out": "output directory",
+}
+
+
 def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="config file (key = value lines)")
-    parser.add_argument("--arch", help="architecture id or comma list")
-    parser.add_argument("--seed", help="seed or comma list")
-    parser.add_argument("--layers", help="calculation-layer count or comma list")
-    parser.add_argument("--reupload", help="re-uploading flag or comma list")
-    parser.add_argument("--alpha", help="likelihood weight")
-    parser.add_argument("--beta", help="adversarial-KL weight")
-    parser.add_argument("--ensemble", help="prediction-time ensemble size")
-    parser.add_argument("--epochs", help="training epochs")
-    parser.add_argument("--sampler", help="quantum | classical | vi")
-    parser.add_argument("--out", help="output directory")
+    for flag, text in _CONFIG_FLAGS.items():
+        parser.add_argument(f"--{flag}", help=text)
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="set any other config key")
 
@@ -57,12 +64,8 @@ def _build_config(args) -> RunConfig:
             config = parse_config(fh.read())
     else:
         config = RunConfig()
-    settings = {}
-    for flag in ("arch", "seed", "layers", "reupload", "alpha", "beta",
-                 "ensemble", "epochs", "sampler", "out"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            settings[flag] = value
+    settings = {flag: value for flag in _CONFIG_FLAGS
+                if (value := getattr(args, flag, None)) is not None}
     for item in args.set:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
@@ -153,19 +156,15 @@ def main(argv=None) -> int:
 
 
 def _sample_weights(args) -> str:
-    from .experiment import dump_weight_samples, load_run, resolve_dataset
+    from .experiment import dump_weight_samples, load_run, read_run_config, resolve_dataset
     from .training import build_model
 
     if args.run_dir:
-        with open(os.path.join(args.run_dir, "config.cfg")) as fh:
-            config = parse_config(fh.read())
-        shape_probe = resolve_dataset(config)
+        shape_probe = resolve_dataset(read_run_config(args.run_dir))
         model, _ = load_run(args.run_dir, shape_probe.images.shape[1:])
     else:
         config = _build_config(args)
-        cfg = config.train_config(config.archs[0], config.layers_list[0],
-                                  config.reupload_list[0], config.seeds[0])
-        model = build_model(cfg, (28, 28))
+        model = build_model(config.train_config(*config.cells()[0]), (28, 28))
     dump_weight_samples(model, args.draws, args.out_csv)
     return args.out_csv
 

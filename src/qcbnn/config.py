@@ -61,6 +61,11 @@ class RunConfig(TrainSettings):
                 "conflicting sweep lengths: layers_list and reupload_list "
                 f"have {len(self.layers_list)} and {len(self.reupload_list)} entries"
             )
+        if self.calibration_bins < 2:
+            raise ConfigError(f"calibration_bins must be >= 2, got {self.calibration_bins}")
+        if self.subset_reference not in ("overall", "indicator"):
+            raise ConfigError("subset_reference must be 'overall' or 'indicator', "
+                              f"got {self.subset_reference!r}")
         # every cell must make a valid run, so bad input fails before any output
         try:
             for cell in self.cells():

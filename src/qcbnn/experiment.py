@@ -32,7 +32,7 @@ from . import svg
 from .autodiff import load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, format_config, parse_config
 from .data import Dataset, SynthSpec, load_dataset, split, synth_generate
-from .metrics import build_eval_report, kde_density, report_rows
+from .metrics import EvalReport, build_eval_report, kde_density, report_rows
 from .samplers import CHUNK_DIM
 from .seeding import stream
 from .training import (
@@ -132,12 +132,8 @@ def train_one_run(config: RunConfig, tagged: Dataset, arch, layers, reupload, se
 
     save_checkpoint(os.path.join(run_dir, "checkpoint.qckpt"), model.named_arrays())
 
-    probs, votes = ensemble_outputs(model, test_set.images, config.n_ensemble,
-                                    ("eval-test",))
-    report = build_eval_report(probs, votes, test_set.labels,
-                               config.calibration_bins, config.subset_reference)
-    _write_csv(os.path.join(run_dir, "eval_test.csv"),
-               ["metric", "subset", "value"], report_rows(report))
+    report = write_evaluation(model, config, test_set, config.n_ensemble, "test",
+                              os.path.join(run_dir, "eval_test.csv"))
 
     dump_weight_samples(model, config.n_ensemble,
                         os.path.join(run_dir, "weight_samples.csv"))
@@ -148,20 +144,21 @@ def train_one_run(config: RunConfig, tagged: Dataset, arch, layers, reupload, se
         fh.write(format_config(single))
 
     last = history[-1]
-    return {
-        "train_accuracy": last["train_accuracy"],
-        "val_accuracy": last.get("val_accuracy"),
-        "test_accuracy": report.accuracy,
-        "precision": report.precision,
-        "recall": report.recall,
-        "f1": report.f1,
-        "mean_confidence": report.mean_confidence,
-        "confidence_error_correct": report.confidence_error_correct,
-        "confidence_error_incorrect": report.confidence_error_incorrect,
-        "ensemble_fraction_correct": report.ensemble_fraction_correct,
-        "ensemble_fraction_incorrect": report.ensemble_fraction_incorrect,
-        "difference": report.difference,
-    }
+    return {"train_accuracy": last["train_accuracy"],
+            "val_accuracy": last.get("val_accuracy"),
+            "test_accuracy": report.accuracy,
+            **{f: getattr(report, f) for f in SUMMARY_FIELDS[3:]}}
+
+
+def write_evaluation(model: ModelState, config: RunConfig, subset: Dataset,
+                     n_members: int, tag: str, path) -> EvalReport:
+    """Ensemble-evaluate ``subset`` and write its (metric, subset, value)
+    report CSV; the one evaluation path of training and ``run_evaluate``."""
+    probs, votes = ensemble_outputs(model, subset.images, n_members, ("eval-" + tag,))
+    report = build_eval_report(probs, votes, subset.labels,
+                               config.calibration_bins, config.subset_reference)
+    _write_csv(path, ["metric", "subset", "value"], report_rows(report))
+    return report
 
 
 def dump_weight_samples(model: ModelState, n_draws: int, path):
@@ -178,11 +175,11 @@ def dump_weight_samples(model: ModelState, n_draws: int, path):
 
 def run_train(config: RunConfig, progress: bool = False) -> str:
     """Execute the full sweep; returns the output directory."""
+    tagged = resolve_dataset(config)  # a bad dataset setting fails before any output
     out = os.path.abspath(config.out)
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "config_echo.cfg"), "w") as fh:
         fh.write(format_config(config))
-    tagged = resolve_dataset(config)
 
     summary_rows = []
     by_label: dict[str, list[dict]] = {}
@@ -213,19 +210,23 @@ def run_train(config: RunConfig, progress: bool = False) -> str:
 # --- evaluation of stored checkpoints ------------------------------------------
 
 
+def read_run_config(run_dir: str) -> RunConfig:
+    """The single-cell config a finished run echoed into its ``config.cfg``."""
+    path = os.path.join(run_dir, "config.cfg")
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"missing run artifact: {path}")
+    with open(path) as fh:
+        return parse_config(fh.read())
+
+
 def load_run(run_dir: str, image_shape: tuple[int, int]) -> tuple[ModelState, RunConfig]:
     """Rebuild the model of a finished run from its config echo and
     checkpoint."""
-    cfg_path = os.path.join(run_dir, "config.cfg")
+    config = read_run_config(run_dir)
     ckpt_path = os.path.join(run_dir, "checkpoint.qckpt")
-    for path in (cfg_path, ckpt_path):
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"missing run artifact: {path}")
-    with open(cfg_path) as fh:
-        config = parse_config(fh.read())
-    train_cfg = config.train_config(config.archs[0], config.layers_list[0],
-                                    config.reupload_list[0], config.seeds[0])
-    model = build_model(train_cfg, image_shape)
+    if not os.path.exists(ckpt_path):
+        raise FileNotFoundError(f"missing run artifact: {ckpt_path}")
+    model = build_model(config.train_config(*config.cells()[0]), image_shape)
     model.load_arrays(load_checkpoint(ckpt_path))
     return model, config
 
@@ -236,21 +237,15 @@ def run_evaluate(run_dir: str, out_path: str | None = None,
     """Evaluate a stored run on a dataset split; writes a report CSV."""
     if n_ensemble is not None and n_ensemble < 1:
         raise ConfigError(f"ensemble size must be >= 1, got {n_ensemble}")
-    config_probe = None
     if dataset is None:
-        with open(os.path.join(run_dir, "config.cfg")) as fh:
-            config_probe = parse_config(fh.read())
-        dataset = resolve_dataset(config_probe)
+        dataset = resolve_dataset(read_run_config(run_dir))
     subset = dataset.subset(tag) if dataset.tags is not None else dataset
     if len(subset) == 0:
         raise ConfigError(f"split {tag!r} has no images to evaluate")
     model, config = load_run(run_dir, subset.images.shape[1:])
-    n = config.n_ensemble if n_ensemble is None else n_ensemble
-    probs, votes = ensemble_outputs(model, subset.images, n, ("eval-" + tag,))
-    report = build_eval_report(probs, votes, subset.labels,
-                               config.calibration_bins, config.subset_reference)
     out_path = out_path or os.path.join(run_dir, f"eval_{tag}.csv")
-    _write_csv(out_path, ["metric", "subset", "value"], report_rows(report))
+    write_evaluation(model, config, subset,
+                     config.n_ensemble if n_ensemble is None else n_ensemble, tag, out_path)
     return out_path
 
 
@@ -307,26 +302,14 @@ def _read_csv(path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-def _curves_by_split(runs: list[str], split_name: str) -> tuple[list, list, list]:
-    per_epoch: dict[int, list[float]] = {}
-    for run in runs:
-        for row in _read_csv(os.path.join(run, "epochs.csv")):
-            if row["split"] == split_name:
-                per_epoch.setdefault(int(row["epoch"]), []).append(float(row["accuracy"]))
-    epochs = sorted(per_epoch)
-    means = [float(np.mean(per_epoch[e])) for e in epochs]
-    stds = [float(np.std(per_epoch[e])) for e in epochs]
-    return epochs, means, stds
-
-
-def _eval_value(run: str, metric: str, subset: str):
+def _read_run(run: str) -> tuple[list[dict], dict]:
+    """A run's epochs.csv rows and its test evaluation as a
+    {(metric, subset): value} dict (empty without ``eval_test.csv``)."""
+    epochs = _read_csv(os.path.join(run, "epochs.csv"))
     path = os.path.join(run, "eval_test.csv")
-    if not os.path.exists(path):
-        return None
-    for row in _read_csv(path):
-        if row["metric"] == metric and row["subset"] == subset:
-            return float(row["value"]) if row["value"] != "" else None
-    return None
+    table = _read_csv(path) if os.path.exists(path) else []
+    return epochs, {(r["metric"], r["subset"]): float(r["value"])
+                    for r in table if r["value"] != ""}
 
 
 def run_report(results_dir: str, emit_svg: bool = True) -> list[str]:
@@ -335,7 +318,8 @@ def run_report(results_dir: str, emit_svg: bool = True) -> list[str]:
     Figures whose inputs are missing are skipped with a printed notice
     naming the missing artifact.
     """
-    runs_by_label = _discover_runs(results_dir)
+    runs_by_label = {label: [(run, *_read_run(run)) for run in runs]
+                     for label, runs in _discover_runs(results_dir).items()}
     if not runs_by_label:
         raise FileNotFoundError(f"no run artifacts under {results_dir}")
     fig_dir = os.path.join(results_dir, "figures")
@@ -355,17 +339,23 @@ def run_report(results_dir: str, emit_svg: bool = True) -> list[str]:
     for split_name in ("train", "validation"):
         rows, fig = [], svg.Figure(f"{split_name} accuracy over epochs",
                                    "epoch", "accuracy")
-        any_data = False
         for label, runs in runs_by_label.items():
-            epochs, means, stds = _curves_by_split(runs, split_name)
-            if not epochs:
+            per_epoch: dict[int, list[float]] = {}
+            for _, epoch_rows, _ in runs:
+                for row in epoch_rows:
+                    if row["split"] == split_name:
+                        per_epoch.setdefault(int(row["epoch"]), []).append(
+                            float(row["accuracy"]))
+            if not per_epoch:
                 continue
-            any_data = True
+            epochs = sorted(per_epoch)
+            means = [float(np.mean(per_epoch[e])) for e in epochs]
+            stds = [float(np.std(per_epoch[e])) for e in epochs]
             rows += [[label, e, m, s] for e, m, s in zip(epochs, means, stds)]
             fig.add_line(epochs, means, label=label,
                          band_low=[m - s for m, s in zip(means, stds)],
                          band_high=[m + s for m, s in zip(means, stds)])
-        if any_data:
+        if rows:
             emit(f"{split_name}_curves", ["label", "epoch", "mean", "std"], rows, fig)
         else:
             print(f"notice: no {split_name} rows in epochs.csv, curve figure skipped")
@@ -376,9 +366,10 @@ def run_report(results_dir: str, emit_svg: bool = True) -> list[str]:
     pos = 0
     missing = []
     for label, runs in runs_by_label.items():
-        values = [v for run in runs if (v := _eval_value(run, "accuracy", "all")) is not None]
+        values = [v for _, _, evals in runs
+                  if (v := evals.get(("accuracy", "all"))) is not None]
         if not values:
-            missing += [os.path.join(r, "eval_test.csv") for r in runs]
+            missing += [os.path.join(run, "eval_test.csv") for run, _, _ in runs]
             continue
         q = np.percentile(values, [0, 25, 50, 75, 100])
         rows.append([label] + [float(v) for v in q])
@@ -397,8 +388,8 @@ def run_report(results_dir: str, emit_svg: bool = True) -> list[str]:
         fig = svg.Figure(name.replace("_", " "), metric, "density")
         for label, runs in runs_by_label.items():
             for subset in ("correct", "incorrect"):
-                values = [v for run in runs
-                          if (v := _eval_value(run, metric, subset)) is not None]
+                values = [v for _, _, evals in runs
+                          if (v := evals.get((metric, subset))) is not None]
                 if len(values) < 2:
                     continue
                 series = f"{label}/{subset}"
@@ -417,30 +408,20 @@ def run_report(results_dir: str, emit_svg: bool = True) -> list[str]:
     rows = []
     fig = svg.Figure("calibration", "mean confidence", "empirical accuracy")
     fig.add_line([0.0, 1.0], [0.0, 1.0], label="ideal")
-    any_bins = False
     for label, runs in runs_by_label.items():
         bins: dict[str, list[tuple[float, float]]] = {}
-        for run in runs:
-            path = os.path.join(run, "eval_test.csv")
-            if not os.path.exists(path):
-                continue
-            table = _read_csv(path)
-            conf = {r["metric"]: float(r["value"]) for r in table
-                    if r["subset"] == "confidence" and r["value"] != ""}
-            acc = {r["metric"]: float(r["value"]) for r in table
-                   if r["subset"] == "accuracy" and r["value"] != ""}
-            for key in conf:
-                if key in acc:
-                    bins.setdefault(key, []).append((conf[key], acc[key]))
+        for _, _, evals in runs:
+            for (key, subset), conf in evals.items():
+                if subset == "confidence" and (key, "accuracy") in evals:
+                    bins.setdefault(key, []).append((conf, evals[key, "accuracy"]))
         points = sorted(
             (float(np.mean([c for c, _ in v])), float(np.mean([a for _, a in v])))
             for v in bins.values()
         )
         if points:
-            any_bins = True
             rows += [[label, c, a] for c, a in points]
             fig.add_line([c for c, _ in points], [a for _, a in points], label=label)
-    if any_bins:
+    if rows:
         emit("calibration", ["label", "mean_confidence", "accuracy"], rows, fig)
     else:
         print("notice: no test evaluations found, calibration figure skipped")
@@ -451,7 +432,7 @@ def run_report(results_dir: str, emit_svg: bool = True) -> list[str]:
     grid = np.linspace(-1.2, 1.2, 241)
     for label, runs in runs_by_label.items():
         pooled = []
-        for run in runs:
+        for run, _, _ in runs:
             path = os.path.join(run, "weight_samples.csv")
             if os.path.exists(path):
                 pooled += [float(r["value"]) for r in _read_csv(path)]
@@ -470,9 +451,9 @@ def run_report(results_dir: str, emit_svg: bool = True) -> list[str]:
                      "difference", "accuracy")
     for label, runs in runs_by_label.items():
         xs, ys = [], []
-        for run in runs:
-            d = _eval_value(run, "difference", "all")
-            a = _eval_value(run, "accuracy", "all")
+        for run, _, evals in runs:
+            d = evals.get(("difference", "all"))
+            a = evals.get(("accuracy", "all"))
             if d is not None and a is not None:
                 xs.append(d)
                 ys.append(a)

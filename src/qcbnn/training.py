@@ -469,8 +469,11 @@ def train_prior_matching(model: ModelState, steps: int,
         raise TypeError("unsupported sampler for adversarial training: the "
                         "plain-VI posterior has no adversarial loop")
     cfg = model.config
-    rng_noise = stream(cfg.seed, "toy-noise")
-    rng_prior = stream(cfg.seed, "toy-prior")
+    # keyed by the generator's step count, so a further call draws fresh
+    # batches; step 0 gives the same streams as stream(seed, tag)
+    start = model.opt_generator.step_count
+    rng_noise = stream(cfg.seed, "toy-noise", start)
+    rng_prior = stream(cfg.seed, "toy-prior", start)
     trace = []
     for step in range(steps):
         breakdown = train_step(model, None, None, 1.0, rng_noise, rng_prior)

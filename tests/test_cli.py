@@ -9,6 +9,7 @@ from qcbnn.config import ConfigError, RunConfig, apply_settings, format_config, 
 from qcbnn.experiment import (
     _write_csv,
     dump_weight_samples,
+    run_evaluate,
     run_report,
     run_toy_adversarial,
     run_train,
@@ -138,11 +139,20 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("flags", [["--epochs", "0"], ["--sampler", "bogus"]],
-                             ids=["epochs-0", "sampler-bogus"])
+    @pytest.mark.parametrize("flags", [
+        ["--epochs", "0"],
+        ["--sampler", "bogus"],
+        ["--set", "calibration_bins=1"],
+        ["--set", "subset_reference=bogus"],
+        ["--set", "split_fractions=0.5,0.6"],
+        ["--set", "synth_imbalance=0"],
+        ["--set", "dataset=/nonexistent.qbnn"],
+    ], ids=["epochs-0", "sampler-bogus", "calibration-bins-1", "subset-reference-bogus",
+            "split-fractions-sum", "synth-imbalance-0", "dataset-missing"])
     def test_invalid_training_value_writes_nothing(self, flags, tmp_path):
         out = tmp_path / "D"
-        assert cli.main(["train"] + flags + ["--out", str(out), "--quiet"]) == cli.EXIT_CONFIG
+        argv = ["train", "--sampler", "classical", "--epochs", "1"] + flags
+        assert cli.main(argv + ["--out", str(out), "--quiet"]) == cli.EXIT_CONFIG
         assert not out.exists()
 
 
@@ -207,6 +217,20 @@ class TestEvaluateCommand:
         assert code == cli.EXIT_CONFIG
         assert "split 'validation' has no images" in capsys.readouterr().err
         assert not out_csv.exists()
+
+    @pytest.mark.parametrize("sampler", ["quantum", "classical", "vi"])
+    def test_reproduces_training_eval(self, sampler, tmp_path):
+        out = tmp_path / "sweep"
+        argv = ["train", "--sampler", sampler, "--seed", "3", "--epochs", "1",
+                "--set", "synth_samples=30", "--set", "n_ensemble=6",
+                "--set", "eval_ensemble=2", "--set", "batch_size=8",
+                "--set", "split_fractions=0.6,0.4", "--out", str(out), "--quiet"]
+        assert cli.main(argv) == cli.EXIT_OK
+        label = "circuit_iii_L1" if sampler == "quantum" else sampler
+        run_dir = out / label / "seed3"
+        again = tmp_path / "eval_test.csv"
+        run_evaluate(str(run_dir), str(again), tag="test")
+        assert again.read_bytes() == (run_dir / "eval_test.csv").read_bytes()
 
 
 class TestSampleWeightsCommand:

@@ -593,3 +593,22 @@ class TestPriorMatching:
         tr.train_prior_matching(model, 600)
         after = tr.prior_matching_ks(model, 400)
         assert after < before
+
+    def test_consecutive_calls_draw_fresh_noise(self, monkeypatch):
+        cfg = tr.TrainConfig(epochs=1, seed=3, sampler="classical", alpha=0.0)
+        model = tr.build_model(cfg, (28, 28))
+        blocks = []
+        draw = tr.sample_noise_block
+
+        def recording(*args, **kwargs):
+            blocks.append(draw(*args, **kwargs))
+            return blocks[-1]
+
+        monkeypatch.setattr(tr, "sample_noise_block", recording)
+        tr.train_prior_matching(model, 3)
+        first = blocks[:]
+        blocks.clear()
+        tr.train_prior_matching(model, 3)
+        assert len(first) == len(blocks) > 0
+        for a, b in zip(first, blocks):
+            assert not np.array_equal(a, b)
