@@ -13,6 +13,7 @@ import numpy as np
 from qcbnn.circuits import Architecture, assemble_pqc
 from qcbnn.metrics import kde_density
 from qcbnn.samplers import (
+    N_CHUNKS,
     ClassicalWeightSampler,
     GaussianPosterior,
     QuantumWeightSampler,
@@ -26,7 +27,7 @@ rng = stream(7, "demo")
 
 def draw(sampler, draws=1):
     """(draws * 16, 4) chunk rows and the noise that produced them."""
-    noise = sample_noise_block(rng, sampler.noise_law, draws * sampler.n_chunks)
+    noise = sample_noise_block(rng, sampler.noise_law, draws * N_CHUNKS)
     return sampler.expectations(noise), noise
 
 

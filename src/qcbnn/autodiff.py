@@ -1,7 +1,7 @@
 """Minimal reverse-mode automatic differentiation on numpy arrays.
 
 Just enough machinery for the models in this package: elementwise
-arithmetic with broadcasting, matrix products, a strided 2-D convolution
+arithmetic with broadcasting, a strided 2-D convolution
 with externally injected weights (one patch-matrix GEMM over an image
 batch, with a gradient for the kernels only; ``conv_windows`` is the
 strided-window view it shares with the graph-free ensemble forward in
@@ -52,30 +52,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # -- operator sugar -----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -np.asarray(other))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def item(self) -> float:
         return float(self.data)
@@ -151,34 +127,20 @@ def mul(a, b) -> Tensor:
     )
 
 
-def matmul(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    if a.data.ndim == 1 and b.data.ndim == 2:
-        return _node(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, np.outer(a.data, g)))
-    if a.data.ndim == 2 and b.data.ndim == 2:
-        return _node(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
-    raise ValueError("matmul supports 1-D @ 2-D and 2-D @ 2-D")
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     old = a.data.shape
     return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
-def summation(a: Tensor, axis=None) -> Tensor:
+def summation(a: Tensor) -> Tensor:
+    """Sum of all entries, a scalar."""
     shape = a.data.shape
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
-
-    return _node(a.data.sum(axis=axis), (a,), vjp)
+    return _node(a.data.sum(), (a,), lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
-def mean(a: Tensor, axis=None) -> Tensor:
-    count = a.data.size if axis is None else a.data.shape[axis]
-    return mul(summation(a, axis=axis), 1.0 / count)
+def mean(a: Tensor) -> Tensor:
+    """Mean of all entries, a scalar."""
+    return mul(summation(a), 1.0 / a.data.size)
 
 
 def log(a: Tensor) -> Tensor:
@@ -219,20 +181,14 @@ def sigmoid(a: Tensor, clamp_eps: float = 0.0) -> Tensor:
 
 
 def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
-    """Affine map ``x @ W.T + b`` for x of shape (n,) or (B, n), W (m, n)."""
+    """Affine map ``x @ W.T + b`` for a (B, n) batch x and W (m, n)."""
     xd, wd, bd = x.data, weights.data, bias.data
     if wd.ndim != 2 or bd.shape != (wd.shape[0],):
         raise ValueError("weights must be (m, n) with bias (m,)")
-    if xd.shape[-1] != wd.shape[1] or xd.ndim not in (1, 2):
+    if xd.ndim != 2 or xd.shape[1] != wd.shape[1]:
         raise ValueError(f"input shape {xd.shape} does not match weights {wd.shape}")
     out = xd @ wd.T + bd
-
-    def vjp(g):
-        if xd.ndim == 1:
-            return g @ wd, np.outer(g, xd), g
-        return g @ wd, g.T @ xd, g.sum(axis=0)
-
-    return _node(out, (x, weights, bias), vjp)
+    return _node(out, (x, weights, bias), lambda g: (g @ wd, g.T @ xd, g.sum(axis=0)))
 
 
 def conv_windows(images: np.ndarray, kernel_hw: tuple[int, int], stride: int) -> np.ndarray:
@@ -274,33 +230,26 @@ def conv2d(images: np.ndarray, kernels: Tensor, stride: int = 2) -> Tensor:
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Negative log softmax probability of the true class.
-
-    For (C,) logits and an int label the result is a scalar; for (B, C)
-    logits and (B,) labels it is the per-example loss vector.  Stabilized
-    by max subtraction.
-    """
+    """Per-example negative log softmax probability of the true class for
+    (B, C) logits and (B,) labels, stabilized by max subtraction."""
     x = logits.data
-    single = x.ndim == 1
-    x2 = x[None] if single else x
-    y = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    if y.shape != (x2.shape[0],):
-        raise ValueError("labels must match the batch dimension")
-    if np.any(y < 0) or np.any(y >= x2.shape[1]):
+    y = np.asarray(labels, dtype=np.int64)
+    if x.ndim != 2 or y.shape != (x.shape[0],):
+        raise ValueError(f"expected (B, C) logits with (B,) labels, got logits "
+                         f"{x.shape} and labels {y.shape}")
+    if np.any(y < 0) or np.any(y >= x.shape[1]):
         raise ValueError("label out of range")
-    shifted = x2 - x2.max(axis=1, keepdims=True)
+    shifted = x - x.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1))
     losses = lse - shifted[np.arange(len(y)), y]
     probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
 
     def vjp(g):
-        g2 = np.atleast_1d(g)
-        onehot = np.zeros_like(x2)
+        onehot = np.zeros_like(x)
         onehot[np.arange(len(y)), y] = 1.0
-        dx = (probs - onehot) * g2[:, None]
-        return (dx[0] if single else dx,)
+        return ((probs - onehot) * g[:, None],)
 
-    return _node(losses[0] if single else losses, (logits,), vjp)
+    return _node(losses, (logits,), vjp)
 
 
 def softmax_np(logits: np.ndarray) -> np.ndarray:

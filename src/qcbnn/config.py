@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 
 from .circuits import Architecture
+from .metrics import MAX_CALIBRATION_BINS
 from .samplers import NoiseLaw, PriorSpec
 from .training import TrainConfig, TrainSettings
 
@@ -34,7 +35,6 @@ class RunConfig(TrainSettings):
     noise_law: str = NoiseLaw.kind
     noise_mu: float = NoiseLaw.mu
     noise_sigma: float = NoiseLaw.sigma
-    noise_dim: int = NoiseLaw.dim
     prior_law: str = PriorSpec.law
     prior_mu: float = PriorSpec.mu
     prior_sigma: float = PriorSpec.sigma
@@ -51,7 +51,6 @@ class RunConfig(TrainSettings):
     out: str = "runs"
     calibration_bins: int = 10
     subset_reference: str = "overall"
-    svg: bool = True
 
     def __post_init__(self):
         if not self.archs or not self.seeds:
@@ -61,8 +60,9 @@ class RunConfig(TrainSettings):
                 "conflicting sweep lengths: layers_list and reupload_list "
                 f"have {len(self.layers_list)} and {len(self.reupload_list)} entries"
             )
-        if self.calibration_bins < 2:
-            raise ConfigError(f"calibration_bins must be >= 2, got {self.calibration_bins}")
+        if not 2 <= self.calibration_bins <= MAX_CALIBRATION_BINS:
+            raise ConfigError(f"calibration_bins must be in [2, {MAX_CALIBRATION_BINS}], "
+                              f"got {self.calibration_bins}")
         if self.subset_reference not in ("overall", "indicator"):
             raise ConfigError("subset_reference must be 'overall' or 'indicator', "
                               f"got {self.subset_reference!r}")
@@ -79,7 +79,7 @@ class RunConfig(TrainSettings):
         shared = {f.name: getattr(self, f.name) for f in fields(TrainSettings)}
         return TrainConfig(
             **shared, seed=seed, arch=arch, layers=layers, reupload=reupload,
-            noise=NoiseLaw(self.noise_law, self.noise_dim, self.noise_mu, self.noise_sigma),
+            noise=NoiseLaw(self.noise_law, mu=self.noise_mu, sigma=self.noise_sigma),
             prior=PriorSpec(self.prior_law, self.prior_mu, self.prior_sigma),
         )
 

@@ -10,7 +10,6 @@ class throughout the package.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import struct
 from dataclasses import dataclass, replace

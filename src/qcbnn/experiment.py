@@ -33,7 +33,7 @@ from .autodiff import load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, format_config, parse_config
 from .data import Dataset, SynthSpec, load_dataset, split, synth_generate
 from .metrics import EvalReport, build_eval_report, kde_density, report_rows
-from .samplers import CHUNK_DIM
+from .samplers import CHUNK_DIM, N_CHUNKS
 from .seeding import stream
 from .training import (
     ModelState,
@@ -52,6 +52,8 @@ SUMMARY_FIELDS = [
     "f1", "mean_confidence", "confidence_error_correct", "confidence_error_incorrect",
     "ensemble_fraction_correct", "ensemble_fraction_incorrect", "difference",
 ]
+TOY_EVAL_EVERY = 250  # steps between KS checks in the toy-adversarial trace
+TOY_DRAWS = 1000  # weight draws behind each toy KS statistic
 
 
 def _fmt(value) -> str:
@@ -252,10 +254,8 @@ def run_evaluate(run_dir: str, out_path: str | None = None,
 # --- toy adversarial check --------------------------------------------------------
 
 
-def run_toy_adversarial(out_dir: str, steps: int = 2000, seed: int = 0,
-                        lr_generator: float = 0.002, lr_discriminator: float = 0.01,
-                        disc_steps: int = 2, eval_every: int = 250,
-                        n_draws: int = 1000) -> float:
+def run_toy_adversarial(out_dir: str, steps: int, seed: int, lr_generator: float,
+                        lr_discriminator: float, disc_steps: int) -> float:
     """Distribution-matching check of the adversarial loop without data.
 
     Trains the classical generator against the uniform prior with the
@@ -267,13 +267,13 @@ def run_toy_adversarial(out_dir: str, steps: int = 2000, seed: int = 0,
                       lr_generator=lr_generator, lr_discriminator=lr_discriminator,
                       disc_steps=disc_steps)
     model = build_model(cfg, (28, 28))
-    trace = train_prior_matching(model, steps, eval_every=eval_every)
+    trace = train_prior_matching(model, steps, eval_every=TOY_EVAL_EVERY)
     _write_csv(os.path.join(out_dir, "toy_trace.csv"),
                ["step", "logit_term", "disc", "ks"],
                [[r["step"], r["logit_term"], r["disc"], r.get("ks")] for r in trace])
-    dump_weight_samples(model, n_draws // model.sampler.n_chunks or 1,
+    dump_weight_samples(model, TOY_DRAWS // N_CHUNKS,
                         os.path.join(out_dir, "toy_samples.csv"))
-    return prior_matching_ks(model, n_draws)
+    return prior_matching_ks(model, TOY_DRAWS)
 
 
 # --- report figures ----------------------------------------------------------------
@@ -434,8 +434,10 @@ def run_report(results_dir: str, emit_svg: bool = True) -> list[str]:
         pooled = []
         for run, _, _ in runs:
             path = os.path.join(run, "weight_samples.csv")
-            if os.path.exists(path):
-                pooled += [float(r["value"]) for r in _read_csv(path)]
+            if os.path.exists(path):  # values are the last field of each row
+                with open(path) as fh:
+                    next(fh, None)  # header
+                    pooled += [float(line.rsplit(",", 1)[1]) for line in fh]
         if len(pooled) < 2:
             print(f"notice: no weight samples for {label}, omitted from weight_kde")
             continue

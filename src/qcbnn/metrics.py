@@ -83,6 +83,11 @@ class CalibrationBin:
     accuracy: float | None
 
 
+# Report rows name a bin by its edges at two decimals; up to 100 bins the
+# edges are at least 0.01 apart, so every name is distinct.
+MAX_CALIBRATION_BINS = 100
+
+
 def calibration_curve(confidences, correctness, n_bins: int = 10) -> list[CalibrationBin]:
     """Equal-width reliability bins over predicted-class confidence.
 
@@ -92,6 +97,8 @@ def calibration_curve(confidences, correctness, n_bins: int = 10) -> list[Calibr
     correctness = np.asarray(correctness, dtype=np.float64)
     if n_bins < 2:
         raise ValueError("need at least 2 bins")
+    if n_bins > MAX_CALIBRATION_BINS:
+        raise ValueError(f"at most {MAX_CALIBRATION_BINS} bins, got {n_bins}")
     if confidences.size and (confidences.min() < 0 or confidences.max() > 1):
         raise ValueError("confidences must lie in [0, 1]")
     idx = np.minimum((confidences * n_bins).astype(np.int64), n_bins - 1)

@@ -2,8 +2,8 @@
 
 The convolution weights of the classifier are never trained directly:
 each forward pass draws them from a generator.  Three generators share
-one contract: ``noise_law`` and ``n_chunks`` say what to draw,
-``expectations(noise)`` maps (rows, dim) noise to (rows, 4) chunk values,
+one contract: ``noise_law`` says what to draw, ``N_CHUNKS`` rows per
+draw, ``expectations(noise)`` maps (rows, dim) noise to (rows, 4) chunk values,
 ``forward(noise)`` is the same map as an autodiff tensor, and
 ``parameters()``/``named_tensors()`` expose the trainable state.
 
@@ -72,7 +72,6 @@ class PriorSpec:
     law: str = "uniform"
     mu: float = 0.0
     sigma: float = 0.5
-    dim: int = CHUNK_DIM
 
     def __post_init__(self):
         if self.law not in ("uniform", "clipped-gaussian"):
@@ -81,8 +80,8 @@ class PriorSpec:
 
 def prior_sample_block(spec: PriorSpec, rng: np.random.Generator, count: int) -> np.ndarray:
     if spec.law == "uniform":
-        return rng.uniform(-1.0, 1.0, size=(count, spec.dim))
-    raw = rng.normal(spec.mu, spec.sigma, size=(count, spec.dim))
+        return rng.uniform(-1.0, 1.0, size=(count, CHUNK_DIM))
+    raw = rng.normal(spec.mu, spec.sigma, size=(count, CHUNK_DIM))
     return np.clip(raw, -1.0, 1.0)
 
 
@@ -121,7 +120,7 @@ class QuantumWeightSampler:
     """
 
     def __init__(self, template: CircuitTemplate, theta: np.ndarray,
-                 noise_law: NoiseLaw | None = None, n_chunks: int = N_CHUNKS):
+                 noise_law: NoiseLaw | None = None):
         if template.n_qubits != CHUNK_DIM:
             raise ValueError(f"sampler template must have {CHUNK_DIM} outputs")
         theta = np.asarray(theta, dtype=np.float64)
@@ -134,7 +133,6 @@ class QuantumWeightSampler:
         self.noise_law = noise_law or NoiseLaw(dim=template.input_slots)
         if self.noise_law.dim != template.input_slots:
             raise ValueError("noise dimension must match the template's input slots")
-        self.n_chunks = n_chunks
 
     def expectations(self, noise: np.ndarray) -> np.ndarray:
         """Chunk matrix for given noise rows, shape (rows, 4)."""
@@ -162,10 +160,10 @@ class QuantumWeightSampler:
         return {"theta": self.theta}
 
 
-def _init_dense(rng: np.random.Generator, out_dim: int, in_dim: int,
-                scale: float | None = None) -> tuple[ad.Tensor, ad.Tensor]:
-    scale = scale if scale is not None else 1.0 / math.sqrt(in_dim)
-    w = ad.Tensor(rng.normal(0.0, scale, size=(out_dim, in_dim)), requires_grad=True)
+def _init_dense(rng: np.random.Generator, out_dim: int,
+                in_dim: int) -> tuple[ad.Tensor, ad.Tensor]:
+    w = ad.Tensor(rng.normal(0.0, 1.0 / math.sqrt(in_dim), size=(out_dim, in_dim)),
+                  requires_grad=True)
     b = ad.Tensor(np.zeros(out_dim), requires_grad=True)
     return w, b
 
@@ -177,12 +175,10 @@ class ClassicalWeightSampler:
     the two are interchangeable behind the same training loop.
     """
 
-    def __init__(self, rng: np.random.Generator, noise_law: NoiseLaw | None = None,
-                 hidden: int = 8, n_chunks: int = N_CHUNKS):
+    def __init__(self, rng: np.random.Generator, noise_law: NoiseLaw | None = None):
         self.noise_law = noise_law or NoiseLaw()
-        self.w1, self.b1 = _init_dense(rng, hidden, self.noise_law.dim)
-        self.w2, self.b2 = _init_dense(rng, CHUNK_DIM, hidden)
-        self.n_chunks = n_chunks
+        self.w1, self.b1 = _init_dense(rng, 8, self.noise_law.dim)
+        self.w2, self.b2 = _init_dense(rng, CHUNK_DIM, 8)
 
     def forward(self, noise: np.ndarray) -> ad.Tensor:
         """Differentiable chunk matrix for given noise rows."""
@@ -207,22 +203,20 @@ class GaussianPosterior:
 
     noise_law = NoiseLaw("gaussian", CHUNK_DIM, 0.0, 1.0)
 
-    def __init__(self, rng: np.random.Generator, n_chunks: int = N_CHUNKS):
-        self.mu = ad.Tensor(rng.normal(0.0, 0.1, size=(n_chunks, CHUNK_DIM)),
+    def __init__(self, rng: np.random.Generator):
+        self.mu = ad.Tensor(rng.normal(0.0, 0.1, size=(N_CHUNKS, CHUNK_DIM)),
                             requires_grad=True)
-        self.log_sigma = ad.Tensor(np.full((n_chunks, CHUNK_DIM), -2.0),
+        self.log_sigma = ad.Tensor(np.full((N_CHUNKS, CHUNK_DIM), -2.0),
                                    requires_grad=True)
-        self.n_chunks = n_chunks
 
     def forward(self, eps: np.ndarray) -> ad.Tensor:
-        """Differentiable chunk matrix for one draw's (n_chunks, 4) eps."""
+        """Differentiable mu + sigma * eps for k draws' (k * N_CHUNKS, 4) eps."""
         sigma = ad.exp(self.log_sigma)
-        return ad.add(self.mu, ad.mul(sigma, eps))
+        draws = ad.mul(sigma, eps.reshape(-1, N_CHUNKS, CHUNK_DIM))
+        return ad.reshape(ad.add(self.mu, draws), eps.shape)
 
     def expectations(self, eps: np.ndarray) -> np.ndarray:
-        """mu + sigma * eps for (k * n_chunks, 4) eps rows, k draws."""
-        draws = eps.reshape(-1, self.n_chunks, CHUNK_DIM)
-        return (self.mu.data + np.exp(self.log_sigma.data) * draws).reshape(eps.shape)
+        return self.forward(eps).data
 
     def kl_to_standard_normal(self) -> ad.Tensor:
         sigma_sq = ad.exp(ad.mul(self.log_sigma, 2.0))
@@ -249,9 +243,9 @@ class Discriminator:
     stays finite.
     """
 
-    def __init__(self, rng: np.random.Generator, in_dim: int = CHUNK_DIM, hidden: int = 16):
-        self.w1, self.b1 = _init_dense(rng, hidden, in_dim)
-        self.w2, self.b2 = _init_dense(rng, 1, hidden)
+    def __init__(self, rng: np.random.Generator):
+        self.w1, self.b1 = _init_dense(rng, 16, CHUNK_DIM)
+        self.w2, self.b2 = _init_dense(rng, 1, 16)
 
     def forward(self, chunks) -> ad.Tensor:
         """Probabilities for (B, 4) chunk rows, shape (B, 1)."""

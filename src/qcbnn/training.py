@@ -15,7 +15,7 @@ sampler and reach everything else by backpropagation.
 A plain variational-inference baseline (Gaussian weight posterior with
 an analytic KL term) shares all the surrounding machinery: every
 generator is drawn from and evaluated through the same contract
-(``noise_law``, ``n_chunks``, ``expectations``, ``forward``).
+(``noise_law``, ``expectations``, ``forward``; ``N_CHUNKS`` rows a draw).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .circuits import Architecture, assemble_pqc
 from .samplers import (
     CHUNK_DIM,
     KERNEL_SHAPE,
+    N_CHUNKS,
     ClassicalWeightSampler,
     Discriminator,
     GaussianPosterior,
@@ -54,8 +55,6 @@ class LossBreakdown:
     likelihood_term: float
     kl_term: float
     discriminator_loss: float
-    alpha: float
-    beta: float
     combined: float
 
 
@@ -72,18 +71,16 @@ class TrainSettings:
     lr_discriminator: float = 0.01
     lr_classifier: float = 0.002
     disc_steps: int = 1
-    samples_per_step: int = 1
     n_ensemble: int = 100
     eval_ensemble: int = 8
     sampler: str = "quantum"  # quantum | classical | vi
     embedding_pairs: str = "adjacent"
     cr_axis: str = "X"
     conv_stride: int = 2
-    scale_likelihood: bool = True
 
     def __post_init__(self):
         for name in ("epochs", "batch_size", "lr_generator", "lr_discriminator",
-                     "lr_classifier", "disc_steps", "samples_per_step", "n_ensemble",
+                     "lr_classifier", "disc_steps", "n_ensemble",
                      "eval_ensemble", "conv_stride"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -170,9 +167,7 @@ def build_model(config: TrainConfig, image_shape: tuple[int, int]) -> ModelState
         template = assemble_pqc(config.arch, CHUNK_DIM, config.layers,
                                 config.reupload, config.embedding_pairs, config.cr_axis)
         theta0 = stream(seed, "init-theta").uniform(0, 2 * math.pi, template.param_slots)
-        noise = NoiseLaw(config.noise.kind, template.input_slots,
-                         config.noise.mu, config.noise.sigma)
-        sampler = QuantumWeightSampler(template, theta0, noise)
+        sampler = QuantumWeightSampler(template, theta0, config.noise)
     elif config.sampler == "classical":
         sampler = ClassicalWeightSampler(stream(seed, "init-gen"), config.noise)
     else:
@@ -308,8 +303,6 @@ def _combine(cfg: TrainConfig, likelihood: ad.Tensor,
         likelihood_term=float(likelihood.data),
         kl_term=float(kl.data),
         discriminator_loss=float("nan"),
-        alpha=cfg.alpha,
-        beta=cfg.beta,
         combined=float(combined.data),
     )
     return combined, breakdown
@@ -337,31 +330,24 @@ def train_step(model: ModelState, images, labels, data_scale: float,
     cfg = model.config
     sampler = model.sampler
 
+    noise = sample_noise_block(rng_noise, sampler.noise_law, N_CHUNKS)
     if isinstance(sampler, GaussianPosterior):  # analytic KL, no adversary
-        eps = sample_noise_block(rng_noise, sampler.noise_law, sampler.n_chunks)
-        likelihood = _nll_graph(model, sampler.forward(eps), images, labels, data_scale)
+        likelihood = _nll_graph(model, sampler.forward(noise), images, labels, data_scale)
         combined, breakdown = _combine(cfg, likelihood, sampler.kl_to_standard_normal())
     else:
-        noise_blocks = [
-            sample_noise_block(rng_noise, sampler.noise_law, sampler.n_chunks)
-            for _ in range(cfg.samples_per_step)
-        ]
-        chunk_values = [sampler.expectations(noise) for noise in noise_blocks]
-
+        chunk_values = sampler.expectations(noise)
         disc_value = float("nan")
         for _ in range(cfg.disc_steps):
-            prior_chunks = prior_sample_block(cfg.prior, rng_prior,
-                                              sampler.n_chunks * cfg.samples_per_step)
-            objective = _disc_objective_graph(model.disc, prior_chunks,
-                                              np.concatenate(chunk_values))
+            prior_chunks = prior_sample_block(cfg.prior, rng_prior, N_CHUNKS)
+            objective = _disc_objective_graph(model.disc, prior_chunks, chunk_values)
             disc_value = float(objective.data)
             loss_d = ad.mul(objective, -1.0)
             model.opt_discriminator.zero_grad()
             loss_d.backward()
             model.opt_discriminator.step()
 
-        chunk_tensors = [sampler.forward(noise) for noise in noise_blocks]
-        combined, breakdown = combined_loss_graph(model, chunk_tensors, images, labels,
+        chunks = sampler.forward(noise)
+        combined, breakdown = combined_loss_graph(model, [chunks], images, labels,
                                                   data_scale)
         breakdown.discriminator_loss = disc_value
 
@@ -371,7 +357,7 @@ def train_step(model: ModelState, images, labels, data_scale: float,
     model.opt_classifier.zero_grad()
     combined.backward()
     if isinstance(sampler, QuantumWeightSampler):  # theta is outside the graph
-        sampler.theta.grad = _quantum_theta_grad(sampler, noise_blocks, chunk_tensors)
+        sampler.theta.grad = _quantum_theta_grad(sampler, [noise], [chunks])
     model.opt_generator.step()
     if images is not None:
         model.opt_classifier.step()
@@ -389,9 +375,8 @@ def train_epoch(model: ModelState, images: np.ndarray, labels: np.ndarray,
     trace = []
     for start in range(0, n, cfg.batch_size):
         idx = order[start : start + cfg.batch_size]
-        scale = (n / len(idx)) if cfg.scale_likelihood else 1.0
         trace.append(
-            train_step(model, images[idx], labels[idx], scale, rng_noise, rng_prior)
+            train_step(model, images[idx], labels[idx], n / len(idx), rng_noise, rng_prior)
         )
     return trace
 
@@ -432,24 +417,23 @@ def train_model(model: ModelState, train_images, train_labels,
 def draw_weight_samples(model: ModelState, count: int,
                         rng: np.random.Generator) -> list[WeightSample]:
     """``count`` independent weight draws from one noise block and one
-    generator call; draw i is rows [i * n_chunks, (i + 1) * n_chunks)."""
+    generator call; draw i is rows [i * N_CHUNKS, (i + 1) * N_CHUNKS)."""
     sampler = model.sampler
-    noise = sample_noise_block(rng, sampler.noise_law, count * sampler.n_chunks)
-    chunks = sampler.expectations(noise).reshape(count, sampler.n_chunks, CHUNK_DIM)
-    noise = noise.reshape(count, sampler.n_chunks, -1)
+    noise = sample_noise_block(rng, sampler.noise_law, count * N_CHUNKS)
+    chunks = sampler.expectations(noise).reshape(count, N_CHUNKS, CHUNK_DIM)
+    noise = noise.reshape(count, N_CHUNKS, -1)
     return [WeightSample(chunks[i], noise[i]) for i in range(count)]
 
 
 def ensemble_outputs(model: ModelState, images: np.ndarray, n_members: int,
-                     stream_tag=("eval",), seed: int | None = None,
-                     ) -> tuple[np.ndarray, np.ndarray]:
+                     stream_tag=("eval",)) -> tuple[np.ndarray, np.ndarray]:
     """Averaged probabilities (N, 2) and member votes (M, N) on a batch of
     N images, from one ``forward_probs_np`` call over all M members."""
     if n_members < 1:
         raise ValueError(f"ensemble size must be >= 1, got {n_members}")
     if len(images) == 0:
         raise ValueError("ensemble evaluation needs at least one image, got 0")
-    rng = stream(model.config.seed if seed is None else seed, *stream_tag)
+    rng = stream(model.config.seed, *stream_tag)
     samples = draw_weight_samples(model, n_members, rng)
     members = forward_probs_np(model, images, np.stack([ws.kernels for ws in samples]))
     return members.sum(axis=0) / n_members, members.argmax(axis=2)
@@ -485,15 +469,14 @@ def train_prior_matching(model: ModelState, steps: int,
     return trace
 
 
-def prior_matching_ks(model: ModelState, n_draws: int, tag: str = "toy-eval") -> float:
+def prior_matching_ks(model: ModelState, n_draws: int) -> float:
     """Two-sample KS statistic between pooled generated and prior values."""
     from .metrics import ks_statistic
 
     cfg = model.config
-    rng_gen = stream(cfg.seed, tag, 1)
-    rng_prior = stream(cfg.seed, tag, 2)
+    rng_gen = stream(cfg.seed, "toy-eval", 1)
+    rng_prior = stream(cfg.seed, "toy-eval", 2)
     samples = draw_weight_samples(model, n_draws, rng_gen)
     generated = np.concatenate([ws.chunks.reshape(-1) for ws in samples])
-    prior = prior_sample_block(cfg.prior, rng_prior,
-                               n_draws * model.sampler.n_chunks).reshape(-1)
+    prior = prior_sample_block(cfg.prior, rng_prior, n_draws * N_CHUNKS).reshape(-1)
     return ks_statistic(generated, prior)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qcbnn import data as dio
-from qcbnn.samplers import WeightSample, sample_noise_block
+from qcbnn.samplers import N_CHUNKS, WeightSample, sample_noise_block
 
 # pytest's ``pythonpath`` setting reaches only this process; subprocesses
 # that import qcbnn from an uninstalled checkout find it through this.
@@ -16,10 +16,10 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 def per_draw_samples(sampler, count, rng):
     """Oracle of ``draw_weight_samples``: ``count`` draws, each from its
-    own ``n_chunks``-row noise block and its own generator call."""
+    own ``N_CHUNKS``-row noise block and its own generator call."""
     out = []
     for _ in range(count):
-        noise = sample_noise_block(rng, sampler.noise_law, sampler.n_chunks)
+        noise = sample_noise_block(rng, sampler.noise_law, N_CHUNKS)
         out.append(WeightSample(sampler.expectations(noise), noise))
     return out
 

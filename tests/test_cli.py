@@ -1,7 +1,10 @@
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcbnn import cli
 from qcbnn.circuits import Architecture
@@ -17,6 +20,52 @@ from qcbnn.experiment import (
 from qcbnn.samplers import CHUNK_DIM
 from qcbnn.seeding import stream
 from qcbnn.training import DivergenceError, TrainConfig, build_model, draw_weight_samples
+
+# config-file text: ``#`` starts a comment, ``=`` splits key from value,
+# and values are stripped, so drawn strings avoid all three
+_TEXT = st.text(
+    st.characters(blacklist_characters="#=", blacklist_categories=("Cc", "Cs", "Zl", "Zp")),
+    max_size=12,
+).filter(lambda s: s == s.strip())
+_POSITIVE = st.integers(1, 10**6)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_RATE = st.floats(0.0, 10.0, exclude_min=True)
+_WEIGHT = st.floats(0.0, 10.0)
+_FIELD_STRATEGIES = {
+    "epochs": _POSITIVE, "batch_size": _POSITIVE, "alpha": _WEIGHT, "beta": _WEIGHT,
+    "lr_generator": _RATE, "lr_discriminator": _RATE, "lr_classifier": _RATE,
+    "disc_steps": _POSITIVE, "n_ensemble": _POSITIVE, "eval_ensemble": _POSITIVE,
+    "sampler": st.sampled_from(["quantum", "classical", "vi"]),
+    "embedding_pairs": st.sampled_from(["adjacent", "all"]),
+    "cr_axis": st.sampled_from(["X", "Y", "Z"]),
+    "conv_stride": _POSITIVE,
+    "archs": st.lists(st.sampled_from(list(Architecture)), min_size=1, max_size=3),
+    "seeds": st.lists(st.integers(0, 2**31), min_size=1, max_size=3),
+    "noise_law": st.sampled_from(["uniform", "gaussian"]),
+    "noise_mu": _FINITE, "noise_sigma": _FINITE,
+    "prior_law": st.sampled_from(["uniform", "clipped-gaussian"]),
+    "prior_mu": _FINITE, "prior_sigma": _FINITE,
+    "dataset": _TEXT, "dataset_format": st.sampled_from(["binary", "csv"]),
+    "synth_samples": _POSITIVE, "synth_imbalance": _FINITE, "synth_noise": _FINITE,
+    "synth_seed": st.integers(0, 2**31),
+    "split_fractions": st.lists(_FINITE, min_size=1, max_size=3),
+    "split_seed": st.integers(0, 2**31),
+    "out": _TEXT,
+    "calibration_bins": st.integers(2, 100),
+    "subset_reference": st.sampled_from(["overall", "indicator"]),
+}
+
+
+@st.composite
+def valid_run_configs(draw):
+    """RunConfigs with every field drawn; the depth lists share one length."""
+    values = {name: draw(strategy) for name, strategy in _FIELD_STRATEGIES.items()}
+    depths = draw(st.lists(st.tuples(st.integers(1, 4), st.booleans()),
+                           min_size=1, max_size=3))
+    values["layers_list"] = [layers for layers, _ in depths]
+    values["reupload_list"] = [reupload for _, reupload in depths]
+    return RunConfig(**values)
+
 
 TINY = [
     "--sampler", "classical", "--seed", "0,1", "--epochs", "2",
@@ -65,6 +114,15 @@ class TestParseConfig:
                                               "seeds": "4,5",
                                               "alpha": "0.5"})
         assert parse_config(format_config(config)) == config
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(config=valid_run_configs())
+    def test_format_parse_round_trip(self, config):
+        assert parse_config(format_config(config)) == config
+
+    def test_round_trip_draws_every_field(self):
+        drawn = set(_FIELD_STRATEGIES) | {"layers_list", "reupload_list"}
+        assert drawn == {f.name for f in fields(RunConfig)}
 
     def test_cell_defaults_match_train_config(self):
         cell = RunConfig().train_config(Architecture.CIRCUIT_III, 1, False, 0)
@@ -139,20 +197,29 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("flags", [
-        ["--epochs", "0"],
-        ["--sampler", "bogus"],
-        ["--set", "calibration_bins=1"],
-        ["--set", "subset_reference=bogus"],
-        ["--set", "split_fractions=0.5,0.6"],
-        ["--set", "synth_imbalance=0"],
-        ["--set", "dataset=/nonexistent.qbnn"],
-    ], ids=["epochs-0", "sampler-bogus", "calibration-bins-1", "subset-reference-bogus",
-            "split-fractions-sum", "synth-imbalance-0", "dataset-missing"])
-    def test_invalid_training_value_writes_nothing(self, flags, tmp_path):
+    @pytest.mark.parametrize("flags, message", [
+        (["--epochs", "0"], "epochs must be positive"),
+        (["--sampler", "bogus"], "unknown sampler"),
+        (["--set", "calibration_bins=1"], "calibration_bins"),
+        (["--set", "calibration_bins=101"], "calibration_bins"),
+        (["--set", "subset_reference=bogus"], "subset_reference"),
+        (["--set", "split_fractions=0.5,0.6"], "fractions must sum to 1"),
+        (["--set", "synth_imbalance=0"], "need both classes"),
+        (["--set", "dataset=/nonexistent.qbnn"], "No such file"),
+        # removed keys are unknown like any other
+        (["--set", "svg=false"], "unknown config key 'svg'"),
+        (["--set", "noise_dim=4"], "unknown config key 'noise_dim'"),
+        (["--set", "samples_per_step=1"], "unknown config key 'samples_per_step'"),
+        (["--set", "scale_likelihood=true"], "unknown config key 'scale_likelihood'"),
+    ], ids=["epochs-0", "sampler-bogus", "calibration-bins-1", "calibration-bins-101",
+            "subset-reference-bogus", "split-fractions-sum", "synth-imbalance-0",
+            "dataset-missing", "removed-svg", "removed-noise-dim",
+            "removed-samples-per-step", "removed-scale-likelihood"])
+    def test_invalid_training_value_writes_nothing(self, flags, message, tmp_path, capsys):
         out = tmp_path / "D"
         argv = ["train", "--sampler", "classical", "--epochs", "1"] + flags
         assert cli.main(argv + ["--out", str(out), "--quiet"]) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 

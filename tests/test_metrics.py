@@ -243,6 +243,14 @@ class TestEvalReport:
         report = mt.build_eval_report(class_probs, votes, labels)
         assert sum(b.count for b in report.calibration_bins) == len(labels)
 
+    def test_calibration_bin_names_stay_distinct_up_to_the_cap(self):
+        class_probs, votes, labels = synthetic_outputs(6)
+        report = mt.build_eval_report(class_probs, votes, labels, n_bins=100)
+        names = {m for m, _, _ in mt.report_rows(report) if m.startswith("calibration_bin_")}
+        assert len(names) == 100
+        with pytest.raises(ValueError, match="at most 100 bins"):
+            mt.build_eval_report(class_probs, votes, labels, n_bins=101)
+
     def test_report_rows_cover_headline_metrics(self):
         class_probs, votes, labels = synthetic_outputs(5)
         rows = mt.report_rows(mt.build_eval_report(class_probs, votes, labels))

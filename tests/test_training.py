@@ -84,9 +84,9 @@ class EnsemblePrediction:
     ensemble_size: int
 
 
-def predict_ensemble(model, image, n_members, stream_tag=("predict",), seed=None):
+def predict_ensemble(model, image, n_members, stream_tag=("predict",)):
     """Averaged prediction for one image over ``n_members`` weight draws."""
-    probs, votes = tr.ensemble_outputs(model, image[None], n_members, stream_tag, seed)
+    probs, votes = tr.ensemble_outputs(model, image[None], n_members, stream_tag)
     return EnsemblePrediction(
         class_probabilities=probs[0],
         predicted=int(probs[0].argmax()),
@@ -190,7 +190,7 @@ class TestGeneratorLoss:
         combined, breakdown = tr.combined_loss_graph(
             model, [chunks], train.images[:4], train.labels[:4], 1.0
         )
-        assert breakdown.combined == breakdown.alpha * breakdown.likelihood_term
+        assert breakdown.combined == model.config.alpha * breakdown.likelihood_term
 
     def test_breakdown_reassembles_bitwise(self, tiny_split):
         train, _ = tiny_split
@@ -200,7 +200,8 @@ class TestGeneratorLoss:
         chunks = ad.Tensor(model.sampler.expectations(noise), requires_grad=True)
         _, b = tr.combined_loss_graph(model, [chunks], train.images[:4],
                                       train.labels[:4], 1.5)
-        assert b.combined == b.alpha * b.likelihood_term + b.beta * b.kl_term
+        cfg = model.config
+        assert b.combined == cfg.alpha * b.likelihood_term + cfg.beta * b.kl_term
 
     def test_graph_and_value_paths_agree(self, tiny_split):
         train, _ = tiny_split
