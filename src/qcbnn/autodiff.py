@@ -162,21 +162,24 @@ def relu(a: Tensor) -> Tensor:
     return _node(a.data * mask, (a,), lambda g: (g * mask,))
 
 
-def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
-    factor = np.where(a.data > 0, 1.0, slope)
+LEAKY_SLOPE = 0.01
+# sigmoid outputs are clipped into (eps, 1 - eps), so log(d) and log(1 - d)
+# stay finite
+SIGMOID_EPS = 1e-7
+
+
+def leaky_relu(a: Tensor) -> Tensor:
+    factor = np.where(a.data > 0, 1.0, LEAKY_SLOPE)
     return _node(a.data * factor, (a,), lambda g: (g * factor,))
 
 
-def sigmoid(a: Tensor, clamp_eps: float = 0.0) -> Tensor:
-    """Logistic function; with ``clamp_eps`` the output is clipped into
-    (clamp_eps, 1 - clamp_eps) and the gradient is zero where clipped."""
+def sigmoid(a: Tensor) -> Tensor:
+    """Logistic function clipped into (SIGMOID_EPS, 1 - SIGMOID_EPS), with
+    zero gradient where clipped."""
     x = a.data
     raw = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    if clamp_eps > 0:
-        out = np.clip(raw, clamp_eps, 1.0 - clamp_eps)
-        mask = (raw > clamp_eps) & (raw < 1.0 - clamp_eps)
-    else:
-        out, mask = raw, True
+    out = np.clip(raw, SIGMOID_EPS, 1.0 - SIGMOID_EPS)
+    mask = (raw > SIGMOID_EPS) & (raw < 1.0 - SIGMOID_EPS)
     return _node(out, (a,), lambda g: (g * raw * (1.0 - raw) * mask,))
 
 

@@ -53,6 +53,11 @@ class RunConfig(TrainSettings):
     subset_reference: str = "overall"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, str) and any(c in value for c in "#\n\r"):
+                raise ConfigError(f"{f.name} must not contain '#' or a line break, "
+                                  f"which config.cfg cannot echo: {value!r}")
         if not self.archs or not self.seeds:
             raise ConfigError("need at least one architecture and one seed")
         if len(self.layers_list) != len(self.reupload_list):

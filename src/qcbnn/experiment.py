@@ -36,6 +36,7 @@ from .metrics import EvalReport, build_eval_report, kde_density, report_rows
 from .samplers import CHUNK_DIM, N_CHUNKS
 from .seeding import stream
 from .training import (
+    DivergenceError,
     ModelState,
     TrainConfig,
     build_model,
@@ -116,12 +117,15 @@ def train_one_run(config: RunConfig, tagged: Dataset, arch, layers, reupload, se
     test_set = tagged.subset("test")
 
     model = build_model(train_cfg, train_set.images.shape[1:])
-    history = train_model(
-        model, train_set.images, train_set.labels,
-        val_set.images if val_set else None,
-        val_set.labels if val_set else None,
-        progress=progress,
-    )
+    try:
+        history = train_model(
+            model, train_set.images, train_set.labels,
+            val_set.images if val_set else None,
+            val_set.labels if val_set else None,
+            progress=progress,
+        )
+    except DivergenceError as err:
+        raise DivergenceError(f"{cell_label(config, arch, layers, reupload)} {err}") from None
 
     rows = []
     for h in history:

@@ -29,14 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .statevector import CircuitTemplate, run_circuit_batch
+from .statevector import CircuitTemplate, run_circuit_batch, run_shift_rows
 
 N_CHUNKS = 16
 CHUNK_DIM = 4
 KERNEL_SHAPE = (16, 2, 2)
-
-_SHIFT_EPS = 1e-7  # discriminator outputs are clamped into (eps, 1-eps)
-
 
 # --- noise and prior ---------------------------------------------------------
 
@@ -47,22 +44,19 @@ class NoiseLaw:
     gaussian(mu, sigma)."""
 
     kind: str = "uniform"
-    dim: int = CHUNK_DIM
     mu: float = math.pi
     sigma: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("uniform", "gaussian"):
             raise ValueError(f"unknown noise law {self.kind!r}")
-        if self.dim < 1:
-            raise ValueError("noise dimension must be positive")
 
 
 def sample_noise_block(rng: np.random.Generator, law: NoiseLaw, count: int) -> np.ndarray:
-    """``count`` i.i.d. noise vectors as a (count, dim) array."""
+    """``count`` i.i.d. noise vectors as a (count, CHUNK_DIM) array."""
     if law.kind == "uniform":
-        return rng.uniform(0.0, 2.0 * math.pi, size=(count, law.dim))
-    return rng.normal(law.mu, law.sigma, size=(count, law.dim))
+        return rng.uniform(0.0, 2.0 * math.pi, size=(count, CHUNK_DIM))
+    return rng.normal(law.mu, law.sigma, size=(count, CHUNK_DIM))
 
 
 @dataclass(frozen=True)
@@ -121,8 +115,9 @@ class QuantumWeightSampler:
 
     def __init__(self, template: CircuitTemplate, theta: np.ndarray,
                  noise_law: NoiseLaw | None = None):
-        if template.n_qubits != CHUNK_DIM:
-            raise ValueError(f"sampler template must have {CHUNK_DIM} outputs")
+        if template.n_qubits != CHUNK_DIM or template.input_slots != CHUNK_DIM:
+            raise ValueError(f"sampler template must read {CHUNK_DIM} noise inputs "
+                             f"and have {CHUNK_DIM} outputs")
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape != (template.param_slots,):
             raise ValueError(
@@ -130,9 +125,7 @@ class QuantumWeightSampler:
             )
         self.template = template
         self.theta = ad.Tensor(theta, requires_grad=True)
-        self.noise_law = noise_law or NoiseLaw(dim=template.input_slots)
-        if self.noise_law.dim != template.input_slots:
-            raise ValueError("noise dimension must match the template's input slots")
+        self.noise_law = noise_law or NoiseLaw()
 
     def expectations(self, noise: np.ndarray) -> np.ndarray:
         """Chunk matrix for given noise rows, shape (rows, 4)."""
@@ -146,12 +139,11 @@ class QuantumWeightSampler:
     def jacobian(self, noise: np.ndarray) -> np.ndarray:
         """d(chunk)/d(theta) for every noise row: (rows, 4, param_slots).
 
-        Evaluates the grid of shifted thetas by noise rows in one run;
-        row-wise it agrees with parameter_shift_grad.
+        Evaluates every shifted theta of the template's shift plan by noise
+        rows in one run; row-wise it agrees with parameter_shift_grad.
         """
-        offsets, weights = self.template.shift_plan
-        evals = run_circuit_batch(self.template, self.theta.data + offsets, noise)
-        return np.einsum("crq,rp->cqp", evals, weights)
+        evals = run_shift_rows(self.template, self.theta.data, noise)
+        return np.einsum("crq,rp->cqp", evals, self.template.shift_plan[1])
 
     def parameters(self) -> list[ad.Tensor]:
         return [self.theta]
@@ -177,7 +169,7 @@ class ClassicalWeightSampler:
 
     def __init__(self, rng: np.random.Generator, noise_law: NoiseLaw | None = None):
         self.noise_law = noise_law or NoiseLaw()
-        self.w1, self.b1 = _init_dense(rng, 8, self.noise_law.dim)
+        self.w1, self.b1 = _init_dense(rng, 8, CHUNK_DIM)
         self.w2, self.b2 = _init_dense(rng, CHUNK_DIM, 8)
 
     def forward(self, noise: np.ndarray) -> ad.Tensor:
@@ -201,7 +193,7 @@ class GaussianPosterior:
     trained by reparameterization with an analytic KL to a standard
     normal prior.  Its noise is the standard-normal ``eps``."""
 
-    noise_law = NoiseLaw("gaussian", CHUNK_DIM, 0.0, 1.0)
+    noise_law = NoiseLaw("gaussian", 0.0, 1.0)
 
     def __init__(self, rng: np.random.Generator):
         self.mu = ad.Tensor(rng.normal(0.0, 0.1, size=(N_CHUNKS, CHUNK_DIM)),
@@ -250,8 +242,8 @@ class Discriminator:
     def forward(self, chunks) -> ad.Tensor:
         """Probabilities for (B, 4) chunk rows, shape (B, 1)."""
         x = chunks if isinstance(chunks, ad.Tensor) else ad.Tensor(chunks)
-        h = ad.leaky_relu(ad.dense(x, self.w1, self.b1), slope=0.01)
-        return ad.sigmoid(ad.dense(h, self.w2, self.b2), clamp_eps=_SHIFT_EPS)
+        h = ad.leaky_relu(ad.dense(x, self.w1, self.b1))
+        return ad.sigmoid(ad.dense(h, self.w2, self.b2))
 
     def parameters(self) -> list[ad.Tensor]:
         return [self.w1, self.b1, self.w2, self.b2]

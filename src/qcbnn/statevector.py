@@ -37,6 +37,11 @@ template's compiled ``blocks``, computed once per template:
 So the input-only blocks run once per input row and the params-only
 blocks once per params row, whatever the grid size.  <Z> is read as
 ``|psi|^2 @ zsign``.
+
+``run_shift_rows`` gives the same grid for the rows of a template's
+shift plan, ``params + offsets``, without building each row's unitaries:
+every row moves one slot, so a fused block is built once at ``params``
+and the row that moves its gate f is ``prefix_f @ gate_f(row) @ suffix_f``.
 """
 
 from __future__ import annotations
@@ -172,8 +177,23 @@ class CircuitTemplate:
                 runs[-1][1].append(gate)
             else:
                 runs.append((kind, [gate]))
-        lifts: dict[tuple[int, ...], np.ndarray] = {}
-        return tuple(kind(gates, self.n_qubits, lifts) for kind, gates in runs)
+        return tuple(kind(gates, self.n_qubits) for kind, gates in runs)
+
+    @cached_property
+    def shift_rows(self) -> tuple:
+        """Per block, its compiled share of ``shift_plan`` for
+        ``run_shift_rows``, or None for a block that takes the shifted
+        params rows as they are."""
+        row_slot = np.nonzero(self.shift_plan[0])[1]  # one moved slot per row
+        return tuple(block.compile_shift_rows(row_slot) if isinstance(block, _FusedUnitary)
+                     else None for block in self.blocks)
+
+    @cached_property
+    def zsign(self) -> np.ndarray:
+        """(2^n, n) sign of Z on each wire in each basis state: <Z> = |psi|^2 @ zsign."""
+        n = self.n_qubits
+        bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+        return 1.0 - 2.0 * bits
 
 
 class StateVector:
@@ -424,32 +444,58 @@ def run_circuit_batch(template: CircuitTemplate, params, inputs) -> np.ndarray:
     params, inputs = _check_slots(template, params, inputs)
     if params.ndim > 2 or inputs.ndim > 2:
         raise ValueError("run_circuit_batch takes 1-D or 2-D params and inputs")
-    grid_params, grid_inputs = np.atleast_2d(params), np.atleast_2d(inputs)
+    z = _execute(template, np.atleast_2d(params), inputs)
+    return np.ascontiguousarray(z[..., 0, :] if params.ndim == 1 else z)
+
+
+def run_shift_rows(template: CircuitTemplate, params, inputs) -> np.ndarray:
+    """``run_circuit_batch(template, params + offsets, inputs)`` for the
+    offsets of ``template.shift_plan``, from one build of each fused block.
+
+    ``params`` is (P,); the result is (B, R, n), or (R, n) for 1-D inputs.
+    Each plan row moves one slot, so inside a fused block a row that moves
+    gate f is ``prefix_f @ gate_f(shifted row) @ suffix_f`` around the
+    block's unshifted factors, and a row that moves another block's slot
+    gets the unshifted product.
+    """
+    params, inputs = _check_slots(template, params, inputs)
+    if params.ndim != 1 or inputs.ndim > 2:
+        raise ValueError("run_shift_rows takes one params vector and 1-D or 2-D inputs")
+    return np.ascontiguousarray(
+        _execute(template, params + template.shift_plan[0], inputs, shifted_from=params))
+
+
+def _execute(template: CircuitTemplate, grid_params: np.ndarray, inputs: np.ndarray,
+             shifted_from: np.ndarray | None = None) -> np.ndarray:
+    """Per-qubit <Z> at every (input row, params row), as (B, R, n), or
+    (R, n) for 1-D ``inputs``.  With ``shifted_from``, ``grid_params`` are
+    the shift-plan rows around it and fused blocks build them from one
+    unshifted build."""
     n = template.n_qubits
+    grid_inputs = np.atleast_2d(inputs)
+    plans = template.shift_rows if shifted_from is not None else (None,) * len(template.blocks)
     # psi has axes (params row, input row, amplitude); an axis stays 1
     # until a block reads that argument
     psi = np.zeros((1, 1, 2**n), dtype=np.complex128)
     psi[..., 0] = 1.0
-    for block in template.blocks:
-        psi = block.apply(psi, grid_params, grid_inputs)
+    for block, plan in zip(template.blocks, plans):
+        if plan is None:
+            psi = block.apply(psi, grid_params, grid_inputs)
+        else:
+            psi = psi @ block.shifted_matrices(shifted_from, grid_params, plan)
     probs = psi.real**2
     probs += psi.imag**2
     del psi
-    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    z = np.clip(probs @ (1.0 - 2.0 * bits), -1.0, 1.0)
+    z = np.clip(probs @ template.zsign, -1.0, 1.0)
     z = np.broadcast_to(z, (len(grid_params), len(grid_inputs), n)).swapaxes(0, 1)
-    if params.ndim == 1:
-        z = z[:, 0]
-    if inputs.ndim == 1:
-        z = z[0]
-    return np.ascontiguousarray(z)
+    return z[0] if inputs.ndim == 1 else z
 
 
 # --- compiled blocks ----------------------------------------------------------
 
-# Fused unitaries are dense 2^n x 2^n matrices per params row, built through
-# a (k^2, 4^n) lift per target tuple, so their cost grows as 4^n; past this
-# width, gates that read no input are applied one at a time instead.
+# Fused unitaries are dense 2^n x 2^n matrices per params row, so their cost
+# grows as 4^n; past this width, gates that read no input are applied one at
+# a time instead.
 _FUSE_MAX_QUBITS = 5
 
 # Diagonal kinds: phase of each diagonal entry per unit angle, in the basis
@@ -483,64 +529,149 @@ def _spread(n: int, targets: tuple[int, ...], local: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lift(n: int, targets: tuple[int, ...]) -> np.ndarray:
-    """0/1 (k^2, 4^n) map taking a gate's flattened k x k matrix M to the
-    transposed full-space matrix: ``(M.ravel() @ lift).reshape(2^n, 2^n)[j, i]``
-    is entry (i, j) of M acting on ``targets``."""
+def _scatter_index(n: int, targets: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (dest, src) indices, each (2^n * k,), that place a gate's k x k
+    matrix M on ``targets`` into the transposed 2^n x 2^n factor T:
+    ``T.ravel()[dest] = M.ravel()[src]`` sets T[j, i] = M[local(i), local(j)]
+    where i and j agree off the targets; every other entry of T is zero."""
     d, k = 2**n, 2 ** len(targets)
     local, rest = _split_index(n, targets)
     col = np.arange(k)
     j = rest[:, None] | _spread(n, targets, col)[None, :]  # (d, k)
-    lift = np.zeros((k * k, d * d), dtype=np.complex128)
-    lift[local[:, None] * k + col, j * d + np.arange(d)[:, None]] = 1.0
-    return lift
+    return (j * d + np.arange(d)[:, None]).ravel(), (local[:, None] * k + col).ravel()
+
+
+@dataclass(frozen=True)
+class _KindGroup:
+    """The trainable gates of one kind in a fused block, in block order:
+    their positions in the factor sequence and in the build buffer, their
+    params slots and their scatter indices."""
+
+    kind: str
+    seq: np.ndarray  # (g,)
+    factor: np.ndarray  # (g,)
+    params: np.ndarray  # (g, n_angles)
+    dest: np.ndarray  # (g, 2^n * k), into one transposed factor
+    src: np.ndarray  # (g, 2^n * k), into one k x k matrix
+
+    def scatter(self, members: np.ndarray, targets: np.ndarray,
+                d2: int) -> tuple[np.ndarray, np.ndarray]:
+        """Flat (dest, src) indices placing the matrices of gates ``members``,
+        stacked as (m, k, k), into factors ``targets`` of a flat buffer of
+        d2-entry factors."""
+        k2 = 4 ** GATE_SIGNATURES[self.kind][0]
+        return ((targets[:, None] * d2 + self.dest[members]).ravel(),
+                (np.arange(len(members))[:, None] * k2 + self.src[members]).ravel())
+
+
+@dataclass(frozen=True)
+class _ShiftRows:
+    """A fused block's share of a shift plan: the plan rows that move one
+    of its gates, that gate's position in the factor sequence, and per kind
+    the gather of the moved gates' angles and the scatter of their matrices
+    into a (rows * 4^n) buffer."""
+
+    rows: np.ndarray  # (m,)
+    seq: np.ndarray  # (m,)
+    kinds: tuple  # (kind, plan rows (m_k, 1), slots (m_k, n_angles), dest, src)
 
 
 class _FusedUnitary:
     """Consecutive gates that read no input, multiplied into one transposed
-    unitary per params row (``psi_row @ matrix``)."""
+    unitary per params row (``psi_row @ matrix``).
 
-    def __init__(self, gates: list[Gate], n: int, lifts: dict):
-        self.dim = 2**n
-        # each factor is a constant (dim, dim) matrix or a (gate, lift) pair
-        self.factors: list = []
+    The product runs over a fixed factor sequence: each merged run of
+    angle-free gates is one constant matrix, and each trainable gate is
+    one factor of a (R, F, 2^n, 2^n) buffer that a build fills with one
+    gather, one ``gate_matrix`` call and one scatter per gate kind.
+    """
+
+    def __init__(self, gates: list[Gate], n: int):
+        d = self.dim = 2**n
+        self.sequence: list = []  # constant (d, d) matrices and buffer factor numbers
+        self.n_factors = 0
+        found: dict[str, list] = {}
         for gate in gates:
-            lift = lifts.get(gate.targets)
-            if lift is None:
-                lift = lifts[gate.targets] = _lift(n, gate.targets)
+            dest, src = _scatter_index(n, gate.targets)
             if gate.angles:
-                self.factors.append((gate, lift))
+                found.setdefault(gate.kind, []).append(
+                    (len(self.sequence), [ref[1] for ref in gate.angles], dest, src))
+                self.sequence.append(self.n_factors)
+                self.n_factors += 1
                 continue
-            const = self._lifted(gate_matrix(gate.kind, np.zeros((1, 0))), lift)[0]
-            if self.factors and isinstance(self.factors[-1], np.ndarray):
-                const = self.factors.pop() @ const
-            self.factors.append(const)
+            const = np.zeros(d * d, dtype=np.complex128)
+            const[dest] = gate_matrix(gate.kind, np.zeros(0)).ravel()[src]
+            const = const.reshape(d, d)
+            if self.sequence and isinstance(self.sequence[-1], np.ndarray):
+                const = self.sequence.pop() @ const
+            self.sequence.append(const)
+        self.groups: list[_KindGroup] = []
+        for kind, members in found.items():
+            seq, params, dest, src = (np.array(column) for column in zip(*members))
+            factor = np.array([self.sequence[s] for s in seq])
+            self.groups.append(_KindGroup(kind, seq, factor, params, dest, src))
+        self.builds = [g.scatter(np.arange(len(g.seq)), g.factor, d * d) for g in self.groups]
 
-    def _lifted(self, sub: np.ndarray, lift: np.ndarray) -> np.ndarray:
-        return (sub.reshape(len(sub), -1) @ lift).reshape(len(sub), self.dim, self.dim)
-
-    def matrix(self, params: np.ndarray) -> np.ndarray:
-        """(R, 2^n, 2^n) for R params rows, or (2^n, 2^n) when no gate reads params."""
-        out = None
-        for factor in self.factors:
-            if not isinstance(factor, np.ndarray):
-                gate, lift = factor
-                factor = self._lifted(gate_matrix(gate.kind, resolve_angles(gate, params, None)), lift)
-            out = factor if out is None else out @ factor
-        return out
+    def _factors(self, params: np.ndarray) -> list[np.ndarray]:
+        """The factor sequence at R params rows: constants as (d, d), trainable
+        gates as (R, d, d)."""
+        r, d = len(params), self.dim
+        buf = np.zeros((r, self.n_factors * d * d), dtype=np.complex128)
+        for g, (dest, src) in zip(self.groups, self.builds):
+            buf[:, dest] = gate_matrix(g.kind, params[:, g.params]).reshape(r, -1)[:, src]
+        buf = buf.reshape(r, self.n_factors, d, d)
+        return [f if isinstance(f, np.ndarray) else buf[:, f] for f in self.sequence]
 
     def apply(self, psi, params, inputs):
-        return psi @ self.matrix(params)
+        matrix = None  # (R, d, d), or (d, d) when no gate reads params
+        for factor in self._factors(params):
+            matrix = factor if matrix is None else matrix @ factor
+        return psi @ matrix
+
+    def compile_shift_rows(self, row_slot: np.ndarray) -> _ShiftRows | None:
+        """Compile this block's share of a shift plan whose row r moves slot
+        ``row_slot[r]``; None when the block has no trainable gate."""
+        if not self.groups:
+            return None
+        rows, seq, kinds = [], [], []
+        for g in self.groups:
+            plan_rows, members = np.nonzero((row_slot[:, None, None] == g.params).any(axis=2))
+            moved = len(rows) + np.arange(len(plan_rows))
+            kinds.append((g.kind, plan_rows[:, None], g.params[members],
+                          *g.scatter(members, moved, self.dim**2)))
+            rows.extend(plan_rows)
+            seq.extend(g.seq[members])
+        return _ShiftRows(np.array(rows), np.array(seq), tuple(kinds))
+
+    def shifted_matrices(self, params: np.ndarray, shifted: np.ndarray,
+                         plan: _ShiftRows) -> np.ndarray:
+        """(R, d, d): the block's unitary at each plan row of ``shifted``,
+        the shift plan's rows around ``params``."""
+        d = self.dim
+        factors = [f if f.ndim == 2 else f[0] for f in self._factors(params[None])]
+        prefix = [np.eye(d, dtype=np.complex128)]
+        for f in factors:
+            prefix.append(prefix[-1] @ f)
+        suffix = [np.eye(d, dtype=np.complex128)]
+        for f in reversed(factors):
+            suffix.append(f @ suffix[-1])
+        prefix, suffix = np.array(prefix), np.array(suffix[::-1])
+        moved = np.zeros(len(plan.rows) * d * d, dtype=np.complex128)
+        for kind, rows, slots, dest, src in plan.kinds:
+            moved[dest] = gate_matrix(kind, shifted[rows, slots]).ravel()[src]
+        out = np.repeat(prefix[-1][None], len(shifted), axis=0)
+        out[plan.rows] = prefix[plan.seq] @ moved.reshape(-1, d, d) @ suffix[plan.seq + 1]
+        return out
 
 
 class _PhasePermutation:
     """Input-reading diagonal gates and angle-free permutations, fused into
     ``amps[..., perm] * exp(i * angles @ coeffs)``."""
 
-    def __init__(self, gates: list[Gate], n: int, lifts: dict):
+    def __init__(self, gates: list[Gate], n: int):
         perm = np.arange(2**n)
         rows: list[np.ndarray] = []
-        self.gates: list[Gate] = []
+        refs: list[tuple] = []
         for gate in gates:
             local, rest = _split_index(n, gate.targets)
             if gate.kind in _PERMUTATIONS:
@@ -549,12 +680,21 @@ class _PhasePermutation:
                 rows = [row[source] for row in rows]
             else:
                 rows.append(_DIAGONAL_PHASES[gate.kind][local])
-                self.gates.append(gate)
+                refs.append(gate.angles[0])
         self.perm = None if np.array_equal(perm, np.arange(2**n)) else perm
         self.coeffs = np.array(rows)  # (angles, 2^n)
+        # (angle column, input index...) of each encoding form, as index rows
+        self.enc1 = np.array([(c, ref[1]) for c, ref in enumerate(refs) if ref[0] == "enc1"],
+                             dtype=np.intp).reshape(-1, 2).T
+        self.enc2 = np.array([(c, *ref[1:]) for c, ref in enumerate(refs) if ref[0] == "enc2"],
+                             dtype=np.intp).reshape(-1, 3).T
 
     def apply(self, psi, params, inputs):
-        angles = np.concatenate([resolve_angles(g, params, inputs) for g in self.gates], axis=-1)
+        angles = np.empty((len(inputs), len(self.coeffs)))
+        col, i = self.enc1
+        angles[:, col] = 2.0 * inputs[:, i]
+        col, i, j = self.enc2
+        angles[:, col] = 2.0 * (math.pi - inputs[:, i]) * (math.pi - inputs[:, j])
         phase = (angles @ self.coeffs) * 1j
         np.exp(phase, out=phase)
         if self.perm is not None:
@@ -576,7 +716,7 @@ class _PhasePermutation:
 class _GateByGate:
     """Gates applied one at a time on every grid cell."""
 
-    def __init__(self, gates: list[Gate], n: int, lifts: dict):
+    def __init__(self, gates: list[Gate], n: int):
         self.gates = gates
         self.n = n
 
@@ -586,7 +726,7 @@ class _GateByGate:
         cell_inputs = np.broadcast_to(inputs[None, :, :], (r, b, inputs.shape[1]))
         amps = np.broadcast_to(psi, (r, b, d)).reshape(r * b, d)
         for gate in self.gates:
-            angles = resolve_angles(gate, cell_params, cell_inputs).reshape(r * b, -1)
+            angles = resolve_angles(gate, cell_params, cell_inputs).reshape(r * b, len(gate.angles))
             amps = _apply_matrix(amps, gate_matrix(gate.kind, angles), gate.targets, self.n)
         return amps.reshape(r, b, d)
 

@@ -45,7 +45,14 @@ from .seeding import stream
 
 
 class DivergenceError(RuntimeError):
-    """Raised when a loss turns non-finite during training."""
+    """Raised when a loss term turns non-finite during training; the
+    message names the term, and each caller up the loop adds where."""
+
+
+def _check_finite(terms: dict[str, float]):
+    for name, value in terms.items():
+        if not math.isfinite(value):
+            raise DivergenceError(f"non-finite {name} ({value})")
 
 
 @dataclass
@@ -341,6 +348,7 @@ def train_step(model: ModelState, images, labels, data_scale: float,
             prior_chunks = prior_sample_block(cfg.prior, rng_prior, N_CHUNKS)
             objective = _disc_objective_graph(model.disc, prior_chunks, chunk_values)
             disc_value = float(objective.data)
+            _check_finite({"discriminator objective": disc_value})
             loss_d = ad.mul(objective, -1.0)
             model.opt_discriminator.zero_grad()
             loss_d.backward()
@@ -351,8 +359,8 @@ def train_step(model: ModelState, images, labels, data_scale: float,
                                                   data_scale)
         breakdown.discriminator_loss = disc_value
 
-    if not math.isfinite(breakdown.combined):
-        raise DivergenceError("non-finite training loss")
+    _check_finite({"likelihood term": breakdown.likelihood_term,
+                   "kl term": breakdown.kl_term, "combined loss": breakdown.combined})
     model.opt_generator.zero_grad()
     model.opt_classifier.zero_grad()
     combined.backward()
@@ -373,11 +381,14 @@ def train_epoch(model: ModelState, images: np.ndarray, labels: np.ndarray,
     rng_noise = stream(cfg.seed, "noise", epoch)
     rng_prior = stream(cfg.seed, "prior", epoch)
     trace = []
-    for start in range(0, n, cfg.batch_size):
+    for batch, start in enumerate(range(0, n, cfg.batch_size)):
         idx = order[start : start + cfg.batch_size]
-        trace.append(
-            train_step(model, images[idx], labels[idx], n / len(idx), rng_noise, rng_prior)
-        )
+        try:
+            trace.append(
+                train_step(model, images[idx], labels[idx], n / len(idx), rng_noise, rng_prior)
+            )
+        except DivergenceError as err:
+            raise DivergenceError(f"seed {cfg.seed}, epoch {epoch}, batch {batch}: {err}") from None
     return trace
 
 

@@ -120,6 +120,13 @@ class TestParseConfig:
     def test_format_parse_round_trip(self, config):
         assert parse_config(format_config(config)) == config
 
+    @pytest.mark.parametrize("name, value", [
+        ("out", "o#1"), ("dataset", "a#b.qbnn"), ("out", "a\nb"), ("dataset", "a\rb"),
+    ])
+    def test_value_the_echo_cannot_read_back_is_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must not contain '#' or a line break"):
+            RunConfig(**{name: value})
+
     def test_round_trip_draws_every_field(self):
         drawn = set(_FIELD_STRATEGIES) | {"layers_list", "reupload_list"}
         assert drawn == {f.name for f in fields(RunConfig)}
@@ -186,6 +193,21 @@ class TestTrainCommand:
         code = cli.main(["train"] + TINY + ["--out", str(tmp_path / "x"), "--quiet"])
         assert code == cli.EXIT_DIVERGENCE
 
+    # a huge discriminator step size: its weights overflow after one step,
+    # so the generator step's adversarial term (or a second discriminator
+    # step) reads NaN at the first batch
+    @pytest.mark.parametrize("flags, term", [
+        ([], "kl term"),
+        (["--set", "disc_steps=2"], "discriminator objective"),
+    ], ids=["kl", "discriminator"])
+    def test_divergence_message_names_where(self, flags, term, tmp_path, capsys):
+        argv = ["train"] + TINY + ["--set", "lr_discriminator=1e300"] + flags
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(argv + ["--out", str(tmp_path / "x"), "--quiet"])
+        assert code == cli.EXIT_DIVERGENCE
+        err = capsys.readouterr().err
+        assert err == f"error: classical seed 0, epoch 0, batch 0: non-finite {term} (nan)\n"
+
     def test_unknown_set_key(self, capsys):
         assert cli.main(["train", "--set", "warp=9"]) == cli.EXIT_CONFIG
 
@@ -211,16 +233,21 @@ class TestTrainCommand:
         (["--set", "noise_dim=4"], "unknown config key 'noise_dim'"),
         (["--set", "samples_per_step=1"], "unknown config key 'samples_per_step'"),
         (["--set", "scale_likelihood=true"], "unknown config key 'scale_likelihood'"),
+        # the config echo could not read these back
+        (["--out", "o#1"], "out must not contain '#'"),
+        (["--set", "dataset=a#b.qbnn"], "dataset must not contain '#'"),
     ], ids=["epochs-0", "sampler-bogus", "calibration-bins-1", "calibration-bins-101",
             "subset-reference-bogus", "split-fractions-sum", "synth-imbalance-0",
             "dataset-missing", "removed-svg", "removed-noise-dim",
-            "removed-samples-per-step", "removed-scale-likelihood"])
-    def test_invalid_training_value_writes_nothing(self, flags, message, tmp_path, capsys):
-        out = tmp_path / "D"
-        argv = ["train", "--sampler", "classical", "--epochs", "1"] + flags
-        assert cli.main(argv + ["--out", str(out), "--quiet"]) == cli.EXIT_CONFIG
+            "removed-samples-per-step", "removed-scale-likelihood", "out-hash",
+            "dataset-hash"])
+    def test_invalid_training_value_writes_nothing(self, flags, message, tmp_path,
+                                                   capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # a relative --out lands here
+        argv = ["train", "--sampler", "classical", "--epochs", "1", "--out", "D", "--quiet"]
+        assert cli.main(argv + flags) == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
-        assert not out.exists()
+        assert not list(tmp_path.iterdir())
 
 
 class TestSweeps:

@@ -132,6 +132,11 @@ class TestQuantumSampler:
             )
             np.testing.assert_allclose(jac[row], reference, atol=1e-12)
 
+    def test_noise_width_validated(self):
+        template = CircuitTemplate(4, (), 0, 3)
+        with pytest.raises(ValueError, match="4 noise inputs"):
+            QuantumWeightSampler(template, np.zeros(0))
+
     def test_theta_length_validated(self):
         template = assemble_pqc(Architecture.ROMERO, 4)
         with pytest.raises(ValueError, match="theta"):

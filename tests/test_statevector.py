@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qcbnn.circuits import Architecture, assemble_pqc
 from qcbnn.statevector import (
@@ -19,6 +20,7 @@ from qcbnn.statevector import (
     parameter_shift_grad,
     run_circuit,
     run_circuit_batch,
+    run_shift_rows,
     _FUSE_MAX_QUBITS,
 )
 
@@ -92,6 +94,28 @@ class TestApplyGate:
         got = gate_matrix("ZZ", np.array([theta]))
         expected = np.diag(np.exp(-1j * theta / 2 * np.array([1, -1, -1, 1])))
         np.testing.assert_allclose(got, expected, atol=1e-12)
+
+
+@st.composite
+def angle_batches(draw):
+    """A gate kind and a (rows, n_angles) batch of its angles."""
+    kind = draw(st.sampled_from(sorted(GATE_SIGNATURES)))
+    shape = (draw(st.integers(1, 6)), GATE_SIGNATURES[kind][1])
+    return kind, draw(hnp.arrays(np.float64, shape, elements=st.floats(-100.0, 100.0)))
+
+
+class TestGateMatrix:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(batch=angle_batches())
+    def test_unitary_for_every_kind(self, batch):
+        kind, angles = batch
+        mats = gate_matrix(kind, angles)
+        d = 2 ** GATE_SIGNATURES[kind][0]
+        assert mats.shape == (len(angles), d, d)
+        eye = np.broadcast_to(np.eye(d), mats.shape)
+        adjoint = mats.conj().swapaxes(-1, -2)
+        np.testing.assert_allclose(mats @ adjoint, eye, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(adjoint @ mats, eye, rtol=0, atol=1e-13)
 
 
 class TestExpectations:
@@ -292,6 +316,32 @@ class TestCompiledExecutor:
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(run_circuit_batch(template, params[2], inputs[1]),
                                    grid[1, 2], rtol=0, atol=1e-12)
+
+
+class TestShiftRows:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(template=random_templates(), seed=st.integers(0, 2**32 - 1))
+    @example(template=assemble_pqc(Architecture.MATIC_II, 4, 2, True), seed=0)
+    @example(template=assemble_pqc(Architecture.CIRCUIT_II, 4, 2, True), seed=1)
+    @example(template=assemble_pqc(Architecture.CIRCUIT_IV, 6, 2, True, cr_axis="Y"), seed=2)
+    @example(template=_MIXED, seed=3)
+    def test_matches_grid_of_shifted_params(self, template, seed):
+        rng = np.random.default_rng(seed)
+        params = rng.uniform(-2 * math.pi, 2 * math.pi, template.param_slots)
+        inputs = rng.uniform(0, 2 * math.pi, (3, template.input_slots))
+        grid = params + template.shift_plan[0]
+        rows = run_shift_rows(template, params, inputs)
+        assert rows.shape == (3, len(grid), template.n_qubits)
+        np.testing.assert_allclose(rows, run_circuit_batch(template, grid, inputs),
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(run_shift_rows(template, params, inputs[1]),
+                                   run_circuit_batch(template, grid, inputs[1]),
+                                   rtol=0, atol=1e-13)
+
+    def test_takes_one_params_vector(self):
+        template = rx_template(2)
+        with pytest.raises(ValueError, match="one params vector"):
+            run_shift_rows(template, np.zeros((3, 2)), [])
 
 
 class TestParameterShift:

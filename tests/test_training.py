@@ -291,6 +291,14 @@ class TestTrainStepAndEpoch:
             tr.train_step(model, train.images[:4], train.labels[:4], 1.0,
                           stream(0, "n"), stream(0, "p"))
 
+    def test_divergence_names_seed_epoch_batch_and_term(self, tiny_split):
+        train, _ = tiny_split
+        model = quantum_model(seed=14, batch_size=4)
+        model.dense_w.data = np.full_like(model.dense_w.data, np.nan)
+        with pytest.raises(tr.DivergenceError) as caught:
+            tr.train_epoch(model, train.images[:12], train.labels[:12], epoch=5)
+        assert str(caught.value) == "seed 14, epoch 5, batch 0: non-finite likelihood term (nan)"
+
     def test_discriminator_only_phase_increases_objective(self):
         # frozen generator stuck in a corner vs uniform prior
         rng = np.random.default_rng(10)
