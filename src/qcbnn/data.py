@@ -219,6 +219,8 @@ def split(dataset: Dataset, fractions, seed: int) -> Dataset:
     fractions = tuple(float(f) for f in fractions)
     if len(fractions) not in (2, 3):
         raise ValueError("need 2 or 3 split fractions")
+    if not all(f >= 0 for f in fractions):  # a zero fraction is an empty partition
+        raise ValueError(f"split fractions must be non-negative, got {list(fractions)}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError("fractions must sum to 1")
     names = ("train", "test") if len(fractions) == 2 else SPLIT_TAGS

@@ -4,8 +4,9 @@ The convolution weights of the classifier are never trained directly:
 each forward pass draws them from a generator.  Three generators share
 one contract: ``noise_law`` says what to draw, ``N_CHUNKS`` rows per
 draw, ``expectations(noise)`` maps (rows, dim) noise to (rows, 4) chunk values,
-``forward(noise)`` is the same map as an autodiff tensor, and
-``parameters()``/``named_tensors()`` expose the trainable state.
+``forward(noise)`` is the same map as an autodiff node whose backward
+reaches every tensor of ``parameters()``, and ``named_tensors()`` names
+the trainable state.
 
 * ``QuantumWeightSampler`` feeds each noise vector into a parametrized
   circuit and reads the per-qubit expectation values;
@@ -38,6 +39,13 @@ KERNEL_SHAPE = (16, 2, 2)
 # --- noise and prior ---------------------------------------------------------
 
 
+def _check_location_scale(what: str, mu: float, sigma: float):
+    if not math.isfinite(mu):
+        raise ValueError(f"{what} mu must be finite, got {mu}")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"{what} sigma must be finite and >= 0, got {sigma}")
+
+
 @dataclass(frozen=True)
 class NoiseLaw:
     """Distribution of the embedding angles: uniform on [0, 2pi) or
@@ -50,6 +58,7 @@ class NoiseLaw:
     def __post_init__(self):
         if self.kind not in ("uniform", "gaussian"):
             raise ValueError(f"unknown noise law {self.kind!r}")
+        _check_location_scale("noise", self.mu, self.sigma)
 
 
 def sample_noise_block(rng: np.random.Generator, law: NoiseLaw, count: int) -> np.ndarray:
@@ -70,6 +79,7 @@ class PriorSpec:
     def __post_init__(self):
         if self.law not in ("uniform", "clipped-gaussian"):
             raise ValueError(f"unknown prior law {self.law!r}")
+        _check_location_scale("prior", self.mu, self.sigma)
 
 
 def prior_sample_block(spec: PriorSpec, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -132,9 +142,14 @@ class QuantumWeightSampler:
         return run_circuit_batch(self.template, self.theta.data, noise)
 
     def forward(self, noise: np.ndarray) -> ad.Tensor:
-        """Chunk matrix as a graph leaf; theta's gradient comes from
-        ``jacobian``, not from backpropagation."""
-        return ad.Tensor(self.expectations(noise), requires_grad=True)
+        """Chunk matrix as a graph node over theta; the shift-rule
+        Jacobian runs only when backward reaches the node."""
+        return ad._node(self.expectations(noise), (self.theta,),
+                        lambda g: (self.theta_vjp(noise, g),))
+
+    def theta_vjp(self, noise: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """theta's gradient from the (rows, 4) gradient of the chunks."""
+        return np.einsum("cq,cqp->p", grad, self.jacobian(noise))
 
     def jacobian(self, noise: np.ndarray) -> np.ndarray:
         """d(chunk)/d(theta) for every noise row: (rows, 4, param_slots).

@@ -8,20 +8,22 @@ combined loss
     L = alpha * (-log p(D|w))  +  beta * (logit(d(w)) - log p(D|w)),
 
 where the second bracket is the adversarial estimate of the KL
-divergence from the generator distribution to the prior.  Gradients
-reach the circuit angles through the parameter-shift Jacobian of the
-sampler and reach everything else by backpropagation.
+divergence from the generator distribution to the prior.  The plain
+variational-inference baseline (Gaussian weight posterior) skips the
+discriminator and puts its analytic KL in that bracket instead.
 
-A plain variational-inference baseline (Gaussian weight posterior with
-an analytic KL term) shares all the surrounding machinery: every
-generator is drawn from and evaluated through the same contract
-(``noise_law``, ``expectations``, ``forward``; ``N_CHUNKS`` rows a draw).
+Every generator is drawn from and evaluated through the same contract
+(``noise_law``, ``expectations``, ``forward``; ``N_CHUNKS`` rows a draw),
+and every step builds its loss with ``combined_loss_graph``, so one
+``backward`` reaches all trainable tensors: the circuit angles through
+the sampler node's parameter-shift vjp, everything else through the
+ordinary vjps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -94,6 +96,10 @@ class TrainSettings:
         for name in ("alpha", "beta"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        for f in fields(TrainSettings):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.sampler not in ("quantum", "classical", "vi"):
             raise ValueError(f"unknown sampler {self.sampler!r}")
 
@@ -131,7 +137,6 @@ class ModelState:
     opt_classifier: ad.Adam
     opt_discriminator: ad.Adam
     config: TrainConfig
-    image_shape: tuple[int, int]
 
     def named_tensors(self) -> dict[str, ad.Tensor]:
         out = dict(self.sampler.named_tensors())
@@ -195,7 +200,6 @@ def build_model(config: TrainConfig, image_shape: tuple[int, int]) -> ModelState
         opt_classifier=ad.Adam([dense_w, dense_b], lr=config.lr_classifier),
         opt_discriminator=ad.Adam(disc.parameters(), lr=config.lr_discriminator),
         config=config,
-        image_shape=tuple(image_shape),
     )
 
 
@@ -266,45 +270,31 @@ def _logit_mean_graph(disc: Discriminator, chunks: ad.Tensor) -> ad.Tensor:
     return ad.mean(ad.add(ad.log(d), ad.mul(ad.log(ad.add(ad.mul(d, -1.0), 1.0)), -1.0)))
 
 
-def _nll_graph(model: ModelState, chunks: ad.Tensor, images, labels,
-               data_scale: float) -> ad.Tensor:
-    kernels = ad.reshape(chunks, KERNEL_SHAPE)
-    logits = classifier_logits(model, images, kernels)
-    return ad.mul(ad.summation(ad.softmax_cross_entropy(logits, labels)), data_scale)
-
-
 def combined_loss_graph(model: ModelState, chunk_tensors: list[ad.Tensor],
                         images, labels, data_scale: float = 1.0,
                         ) -> tuple[ad.Tensor, LossBreakdown]:
-    """Full training objective over one or more weight draws.
+    """alpha * likelihood + beta * kl for one weight draw, and its breakdown.
 
-    ``chunk_tensors`` holds one (16, 4) tensor per draw.  With no data
-    (images None) the likelihood term vanishes and only the adversarial
-    term remains.
+    ``chunk_tensors`` holds the draw's (16, 4) chunk tensor.  The kl term
+    is the plain-VI posterior's analytic KL, or else the discriminator's
+    logit estimate plus the likelihood.  With no data (images None) the
+    likelihood term vanishes.  The discriminator objective is filled in
+    by the step that ran it.
     """
-    s = len(chunk_tensors)
-    logit_sum = None
-    lik_sum = None
-    for chunks in chunk_tensors:
-        term = _logit_mean_graph(model.disc, chunks)
-        logit_sum = term if logit_sum is None else ad.add(logit_sum, term)
-        if images is not None:
-            nll = _nll_graph(model, chunks, images, labels, data_scale)
-            lik_sum = nll if lik_sum is None else ad.add(lik_sum, nll)
-    logit_mean = ad.mul(logit_sum, 1.0 / s)
-    if lik_sum is not None:
-        likelihood = ad.mul(lik_sum, 1.0 / s)
-        kl = ad.add(logit_mean, likelihood)
-    else:
+    (chunks,) = chunk_tensors
+    if images is None:
         likelihood = ad.Tensor(0.0)
-        kl = logit_mean
-    return _combine(model.config, likelihood, kl)
-
-
-def _combine(cfg: TrainConfig, likelihood: ad.Tensor,
-             kl: ad.Tensor) -> tuple[ad.Tensor, LossBreakdown]:
-    """alpha * likelihood + beta * kl and its breakdown; the discriminator
-    objective is filled in by the step that ran it."""
+    else:
+        logits = classifier_logits(model, images, ad.reshape(chunks, KERNEL_SHAPE))
+        likelihood = ad.mul(ad.summation(ad.softmax_cross_entropy(logits, labels)),
+                            data_scale)
+    if isinstance(model.sampler, GaussianPosterior):
+        kl = model.sampler.kl_to_standard_normal()
+    else:
+        kl = _logit_mean_graph(model.disc, chunks)
+        if images is not None:
+            kl = ad.add(kl, likelihood)
+    cfg = model.config
     combined = ad.add(ad.mul(likelihood, cfg.alpha), ad.mul(kl, cfg.beta))
     breakdown = LossBreakdown(
         likelihood_term=float(likelihood.data),
@@ -319,31 +309,24 @@ def _combine(cfg: TrainConfig, likelihood: ad.Tensor,
 
 
 def _quantum_theta_grad(sampler: QuantumWeightSampler, noise_blocks, chunk_tensors) -> np.ndarray:
-    grad = np.zeros_like(sampler.theta.data)
-    for noise, chunks in zip(noise_blocks, chunk_tensors):
-        if chunks.grad is None:
-            continue
-        jac = sampler.jacobian(noise)  # (16, 4, P)
-        grad += np.einsum("cq,cqp->p", chunks.grad, jac)
-    return grad
+    """theta's gradient for one draw, from the gradient that backward left
+    on its chunk tensor; the vjp of ``QuantumWeightSampler.forward``."""
+    (noise,), (chunks,) = noise_blocks, chunk_tensors
+    return sampler.theta_vjp(noise, chunks.grad)
 
 
 def train_step(model: ModelState, images, labels, data_scale: float,
                rng_noise: np.random.Generator, rng_prior: np.random.Generator,
                ) -> LossBreakdown:
-    """One training step: for the adversarial samplers, discriminator
-    ascent then combined descent; for the plain-VI posterior, descent on
-    the likelihood plus its analytic KL."""
+    """One training step: discriminator ascent for the adversarial
+    generators, then combined descent on ``combined_loss_graph``."""
     cfg = model.config
     sampler = model.sampler
 
     noise = sample_noise_block(rng_noise, sampler.noise_law, N_CHUNKS)
-    if isinstance(sampler, GaussianPosterior):  # analytic KL, no adversary
-        likelihood = _nll_graph(model, sampler.forward(noise), images, labels, data_scale)
-        combined, breakdown = _combine(cfg, likelihood, sampler.kl_to_standard_normal())
-    else:
+    disc_value = float("nan")
+    if not isinstance(sampler, GaussianPosterior):  # the plain-VI KL is analytic
         chunk_values = sampler.expectations(noise)
-        disc_value = float("nan")
         for _ in range(cfg.disc_steps):
             prior_chunks = prior_sample_block(cfg.prior, rng_prior, N_CHUNKS)
             objective = _disc_objective_graph(model.disc, prior_chunks, chunk_values)
@@ -354,18 +337,14 @@ def train_step(model: ModelState, images, labels, data_scale: float,
             loss_d.backward()
             model.opt_discriminator.step()
 
-        chunks = sampler.forward(noise)
-        combined, breakdown = combined_loss_graph(model, [chunks], images, labels,
-                                                  data_scale)
-        breakdown.discriminator_loss = disc_value
-
+    combined, breakdown = combined_loss_graph(model, [sampler.forward(noise)], images,
+                                              labels, data_scale)
+    breakdown.discriminator_loss = disc_value
     _check_finite({"likelihood term": breakdown.likelihood_term,
                    "kl term": breakdown.kl_term, "combined loss": breakdown.combined})
     model.opt_generator.zero_grad()
     model.opt_classifier.zero_grad()
     combined.backward()
-    if isinstance(sampler, QuantumWeightSampler):  # theta is outside the graph
-        sampler.theta.grad = _quantum_theta_grad(sampler, [noise], [chunks])
     model.opt_generator.step()
     if images is not None:
         model.opt_classifier.step()

@@ -31,6 +31,7 @@ _POSITIVE = st.integers(1, 10**6)
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _RATE = st.floats(0.0, 10.0, exclude_min=True)
 _WEIGHT = st.floats(0.0, 10.0)
+_SCALE = st.floats(0.0, allow_infinity=False)
 _FIELD_STRATEGIES = {
     "epochs": _POSITIVE, "batch_size": _POSITIVE, "alpha": _WEIGHT, "beta": _WEIGHT,
     "lr_generator": _RATE, "lr_discriminator": _RATE, "lr_classifier": _RATE,
@@ -42,9 +43,9 @@ _FIELD_STRATEGIES = {
     "archs": st.lists(st.sampled_from(list(Architecture)), min_size=1, max_size=3),
     "seeds": st.lists(st.integers(0, 2**31), min_size=1, max_size=3),
     "noise_law": st.sampled_from(["uniform", "gaussian"]),
-    "noise_mu": _FINITE, "noise_sigma": _FINITE,
+    "noise_mu": _FINITE, "noise_sigma": _SCALE,
     "prior_law": st.sampled_from(["uniform", "clipped-gaussian"]),
-    "prior_mu": _FINITE, "prior_sigma": _FINITE,
+    "prior_mu": _FINITE, "prior_sigma": _SCALE,
     "dataset": _TEXT, "dataset_format": st.sampled_from(["binary", "csv"]),
     "synth_samples": _POSITIVE, "synth_imbalance": _FINITE, "synth_noise": _FINITE,
     "synth_seed": st.integers(0, 2**31),
@@ -236,11 +237,25 @@ class TestTrainCommand:
         # the config echo could not read these back
         (["--out", "o#1"], "out must not contain '#'"),
         (["--set", "dataset=a#b.qbnn"], "dataset must not contain '#'"),
+        # values that used to fail only after output, or read as divergence
+        (["--set", "split_fractions=1.2,-0.2"], "split fractions must be non-negative"),
+        (["--set", "noise_law=gaussian", "--set", "noise_sigma=-1"],
+         "noise sigma must be finite and >= 0"),
+        (["--set", "noise_law=gaussian", "--set", "noise_mu=inf"], "noise mu must be finite"),
+        (["--set", "prior_law=clipped-gaussian", "--set", "prior_sigma=-0.5"],
+         "prior sigma must be finite and >= 0"),
+        (["--set", "prior_law=clipped-gaussian", "--set", "prior_mu=nan"],
+         "prior mu must be finite"),
+        (["--set", "alpha=nan"], "alpha must be finite"),
+        (["--set", "beta=inf"], "beta must be finite"),
+        (["--set", "lr_classifier=inf"], "lr_classifier must be finite"),
     ], ids=["epochs-0", "sampler-bogus", "calibration-bins-1", "calibration-bins-101",
             "subset-reference-bogus", "split-fractions-sum", "synth-imbalance-0",
             "dataset-missing", "removed-svg", "removed-noise-dim",
             "removed-samples-per-step", "removed-scale-likelihood", "out-hash",
-            "dataset-hash"])
+            "dataset-hash", "split-fraction-negative", "noise-sigma-negative",
+            "noise-mu-inf", "prior-sigma-negative", "prior-mu-nan", "alpha-nan",
+            "beta-inf", "lr-classifier-inf"])
     def test_invalid_training_value_writes_nothing(self, flags, message, tmp_path,
                                                    capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)  # a relative --out lands here

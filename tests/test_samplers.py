@@ -10,6 +10,7 @@ from qcbnn.samplers import (
     N_CHUNKS,
     ClassicalWeightSampler,
     Discriminator,
+    GaussianPosterior,
     NoiseLaw,
     PriorSpec,
     QuantumWeightSampler,
@@ -18,6 +19,7 @@ from qcbnn.samplers import (
     sample_noise_block,
 )
 from qcbnn.statevector import CircuitTemplate, parameter_shift_grad
+from qcbnn.training import _quantum_theta_grad
 
 from conftest import finite_difference_grad, per_draw_samples
 
@@ -185,6 +187,36 @@ class TestClassicalSampler:
         b = one_draw(quantum, np.random.default_rng(1))
         assert a.chunks.shape == b.chunks.shape == (N_CHUNKS, CHUNK_DIM)
         assert a.kernels.shape == b.kernels.shape == (16, 2, 2)
+
+
+class TestGeneratorContract:
+    GENERATORS = {
+        "quantum": lambda rng: make_quantum_sampler(3),
+        "classical": ClassicalWeightSampler,
+        "vi": GaussianPosterior,
+    }
+
+    @pytest.mark.parametrize("kind", sorted(GENERATORS))
+    def test_backward_reaches_every_parameter(self, kind):
+        rng = np.random.default_rng(30)
+        sampler = self.GENERATORS[kind](rng)
+        noise = sample_noise_block(rng, sampler.noise_law, N_CHUNKS)
+        upstream = rng.normal(size=(N_CHUNKS, CHUNK_DIM))
+        ad.summation(ad.mul(sampler.forward(noise), upstream)).backward()
+        for param in sampler.parameters():
+            assert param.grad is not None and param.grad.shape == param.data.shape
+            assert np.any(param.grad)
+
+    def test_theta_gradient_is_the_one_shift_rule_vjp(self):
+        sampler = make_quantum_sampler(4, Architecture.MATIC_II)
+        rng = np.random.default_rng(31)
+        noise = sample_noise_block(rng, sampler.noise_law, N_CHUNKS)
+        upstream = rng.normal(size=(N_CHUNKS, CHUNK_DIM))
+        ad.summation(ad.mul(sampler.forward(noise), upstream)).backward()
+        leaf = ad.Tensor(sampler.expectations(noise), requires_grad=True)
+        leaf.grad = upstream
+        assert np.array_equal(sampler.theta.grad,
+                              _quantum_theta_grad(sampler, [noise], [leaf]))
 
 
 class TestDiscriminator:

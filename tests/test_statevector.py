@@ -365,6 +365,19 @@ class TestParameterShift:
             )
             assert np.abs(grad - fd).max() < 1e-5
 
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(template=random_templates(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_central_differences_on_random_templates(self, template, seed):
+        rng = np.random.default_rng(seed)
+        params = rng.uniform(-2 * math.pi, 2 * math.pi, template.param_slots)
+        inputs = rng.uniform(0, 2 * math.pi, template.input_slots)
+        h = 1e-4
+        steps = h * np.eye(template.param_slots)
+        up = run_circuit_batch(template, params + steps, inputs)  # (P, n_qubits)
+        down = run_circuit_batch(template, params - steps, inputs)
+        np.testing.assert_allclose(parameter_shift_grad(template, params, inputs),
+                                   (up - down).T / (2 * h), rtol=0, atol=1e-6)
+
     def test_grad_shape(self):
         template = assemble_pqc(Architecture.MATIC_II, 4)
         grad = parameter_shift_grad(
