@@ -1,12 +1,12 @@
 """Minimal reverse-mode automatic differentiation on numpy arrays.
 
-Just enough machinery for the models in this package: elementwise
-arithmetic with broadcasting, a strided 2-D convolution
-with externally injected weights (one patch-matrix GEMM over an image
-batch, with a gradient for the kernels only; ``conv_windows`` is the
-strided-window view it shares with the graph-free ensemble forward in
-``training``), dense layers, the usual
-activations, a stabilized softmax cross-entropy, and Adam.
+Just what the training step needs: ``reshape``, a strided 2-D
+convolution with externally injected weights (one patch-matrix GEMM over
+an image batch, with a gradient for the kernels only; ``conv_windows`` is
+the strided-window view it shares with the graph-free ensemble forward in
+``training``), Adam, and the binary checkpoint container.  The rest of a
+step is a few fused nodes built with ``_node`` in ``samplers`` and
+``training``, each with its vjp written out in numpy.
 
 Every operation builds a fresh graph node; calling ``backward`` on a
 scalar loss walks the graph once in reverse topological order and
@@ -19,19 +19,6 @@ from __future__ import annotations
 import struct
 
 import numpy as np
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, d in enumerate(shape) if d == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
 
 
 class Tensor:
@@ -68,10 +55,6 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     return out
 
 
-def _coerce(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
-
-
 def backward(loss: Tensor):
     """Accumulate d(loss)/d(node) into ``grad`` for every reachable node."""
     if loss.data.size != 1:
@@ -96,102 +79,20 @@ def backward(loss: Tensor):
         if node._vjp is None or node.grad is None:
             continue
         for parent, pgrad in zip(node._parents, node._vjp(node.grad)):
-            if pgrad is None:
-                continue
             if parent.grad is None:
-                parent.grad = np.zeros_like(parent.data)
-            parent.grad += pgrad
+                # a copy: a vjp may return a view of its own gradient, or
+                # one array for several parents; order K keeps its layout
+                parent.grad = pgrad.copy(order="K")
+            else:
+                parent.grad += pgrad
 
 
 # -- primitive operations -----------------------------------------------------
 
 
-def add(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    return _node(
-        a.data + b.data,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)),
-    )
-
-
-def mul(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    return _node(
-        a.data * b.data,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
-        ),
-    )
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     old = a.data.shape
     return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
-
-
-def summation(a: Tensor) -> Tensor:
-    """Sum of all entries, a scalar."""
-    shape = a.data.shape
-    return _node(a.data.sum(), (a,), lambda g: (np.broadcast_to(g, shape).copy(),))
-
-
-def mean(a: Tensor) -> Tensor:
-    """Mean of all entries, a scalar."""
-    return mul(summation(a), 1.0 / a.data.size)
-
-
-def log(a: Tensor) -> Tensor:
-    return _node(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return _node(out, (a,), lambda g: (g * out,))
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-    return _node(out, (a,), lambda g: (g * (1.0 - out**2),))
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    return _node(a.data * mask, (a,), lambda g: (g * mask,))
-
-
-LEAKY_SLOPE = 0.01
-# sigmoid outputs are clipped into (eps, 1 - eps), so log(d) and log(1 - d)
-# stay finite
-SIGMOID_EPS = 1e-7
-
-
-def leaky_relu(a: Tensor) -> Tensor:
-    factor = np.where(a.data > 0, 1.0, LEAKY_SLOPE)
-    return _node(a.data * factor, (a,), lambda g: (g * factor,))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    """Logistic function clipped into (SIGMOID_EPS, 1 - SIGMOID_EPS), with
-    zero gradient where clipped."""
-    x = a.data
-    raw = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    out = np.clip(raw, SIGMOID_EPS, 1.0 - SIGMOID_EPS)
-    mask = (raw > SIGMOID_EPS) & (raw < 1.0 - SIGMOID_EPS)
-    return _node(out, (a,), lambda g: (g * raw * (1.0 - raw) * mask,))
-
-
-def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
-    """Affine map ``x @ W.T + b`` for a (B, n) batch x and W (m, n)."""
-    xd, wd, bd = x.data, weights.data, bias.data
-    if wd.ndim != 2 or bd.shape != (wd.shape[0],):
-        raise ValueError("weights must be (m, n) with bias (m,)")
-    if xd.ndim != 2 or xd.shape[1] != wd.shape[1]:
-        raise ValueError(f"input shape {xd.shape} does not match weights {wd.shape}")
-    out = xd @ wd.T + bd
-    return _node(out, (x, weights, bias), lambda g: (g @ wd, g.T @ xd, g.sum(axis=0)))
 
 
 def conv_windows(images: np.ndarray, kernel_hw: tuple[int, int], stride: int) -> np.ndarray:
@@ -232,29 +133,6 @@ def conv2d(images: np.ndarray, kernels: Tensor, stride: int = 2) -> Tensor:
     return _node(out, (kernels,), vjp)
 
 
-def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Per-example negative log softmax probability of the true class for
-    (B, C) logits and (B,) labels, stabilized by max subtraction."""
-    x = logits.data
-    y = np.asarray(labels, dtype=np.int64)
-    if x.ndim != 2 or y.shape != (x.shape[0],):
-        raise ValueError(f"expected (B, C) logits with (B,) labels, got logits "
-                         f"{x.shape} and labels {y.shape}")
-    if np.any(y < 0) or np.any(y >= x.shape[1]):
-        raise ValueError("label out of range")
-    shifted = x - x.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    losses = lse - shifted[np.arange(len(y)), y]
-    probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
-
-    def vjp(g):
-        onehot = np.zeros_like(x)
-        onehot[np.arange(len(y)), y] = 1.0
-        return ((probs - onehot) * g[:, None],)
-
-    return _node(losses, (logits,), vjp)
-
-
 def softmax_np(logits: np.ndarray) -> np.ndarray:
     """Plain softmax over the last axis (no graph); sums to 1 per row."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
@@ -266,15 +144,21 @@ def softmax_np(logits: np.ndarray) -> np.ndarray:
 
 
 class Adam:
-    """Standard Adam with bias correction over a list of parameter tensors."""
+    """Standard Adam with bias correction over a list of parameter tensors.
+
+    The moments of all parameters live in one flat buffer each, so a step
+    is one set of elementwise operations over the concatenated gradient.
+    """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = list(params)
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        ends = np.cumsum([p.data.size for p in self.params]).tolist()
+        self._slices = [slice(end - p.data.size, end) for p, end in zip(self.params, ends)]
+        self.m = np.zeros(ends[-1] if ends else 0)
+        self.v = np.zeros_like(self.m)
 
     def zero_grad(self):
         for p in self.params:
@@ -284,13 +168,15 @@ class Adam:
         """One update from the gradients currently stored on the params."""
         self.step_count += 1
         t = self.step_count
-        for i, p in enumerate(self.params):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g**2
-            m_hat = self.m[i] / (1 - self.beta1**t)
-            v_hat = self.v[i] / (1 - self.beta2**t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        g = np.concatenate([np.zeros(p.data.size) if p.grad is None else np.ravel(p.grad)
+                            for p in self.params])
+        self.m = self.beta1 * self.m + (1 - self.beta1) * g
+        self.v = self.beta2 * self.v + (1 - self.beta2) * g**2
+        m_hat = self.m / (1 - self.beta1**t)
+        v_hat = self.v / (1 - self.beta2**t)
+        update = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        for p, part in zip(self.params, self._slices):
+            p.data = p.data - update[part].reshape(p.data.shape)
 
 
 # -- checkpoint container ------------------------------------------------------
@@ -306,7 +192,9 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray]):
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         for name, arr in tensors.items():
-            arr = np.ascontiguousarray(arr, dtype="<f8")
+            # asarray keeps rank 0 (ascontiguousarray makes it rank 1); tobytes
+            # writes C order whatever the strides
+            arr = np.asarray(arr, dtype="<f8")
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<I", len(encoded)))
             fh.write(encoded)

@@ -188,9 +188,18 @@ class ClassicalWeightSampler:
         self.w2, self.b2 = _init_dense(rng, CHUNK_DIM, 8)
 
     def forward(self, noise: np.ndarray) -> ad.Tensor:
-        """Differentiable chunk matrix for given noise rows."""
-        h = ad.tanh(ad.dense(ad.Tensor(noise), self.w1, self.b1))
-        return ad.tanh(ad.dense(h, self.w2, self.b2))
+        """Differentiable chunk matrix for given noise rows: one node over
+        (w1, b1, w2, b2) whose vjp is the MLP's backward written out."""
+        w1, w2 = self.w1.data, self.w2.data
+        hidden = np.tanh(noise @ w1.T + self.b1.data)
+        out = np.tanh(hidden @ w2.T + self.b2.data)
+
+        def vjp(g):
+            g2 = g * (1.0 - out**2)
+            g1 = (g2 @ w2) * (1.0 - hidden**2)
+            return g1.T @ noise, g1.sum(axis=0), g2.T @ hidden, g2.sum(axis=0)
+
+        return ad._node(out, (self.w1, self.b1, self.w2, self.b2), vjp)
 
     def expectations(self, noise: np.ndarray) -> np.ndarray:
         return self.forward(noise).data
@@ -217,21 +226,35 @@ class GaussianPosterior:
                                    requires_grad=True)
 
     def forward(self, eps: np.ndarray) -> ad.Tensor:
-        """Differentiable mu + sigma * eps for k draws' (k * N_CHUNKS, 4) eps."""
-        sigma = ad.exp(self.log_sigma)
-        draws = ad.mul(sigma, eps.reshape(-1, N_CHUNKS, CHUNK_DIM))
-        return ad.reshape(ad.add(self.mu, draws), eps.shape)
+        """Differentiable mu + sigma * eps for k draws' (k * N_CHUNKS, 4) eps,
+        as one node over (mu, log_sigma)."""
+        sigma = np.exp(self.log_sigma.data)
+        eps3 = eps.reshape(-1, N_CHUNKS, CHUNK_DIM)
+        out = (self.mu.data + sigma * eps3).reshape(eps.shape)
+
+        def vjp(g):
+            g3 = g.reshape(eps3.shape)
+            return g3.sum(axis=0), (g3 * eps3).sum(axis=0) * sigma
+
+        return ad._node(out, (self.mu, self.log_sigma), vjp)
 
     def expectations(self, eps: np.ndarray) -> np.ndarray:
         return self.forward(eps).data
 
     def kl_to_standard_normal(self) -> ad.Tensor:
-        sigma_sq = ad.exp(ad.mul(self.log_sigma, 2.0))
-        per_element = ad.add(
-            ad.mul(ad.add(sigma_sq, ad.mul(self.mu, self.mu)), 0.5),
-            ad.add(ad.mul(self.log_sigma, -1.0), -0.5),
-        )
-        return ad.summation(per_element)
+        """Analytic KL to N(0, 1) summed over the chunk matrix, as one node.
+        mu and log_sigma are parents twice, one per gradient term, so
+        backward adds the terms one at a time, as an op-by-op graph would."""
+        mu, log_sigma = self.mu.data, self.log_sigma.data
+        sigma_sq = np.exp(log_sigma * 2.0)
+        per_element = (sigma_sq + mu * mu) * 0.5 + (-log_sigma - 0.5)
+
+        def vjp(g):
+            half = g * 0.5
+            return half * mu, half * mu, half * sigma_sq * 2.0, np.full(mu.shape, -g)
+
+        return ad._node(per_element.sum(), (self.mu, self.mu, self.log_sigma, self.log_sigma),
+                        vjp)
 
     def parameters(self) -> list[ad.Tensor]:
         return [self.mu, self.log_sigma]
@@ -243,22 +266,50 @@ class GaussianPosterior:
 # --- discriminator -------------------------------------------------------------
 
 
+LEAKY_SLOPE = 0.01
+# sigmoid outputs are clipped into (eps, 1 - eps), so log(d) and log(1 - d)
+# stay finite
+SIGMOID_EPS = 1e-7
+
+
 class Discriminator:
     """Binary classifier on 4-value chunks: 4 -> 16 -> 1, sigmoid output.
 
     Outputs are clamped into (1e-7, 1 - 1e-7) so log(d) - log(1 - d)
-    stays finite.
+    stays finite.  ``forward`` builds no graph; the loss nodes that use it
+    call the vjps it returns.
     """
 
     def __init__(self, rng: np.random.Generator):
         self.w1, self.b1 = _init_dense(rng, 16, CHUNK_DIM)
         self.w2, self.b2 = _init_dense(rng, 1, 16)
 
-    def forward(self, chunks) -> ad.Tensor:
-        """Probabilities for (B, 4) chunk rows, shape (B, 1)."""
-        x = chunks if isinstance(chunks, ad.Tensor) else ad.Tensor(chunks)
-        h = ad.leaky_relu(ad.dense(x, self.w1, self.b1))
-        return ad.sigmoid(ad.dense(h, self.w2, self.b2))
+    def forward(self, chunks: np.ndarray):
+        """Probabilities (B, 1) for (B, 4) chunk rows, and two vjps: from
+        the probabilities' gradient to those of (w1, b1, w2, b2), and to
+        that of the chunk rows."""
+        x = np.asarray(chunks, dtype=np.float64)
+        w1, w2 = self.w1.data, self.w2.data
+        pre = x @ w1.T + self.b1.data
+        slope = np.where(pre > 0, 1.0, LEAKY_SLOPE)
+        hidden = pre * slope
+        logits = hidden @ w2.T + self.b2.data
+        tail = np.exp(-np.abs(logits))
+        sigmoid = np.where(logits >= 0, 1.0 / (1.0 + tail), tail / (1.0 + tail))
+        unclipped = (sigmoid > SIGMOID_EPS) & (sigmoid < 1.0 - SIGMOID_EPS)
+
+        def pre_activation_grads(g):
+            g_out = g * sigmoid * (1.0 - sigmoid) * unclipped
+            return g_out, (g_out @ w2) * slope
+
+        def weights_vjp(g):
+            g_out, g_hidden = pre_activation_grads(g)
+            return g_hidden.T @ x, g_hidden.sum(axis=0), g_out.T @ hidden, g_out.sum(axis=0)
+
+        def chunks_vjp(g):
+            return pre_activation_grads(g)[1] @ w1
+
+        return np.clip(sigmoid, SIGMOID_EPS, 1.0 - SIGMOID_EPS), weights_vjp, chunks_vjp
 
     def parameters(self) -> list[ad.Tensor]:
         return [self.w1, self.b1, self.w2, self.b2]

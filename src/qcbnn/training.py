@@ -15,9 +15,11 @@ discriminator and puts its analytic KL in that bracket instead.
 Every generator is drawn from and evaluated through the same contract
 (``noise_law``, ``expectations``, ``forward``; ``N_CHUNKS`` rows a draw),
 and every step builds its loss with ``combined_loss_graph``, so one
-``backward`` reaches all trainable tensors: the circuit angles through
-the sampler node's parameter-shift vjp, everything else through the
-ordinary vjps.
+``backward`` reaches all trainable tensors.  A step's graph is a handful
+of fused nodes with closed-form vjps: the generator, the convolution,
+the classifier head (relu, dense, softmax cross-entropy), the KL term and
+the weighted sum.  The discriminator's logit term has the chunks as its
+only parent, so the descent leaves the discriminator's gradients alone.
 """
 
 from __future__ import annotations
@@ -206,23 +208,14 @@ def build_model(config: TrainConfig, image_shape: tuple[int, int]) -> ModelState
 # --- forward passes ------------------------------------------------------------
 
 
-def classifier_logits(model: ModelState, images: np.ndarray, kernels: ad.Tensor) -> ad.Tensor:
-    """Conv -> relu -> dense logits for a (B, H, W) batch; the one
-    classifier forward, differentiable in the kernels and the dense head.
-    Features flatten in (f, x, y) order, the layout of ``dense_w``."""
-    feats = ad.relu(ad.conv2d(images, kernels, model.config.conv_stride))
-    flat = ad.reshape(feats, (images.shape[0], -1))
-    return ad.dense(flat, model.dense_w, model.dense_b)
-
-
 # Images per block of the graph-free forward are chosen so that one
 # member's (b, F, H'*W') activation holds about this many floats (512 kB).
 EVAL_BLOCK_FLOATS = 1 << 16
 
 
 def forward_probs_np(model: ModelState, images: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    """Softmax probabilities of ``classifier_logits`` for fixed kernels,
-    computed without an autodiff graph.
+    """Softmax probabilities of the classifier (conv -> relu -> dense) for
+    fixed kernels, computed without an autodiff graph.
 
     One (F, kh, kw) kernel set gives (B, 2); a stacked (M, F, kh, kw)
     array gives (M, B, 2), one row per member.  The (B, kh*kw, H'*W')
@@ -257,17 +250,64 @@ def forward_probs_np(model: ModelState, images: np.ndarray, kernels: np.ndarray)
 # --- loss surfaces ---------------------------------------------------------------
 
 
-def _disc_objective_graph(disc: Discriminator, prior_chunks: np.ndarray,
-                          generated_chunks: np.ndarray) -> ad.Tensor:
-    d_gen = disc.forward(generated_chunks)
-    d_prior = disc.forward(prior_chunks)
-    one_minus_prior = ad.add(ad.mul(d_prior, -1.0), 1.0)
-    return ad.add(ad.mean(ad.log(d_gen)), ad.mean(ad.log(one_minus_prior)))
+def _disc_loss(disc: Discriminator, prior_chunks: np.ndarray,
+               generated_chunks: np.ndarray) -> ad.Tensor:
+    """Minus the objective the discriminator ascends, mean log d(generated)
+    + mean log(1 - d(prior)), as one node over its four tensors."""
+    d_gen, gen_vjp, _ = disc.forward(generated_chunks)
+    d_prior, prior_vjp, _ = disc.forward(prior_chunks)
+    one_minus_prior = 1.0 - d_prior
+    gen_scale, prior_scale = 1.0 / d_gen.size, 1.0 / d_prior.size
+    objective = np.log(d_gen).sum() * gen_scale + np.log(one_minus_prior).sum() * prior_scale
+
+    def vjp(g):
+        return tuple(a + b for a, b in zip(gen_vjp(-g * gen_scale / d_gen),
+                                           prior_vjp(g * prior_scale / one_minus_prior)))
+
+    return ad._node(-objective, tuple(disc.parameters()), vjp)
 
 
-def _logit_mean_graph(disc: Discriminator, chunks: ad.Tensor) -> ad.Tensor:
-    d = disc.forward(chunks)
-    return ad.mean(ad.add(ad.log(d), ad.mul(ad.log(ad.add(ad.mul(d, -1.0), 1.0)), -1.0)))
+def _logit_mean(disc: Discriminator, chunks: ad.Tensor) -> ad.Tensor:
+    """Mean of logit(d) over the chunk rows, as one node whose only parent
+    is ``chunks``: the discriminator is a constant of the descent."""
+    d, _, d_vjp = disc.forward(chunks.data)
+    one_minus = 1.0 - d
+    logits = np.log(d) - np.log(one_minus)
+    scale = 1.0 / logits.size
+
+    def vjp(g):
+        g_rows = g * scale
+        return (d_vjp(g_rows / d + g_rows / one_minus),)
+
+    return ad._node(logits.sum() * scale, (chunks,), vjp)
+
+
+def _nll(model: ModelState, conv: ad.Tensor, labels: np.ndarray,
+         data_scale: float) -> ad.Tensor:
+    """``data_scale`` times the summed softmax cross-entropy of the dense
+    head on relu(conv), as one node over the conv output and the head.
+    Features flatten in (f, x, y) order, the layout of ``dense_w``."""
+    z = conv.data
+    active = z > 0
+    flat = (z * active).reshape(len(z), -1)
+    dense_w = model.dense_w.data
+    logits = flat @ dense_w.T + model.dense_b.data
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    rows = np.arange(len(labels))
+    losses = np.log(exp.sum(axis=1)) - shifted[rows, labels]
+
+    def vjp(g):
+        g_logits = exp / exp.sum(axis=1, keepdims=True)
+        g_logits[rows, labels] -= 1.0
+        g_logits *= g * data_scale
+        # mask in conv2d's (b, x, y, f) memory layout: numpy's elementwise
+        # loops are several times slower on operands of mixed layouts
+        g_xyf = np.ascontiguousarray((g_logits @ dense_w).reshape(z.shape).transpose(0, 2, 3, 1))
+        g_conv = (g_xyf * active.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        return g_conv, g_logits.T @ flat, g_logits.sum(axis=0)
+
+    return ad._node(losses.sum() * data_scale, (conv, model.dense_w, model.dense_b), vjp)
 
 
 def combined_loss_graph(model: ModelState, chunk_tensors: list[ad.Tensor],
@@ -285,20 +325,22 @@ def combined_loss_graph(model: ModelState, chunk_tensors: list[ad.Tensor],
     if images is None:
         likelihood = ad.Tensor(0.0)
     else:
-        logits = classifier_logits(model, images, ad.reshape(chunks, KERNEL_SHAPE))
-        likelihood = ad.mul(ad.summation(ad.softmax_cross_entropy(logits, labels)),
-                            data_scale)
+        conv = ad.conv2d(images, ad.reshape(chunks, KERNEL_SHAPE), model.config.conv_stride)
+        likelihood = _nll(model, conv, labels, data_scale)
     if isinstance(model.sampler, GaussianPosterior):
-        kl = model.sampler.kl_to_standard_normal()
+        kl_terms = (model.sampler.kl_to_standard_normal(),)
+    elif images is None:
+        kl_terms = (_logit_mean(model.disc, chunks),)
     else:
-        kl = _logit_mean_graph(model.disc, chunks)
-        if images is not None:
-            kl = ad.add(kl, likelihood)
-    cfg = model.config
-    combined = ad.add(ad.mul(likelihood, cfg.alpha), ad.mul(kl, cfg.beta))
+        kl_terms = (_logit_mean(model.disc, chunks), likelihood)
+    kl = sum((t.data for t in kl_terms[1:]), kl_terms[0].data)
+    alpha, beta = model.config.alpha, model.config.beta
+    # the likelihood is a parent twice when the adversarial kl includes it
+    combined = ad._node(likelihood.data * alpha + kl * beta, (likelihood,) + kl_terms,
+                        lambda g: (g * alpha,) + (g * beta,) * len(kl_terms))
     breakdown = LossBreakdown(
         likelihood_term=float(likelihood.data),
-        kl_term=float(kl.data),
+        kl_term=float(kl),
         discriminator_loss=float("nan"),
         combined=float(combined.data),
     )
@@ -329,10 +371,9 @@ def train_step(model: ModelState, images, labels, data_scale: float,
         chunk_values = sampler.expectations(noise)
         for _ in range(cfg.disc_steps):
             prior_chunks = prior_sample_block(cfg.prior, rng_prior, N_CHUNKS)
-            objective = _disc_objective_graph(model.disc, prior_chunks, chunk_values)
-            disc_value = float(objective.data)
+            loss_d = _disc_loss(model.disc, prior_chunks, chunk_values)
+            disc_value = -float(loss_d.data)
             _check_finite({"discriminator objective": disc_value})
-            loss_d = ad.mul(objective, -1.0)
             model.opt_discriminator.zero_grad()
             loss_d.backward()
             model.opt_discriminator.step()

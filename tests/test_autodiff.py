@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import signal
 
 from qcbnn import autodiff as ad
 
+import graph_oracle as og
 from conftest import finite_difference_grad
 
 
@@ -29,18 +33,18 @@ def check_op(fn, x0, rtol=1e-4):
 class TestElementwiseGradients:
     def test_square(self):
         x = ad.Tensor(3.0, requires_grad=True)
-        ad.mul(x, x).backward()
+        og.mul(x, x).backward()
         assert x.grad == pytest.approx(6.0)
 
     @pytest.mark.parametrize(
         "fn",
         [
-            lambda t: ad.summation(ad.tanh(t)),
-            lambda t: ad.summation(ad.exp(t)),
-            lambda t: ad.summation(ad.sigmoid(t)),
-            lambda t: ad.summation(ad.leaky_relu(t)),
-            lambda t: ad.mean(ad.mul(t, t)),
-            lambda t: ad.summation(ad.mul(ad.relu(t), 2.0)),
+            lambda t: og.summation(og.tanh(t)),
+            lambda t: og.summation(og.exp(t)),
+            lambda t: og.summation(og.sigmoid(t)),
+            lambda t: og.summation(og.leaky_relu(t)),
+            lambda t: og.mean(og.mul(t, t)),
+            lambda t: og.summation(og.mul(og.relu(t), 2.0)),
         ],
     )
     def test_against_finite_differences(self, fn):
@@ -48,18 +52,18 @@ class TestElementwiseGradients:
         check_op(fn, x0)
 
     def test_log_positive_domain(self):
-        check_op(lambda t: ad.summation(ad.log(t)), np.array([0.5, 1.4, 3.0]))
+        check_op(lambda t: og.summation(og.log(t)), np.array([0.5, 1.4, 3.0]))
 
     def test_clamp_passthrough_region(self):
-        check_op(lambda t: ad.summation(ad.sigmoid(t)), np.array([0.2, -0.7]))
+        check_op(lambda t: og.summation(og.sigmoid(t)), np.array([0.2, -0.7]))
         x = ad.Tensor(np.array([40.0, -40.0]), requires_grad=True)
-        ad.summation(ad.sigmoid(x)).backward()
+        og.summation(og.sigmoid(x)).backward()
         np.testing.assert_array_equal(x.grad, [0.0, 0.0])
 
     def test_broadcast_add(self):
         a = ad.Tensor(np.ones((3, 2)), requires_grad=True)
         b = ad.Tensor(np.ones(2), requires_grad=True)
-        ad.summation(ad.add(a, b)).backward()
+        og.summation(og.add(a, b)).backward()
         np.testing.assert_array_equal(a.grad, np.ones((3, 2)))
         np.testing.assert_array_equal(b.grad, [3.0, 3.0])
 
@@ -67,29 +71,29 @@ class TestElementwiseGradients:
 class TestDense:
     def test_identity(self):
         x = ad.Tensor([[1.0, 2.0, 3.0]])
-        out = ad.dense(x, ad.Tensor(np.eye(3)), ad.Tensor(np.zeros(3)))
+        out = og.dense(x, ad.Tensor(np.eye(3)), ad.Tensor(np.zeros(3)))
         np.testing.assert_array_equal(out.data, [[1, 2, 3]])
 
     def test_zero_weights_give_bias(self):
-        out = ad.dense(ad.Tensor([[1.0, 2.0]]), ad.Tensor(np.zeros((3, 2))),
+        out = og.dense(ad.Tensor([[1.0, 2.0]]), ad.Tensor(np.zeros((3, 2))),
                        ad.Tensor([5.0, 6.0, 7.0]))
         np.testing.assert_array_equal(out.data, [[5, 6, 7]])
 
     def test_random_case_matches_manual_product(self):
         rng = np.random.default_rng(4)
         x, w, b = rng.normal(size=(1, 2)), rng.normal(size=(3, 2)), rng.normal(size=3)
-        out = ad.dense(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b))
+        out = og.dense(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b))
         manual = np.array([[w[i, 0] * x[0, 0] + w[i, 1] * x[0, 1] + b[i] for i in range(3)]])
         np.testing.assert_allclose(out.data, manual, atol=1e-15)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            ad.dense(ad.Tensor(np.zeros((1, 3))), ad.Tensor(np.zeros((2, 4))),
+            og.dense(ad.Tensor(np.zeros((1, 3))), ad.Tensor(np.zeros((2, 4))),
                      ad.Tensor(np.zeros(2)))
 
     def test_rejects_single_vector(self):
         with pytest.raises(ValueError, match="does not match"):
-            ad.dense(ad.Tensor([1.0, 2.0]), ad.Tensor(np.zeros((3, 2))),
+            og.dense(ad.Tensor([1.0, 2.0]), ad.Tensor(np.zeros((3, 2))),
                      ad.Tensor(np.zeros(3)))
 
     def test_batched_gradients(self):
@@ -97,9 +101,9 @@ class TestDense:
         x0, w0, b0 = rng.normal(size=(4, 3)), rng.normal(size=(2, 3)), rng.normal(size=2)
         w = ad.Tensor(w0, requires_grad=True)
         b = ad.Tensor(b0, requires_grad=True)
-        ad.summation(ad.tanh(ad.dense(ad.Tensor(x0), w, b))).backward()
+        og.summation(og.tanh(og.dense(ad.Tensor(x0), w, b))).backward()
         fd_w = grad_of(
-            lambda t: ad.summation(ad.tanh(ad.dense(ad.Tensor(x0), t, ad.Tensor(b0)))), w0
+            lambda t: og.summation(og.tanh(og.dense(ad.Tensor(x0), t, ad.Tensor(b0)))), w0
         )
         np.testing.assert_allclose(w.grad, fd_w, rtol=1e-4, atol=1e-7)
 
@@ -144,7 +148,7 @@ class TestConv2d:
         kernels0 = rng.normal(size=(3, 2, 2))
 
         def loss_k(k):
-            return ad.summation(ad.relu(ad.conv2d(images, k, stride)))
+            return og.summation(og.relu(ad.conv2d(images, k, stride)))
 
         k = ad.Tensor(kernels0, requires_grad=True)
         loss_k(k).backward()
@@ -154,7 +158,7 @@ class TestConv2d:
         rng = np.random.default_rng(8)
         images = rng.normal(size=(2, 6, 6))
         kernels = ad.Tensor(rng.normal(size=(3, 2, 2)), requires_grad=True)
-        ad.summation(ad.conv2d(images, kernels)).backward()
+        og.summation(ad.conv2d(images, kernels)).backward()
         # d(sum of outputs)/dk[f, i, j] sums the pixels at window offset (i, j)
         offsets = [[images[:, i::2, j::2].sum() for j in range(2)] for i in range(2)]
         np.testing.assert_allclose(kernels.grad, np.broadcast_to(offsets, (3, 2, 2)),
@@ -163,21 +167,21 @@ class TestConv2d:
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits(self):
-        loss = ad.softmax_cross_entropy(ad.Tensor([[0.0, 0.0]]), [0]).data
+        loss = og.softmax_cross_entropy(ad.Tensor([[0.0, 0.0]]), [0]).data
         assert loss.shape == (1,)
         assert loss[0] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_confident_correct(self):
-        loss = ad.softmax_cross_entropy(ad.Tensor([[10.0, -10.0]]), [0]).data[0]
+        loss = og.softmax_cross_entropy(ad.Tensor([[10.0, -10.0]]), [0]).data[0]
         assert loss == pytest.approx(math.log1p(math.exp(-20.0)), rel=1e-6)
 
     def test_confident_wrong(self):
-        loss = ad.softmax_cross_entropy(ad.Tensor([[10.0, -10.0]]), [1]).data[0]
+        loss = og.softmax_cross_entropy(ad.Tensor([[10.0, -10.0]]), [1]).data[0]
         assert loss == pytest.approx(20.0, rel=1e-9)
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            ad.softmax_cross_entropy(ad.Tensor([[0.0, 0.0]]), [2])
+            og.softmax_cross_entropy(ad.Tensor([[0.0, 0.0]]), [2])
 
     def test_softmax_sums_to_one(self):
         rng = np.random.default_rng(2)
@@ -190,7 +194,7 @@ class TestSoftmaxCrossEntropy:
         labels = np.array([0, 1, 1, 0, 1])
 
         def loss(t):
-            return ad.mean(ad.softmax_cross_entropy(t, labels))
+            return og.mean(og.softmax_cross_entropy(t, labels))
 
         check_op(loss, x0)
 
@@ -201,10 +205,10 @@ class TestSoftmaxCrossEntropy:
         labels = np.array([1, 0, 1])
 
         def loss(kern):
-            feats = ad.relu(ad.conv2d(images, kern, 2))
+            feats = og.relu(ad.conv2d(images, kern, 2))
             flat = ad.reshape(feats, (3, -1))
-            logits = ad.dense(flat, ad.Tensor(w0), ad.Tensor(np.zeros(2)))
-            return ad.mean(ad.softmax_cross_entropy(logits, labels))
+            logits = og.dense(flat, ad.Tensor(w0), ad.Tensor(np.zeros(2)))
+            return og.mean(og.softmax_cross_entropy(logits, labels))
 
         check_op(loss, rng.normal(size=(2, 2, 2)))
 
@@ -231,13 +235,33 @@ class TestAdam:
             p = ad.Tensor(rng.normal(size=4), requires_grad=True)
             opt = ad.Adam([p], lr=0.05)
             for _ in range(25):
-                loss = ad.summation(ad.mul(p, p))
+                loss = og.summation(og.mul(p, p))
                 opt.zero_grad()
                 loss.backward()
                 opt.step()
             return p.data.copy()
 
         np.testing.assert_array_equal(trajectory(), trajectory())
+
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(shapes=st.lists(hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=4),
+                           min_size=1, max_size=5),
+           lr=st.floats(1e-4, 0.5), seed=st.integers(0, 2**32 - 1))
+    def test_flat_buffer_matches_per_tensor_adam(self, shapes, lr, seed):
+        rng = np.random.default_rng(seed)
+        start = [rng.normal(size=shape) for shape in shapes]
+        flat = [ad.Tensor(x, requires_grad=True) for x in start]
+        listed = [ad.Tensor(x, requires_grad=True) for x in start]
+        opt_flat, opt_list = ad.Adam(flat, lr=lr), og.ListAdam(listed, lr=lr)
+        for _ in range(4):
+            for a, b in zip(flat, listed):
+                # some parameters get no gradient in a step
+                a.grad = b.grad = None if rng.random() < 0.3 else rng.normal(size=a.shape)
+            opt_flat.step()
+            opt_list.step()
+        for a, b in zip(flat, listed):
+            assert a.data.shape == b.data.shape
+            assert a.data.tobytes() == b.data.tobytes()
 
 
 class TestCheckpoint:
@@ -268,6 +292,34 @@ class TestCheckpoint:
         path.write_bytes(blob[:-12])
         with pytest.raises(ValueError, match="truncated"):
             ad.load_checkpoint(path)
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(tensors=st.dictionaries(
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=5),
+        hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+                   elements=st.floats(width=64)),
+        max_size=4))
+    def test_random_dicts_round_trip_and_truncate(self, tensors, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ckpt") / "t.qckpt"
+        names = list(tensors)
+        ends = []  # file size after each whole block, the header first
+        for k in range(len(names) + 1):
+            ad.save_checkpoint(path, {n: tensors[n] for n in names[:k]})
+            ends.append(path.stat().st_size)
+        blob = path.read_bytes()
+        loaded = ad.load_checkpoint(path)
+        assert list(loaded) == names
+        for name in names:
+            assert loaded[name].shape == tensors[name].shape
+            assert loaded[name].tobytes() == tensors[name].tobytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            if cut in ends:
+                # a cut at a block boundary is a well-formed shorter container
+                assert list(ad.load_checkpoint(path)) == names[:ends.index(cut)]
+            else:
+                with pytest.raises(ValueError):
+                    ad.load_checkpoint(path)
 
     def test_unsupported_version(self, tmp_path):
         path = tmp_path / "model.qckpt"

@@ -4,6 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qcbnn import autodiff as ad
 from qcbnn import training as tr
@@ -18,7 +20,8 @@ from qcbnn.samplers import (
 )
 from qcbnn.seeding import stream
 
-from conftest import per_draw_samples
+import graph_oracle as og
+from conftest import finite_difference_grad, per_draw_samples
 
 
 def zero_discriminator():
@@ -73,7 +76,7 @@ def discriminator_loss(disc, prior_chunks, generated_chunks) -> float:
     generated_chunks = np.atleast_2d(np.asarray(generated_chunks, dtype=np.float64))
     if prior_chunks.size == 0 or generated_chunks.size == 0:
         raise ValueError("chunk sets must be non-empty")
-    return float(tr._disc_objective_graph(disc, prior_chunks, generated_chunks).data)
+    return -float(tr._disc_loss(disc, prior_chunks, generated_chunks).data)
 
 
 @dataclass
@@ -100,7 +103,7 @@ def generator_loss(model, weight_samples, images, labels, data_scale=1.0):
     mean over draws of [chunk-averaged logit(d) - log p(D|w)]."""
     total = 0.0
     for ws in weight_samples:
-        d = model.disc.forward(ws.chunks).data[:, 0]
+        d = model.disc.forward(ws.chunks)[0][:, 0]
         logit_mean = float(np.mean(np.log(d) - np.log(1.0 - d)))
         log_p = 0.0
         if images is not None:
@@ -236,8 +239,7 @@ class TestLogitTermSanity:
         for _ in range(100):
             a = prior_sample_block(spec, rng, 64)
             b = prior_sample_block(spec, rng, 64)
-            objective = tr._disc_objective_graph(disc, a, b)
-            loss = ad.mul(objective, -1.0)
+            loss = tr._disc_loss(disc, a, b)
             opt.zero_grad()
             loss.backward()
             opt.step()
@@ -311,9 +313,8 @@ class TestTrainStepAndEpoch:
         for _ in range(10):
             gen_batch = 0.75 + 0.05 * train_rng.uniform(-1, 1, (64, 4))
             prior_batch = prior_sample_block(PriorSpec(), train_rng, 64)
-            objective = tr._disc_objective_graph(disc, prior_batch, gen_batch)
             opt.zero_grad()
-            ad.mul(objective, -1.0).backward()
+            tr._disc_loss(disc, prior_batch, gen_batch).backward()
             opt.step()
             values.append(discriminator_loss(disc, prior_eval, gen_eval))
         increases = sum(b >= a for a, b in zip(values, values[1:]))
@@ -383,9 +384,9 @@ class TestForwardProbs:
 
 
 def per_member_probs(model, images, kernel_stack):
-    """Oracle: the autodiff classifier forward, one member at a time."""
+    """Oracle: the op-by-op classifier graph, one member at a time."""
     return np.stack([
-        ad.softmax_np(tr.classifier_logits(model, images, ad.Tensor(k)).data)
+        ad.softmax_np(og.classifier_logits(model, images, ad.Tensor(k)).data)
         for k in kernel_stack
     ])
 
@@ -499,6 +500,17 @@ class TestCheckpointArrays:
                 model.load_arrays(arrays)
         # a cut on a block boundary is a well-formed shorter container
         assert whole_blocks == len(model.named_arrays())
+
+    @pytest.mark.parametrize("sampler", ["quantum", "classical", "vi"])
+    def test_block_prefix_is_a_missing_tensor(self, tmp_path, sampler):
+        model = tr.build_model(tr.TrainConfig(seed=15, sampler=sampler), (28, 28))
+        arrays = model.named_arrays()
+        path = tmp_path / "prefix.qckpt"
+        for k in range(len(arrays)):
+            ad.save_checkpoint(path, dict(list(arrays.items())[:k]))
+            prefix = ad.load_checkpoint(path)
+            with pytest.raises(ValueError, match=f"missing tensor {list(arrays)[k]!r}"):
+                model.load_arrays(prefix)
 
 
 class TestEnsemblePrediction:
@@ -621,3 +633,238 @@ class TestPriorMatching:
         assert len(first) == len(blocks) > 0
         for a, b in zip(first, blocks):
             assert not np.array_equal(a, b)
+
+
+# --- the fused training step against the op-by-op graph -----------------------------
+
+STEP_CELLS = {
+    "circuit_iii_L1": dict(sampler="quantum"),
+    "circuit_iii_L2re": dict(sampler="quantum", layers=2, reupload=True),
+    "classical": dict(sampler="classical"),
+    "vi": dict(sampler="vi"),
+}
+# nodes one train_step may build (disc_steps = 1); the op-by-op graph
+# built 43 (quantum), 50 (classical) and 24 (vi)
+MAX_STEP_NODES = 12
+
+
+def cell_model(cell, image_shape=(28, 28), **kw):
+    cfg = tr.TrainConfig(seed=5, arch=Architecture.CIRCUIT_III, **STEP_CELLS[cell], **kw)
+    return tr.build_model(cfg, image_shape)
+
+
+def take_grads(model) -> dict:
+    """Every named tensor's gradient, cleared on the model."""
+    out = {}
+    for name, tensor in model.named_tensors().items():
+        out[name], tensor.grad = tensor.grad, None
+    return out
+
+
+def assert_grads_equal(got: dict, want: dict):
+    assert got.keys() == want.keys()
+    for name in got:
+        assert (got[name] is None) == (want[name] is None), name
+        if got[name] is not None:
+            assert np.array_equal(got[name], want[name]), name
+
+
+def assert_matches_central_differences(value, tensors, grads, h=1e-6):
+    """``value()`` rebuilds a scalar from the tensors' current data; each
+    gradient must match central differences of it."""
+    for tensor, grad in zip(tensors, grads):
+        saved = tensor.data
+
+        def at(x, tensor=tensor, saved=saved):
+            tensor.data = x
+            try:
+                return value()
+            finally:
+                tensor.data = saved
+
+        fd = finite_difference_grad(at, saved, h)
+        np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-6)
+
+
+def step_streams(step):
+    return stream(1, "noise", step), stream(1, "prior", step)
+
+
+class TestClosedFormStep:
+    @pytest.mark.parametrize("cell", list(STEP_CELLS))
+    def test_train_step_matches_oracle_graph_bitwise(self, tiny_split, cell):
+        train, _ = tiny_split
+        fused, oracle = cell_model(cell), og.use_list_adams(cell_model(cell))
+        images, labels = train.images[:7], train.labels[:7]
+        for step in range(3):
+            got = tr.train_step(fused, images, labels, 4.0, *step_streams(step))
+            want = og.train_step(oracle, images, labels, 4.0, *step_streams(step))
+            assert repr(got) == repr(want)
+        want = oracle.named_arrays()
+        for name, value in fused.named_arrays().items():
+            assert np.array_equal(value, want[name]), name
+
+    @pytest.mark.parametrize("cell", ["circuit_iii_L1", "classical"])
+    def test_descent_leaves_discriminator_gradients_unset(self, tiny_split, cell):
+        train, _ = tiny_split
+        model = cell_model(cell)
+        noise = sample_noise_block(np.random.default_rng(0), model.sampler.noise_law, 16)
+        combined, _ = tr.combined_loss_graph(model, [model.sampler.forward(noise)],
+                                             train.images[:5], train.labels[:5], 2.0)
+        combined.backward()
+        assert all(p.grad is not None for p in model.sampler.parameters())
+        assert [p.grad for p in model.disc.parameters()] == [None] * 4
+
+    @pytest.mark.parametrize("cell", list(STEP_CELLS))
+    def test_step_graph_stays_small(self, tiny_split, cell, monkeypatch):
+        train, _ = tiny_split
+        model = cell_model(cell)
+        built = []
+        node = ad._node
+
+        def counting(*args):
+            built.append(args[0].shape)
+            return node(*args)
+
+        monkeypatch.setattr(ad, "_node", counting)
+        tr.train_step(model, train.images[:7], train.labels[:7], 4.0, *step_streams(0))
+        assert 0 < len(built) <= MAX_STEP_NODES
+
+
+NODE_SETTINGS = settings(derandomize=True, database=None, max_examples=30, deadline=None)
+
+
+def random_batch(rng, count, image_shape):
+    return rng.uniform(0.0, 1.0, (count,) + image_shape), rng.integers(0, 2, count)
+
+
+class TestFusedNodeVjps:
+    @NODE_SETTINGS
+    @given(cell=st.sampled_from(["circuit_iii_L1", "classical", "vi"]),
+           batch=st.integers(1, 6), height=st.integers(2, 9), width=st.integers(2, 9),
+           stride=st.integers(1, 3), data_scale=st.floats(0.05, 50.0),
+           alpha=st.floats(0.0, 3.0), beta=st.floats(0.0, 3.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_combined_loss_matches_oracle_graph(self, cell, batch, height, width, stride,
+                                                data_scale, alpha, beta, seed):
+        model = cell_model(cell, (height, width), conv_stride=stride, alpha=alpha, beta=beta)
+        rng = np.random.default_rng(seed)
+        images, labels = random_batch(rng, batch, (height, width))
+        noise = sample_noise_block(rng, model.sampler.noise_law, 16)
+        if cell == "circuit_iii_L1":
+            leaves = [ad.Tensor(model.sampler.expectations(noise), requires_grad=True)
+                      for _ in range(2)]
+            fused_chunks, oracle_chunks = leaves
+        else:
+            fused_chunks = model.sampler.forward(noise)
+            oracle_chunks = og.sampler_forward(model.sampler, noise)
+        combined, got = tr.combined_loss_graph(model, [fused_chunks], images, labels,
+                                               data_scale)
+        combined.backward()
+        fused_grads = take_grads(model)
+        combined, want = og.combined_loss(model, oracle_chunks, images, labels, data_scale)
+        combined.backward()
+        oracle_grads = take_grads(model)
+        assert repr(got) == repr(want)
+        if cell != "vi":  # the oracle graph also fills the discriminator's
+            for name in model.disc.named_tensors():
+                assert fused_grads[name] is None
+                fused_grads[name] = oracle_grads[name]
+        assert_grads_equal(fused_grads, oracle_grads)
+        if cell == "circuit_iii_L1":
+            assert np.array_equal(fused_chunks.grad, oracle_chunks.grad)
+
+    @NODE_SETTINGS
+    @given(n_gen=st.integers(1, 40), n_prior=st.integers(1, 40),
+           weight_scale=st.floats(0.1, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_disc_loss_matches_oracle_graph(self, n_gen, n_prior, weight_scale, seed):
+        rng = np.random.default_rng(seed)
+        disc = Discriminator(rng)
+        for p in disc.parameters():
+            p.data = p.data * weight_scale + rng.normal(0.0, 0.1, p.data.shape)
+        gen, prior = rng.uniform(-1, 1, (n_gen, 4)), rng.uniform(-1, 1, (n_prior, 4))
+        loss = tr._disc_loss(disc, prior, gen)
+        loss.backward()
+        got = [p.grad for p in disc.parameters()]
+        for p in disc.parameters():
+            p.grad = None
+        oracle = og.mul(og.disc_objective(disc, prior, gen), -1.0)
+        oracle.backward()
+        assert loss.data.tobytes() == oracle.data.tobytes()
+        for a, p in zip(got, disc.parameters()):
+            assert np.array_equal(a, p.grad)
+
+    @NODE_SETTINGS
+    @given(rows=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_disc_nodes_match_central_differences(self, rows, seed):
+        rng = np.random.default_rng(seed)
+        disc = Discriminator(rng)
+        gen, prior = rng.uniform(-1, 1, (rows, 4)), rng.uniform(-1, 1, (rows + 3, 4))
+        pre = np.vstack([gen, prior]) @ disc.w1.data.T + disc.b1.data
+        assume(np.abs(pre).min() > 1e-4)  # away from the leaky-relu kinks
+        loss = tr._disc_loss(disc, prior, gen)
+        loss.backward()
+        assert_matches_central_differences(
+            lambda: tr._disc_loss(disc, prior, gen).item(), disc.parameters(),
+            [p.grad for p in disc.parameters()])
+        chunks = ad.Tensor(gen, requires_grad=True)
+        tr._logit_mean(disc, chunks).backward()
+        assert_matches_central_differences(lambda: tr._logit_mean(disc, chunks).item(),
+                                           [chunks], [chunks.grad])
+
+    @NODE_SETTINGS
+    @given(batch=st.integers(1, 5), height=st.integers(2, 8), width=st.integers(2, 8),
+           stride=st.integers(1, 3), data_scale=st.floats(0.05, 20.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_nll_matches_central_differences(self, batch, height, width, stride,
+                                             data_scale, seed):
+        model = cell_model("classical", (height, width), conv_stride=stride)
+        rng = np.random.default_rng(seed)
+        hp, wp = tr.conv_output_shape((height, width), stride)
+        z = rng.normal(size=(batch, 16, hp, wp))
+        z += np.copysign(1e-3, z)  # away from the relu kinks
+        model.dense_b.data = rng.normal(size=2)
+        labels = rng.integers(0, 2, batch)
+        conv = ad.Tensor(z, requires_grad=True)
+        tr._nll(model, conv, labels, data_scale).backward()
+        assert_matches_central_differences(
+            lambda: tr._nll(model, conv, labels, data_scale).item(),
+            [conv, model.dense_w, model.dense_b],
+            [conv.grad, model.dense_w.grad, model.dense_b.grad])
+
+    @NODE_SETTINGS
+    @given(cell=st.sampled_from(["classical", "vi"]), draws=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_generator_nodes_match_central_differences(self, cell, draws, seed):
+        model = cell_model(cell)
+        sampler = model.sampler
+        rng = np.random.default_rng(seed)
+        noise = sample_noise_block(rng, sampler.noise_law, 16 * draws)
+        upstream = rng.normal(size=(16 * draws, 4))
+
+        def value():
+            total = float((sampler.forward(noise).data * upstream).sum())
+            return total + (sampler.kl_to_standard_normal().item() if cell == "vi" else 0.0)
+
+        loss = og.summation(og.mul(sampler.forward(noise), upstream))
+        if cell == "vi":
+            loss = og.add(loss, sampler.kl_to_standard_normal())
+        loss.backward()
+        params = sampler.parameters()
+        assert_matches_central_differences(value, params, [p.grad for p in params])
+
+
+class TestForwardProbsOracle:
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(batch=st.integers(1, 6), height=st.integers(2, 12), width=st.integers(2, 12),
+           stride=st.integers(1, 4), members=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_op_by_op_classifier(self, batch, height, width, stride, members, seed):
+        model = cell_model("classical", (height, width), conv_stride=stride)
+        rng = np.random.default_rng(seed)
+        model.dense_b.data = rng.normal(size=2)
+        images, _ = random_batch(rng, batch, (height, width))
+        kernels = rng.normal(size=(members, 16, 2, 2))
+        np.testing.assert_allclose(tr.forward_probs_np(model, images, kernels),
+                                   per_member_probs(model, images, kernels),
+                                   rtol=0, atol=1e-15)
