@@ -1,12 +1,12 @@
 """Minimal reverse-mode automatic differentiation on numpy arrays.
 
 Just what the training step needs: ``reshape``, a strided 2-D
-convolution with externally injected weights (one patch-matrix GEMM over
-an image batch, with a gradient for the kernels only; ``conv_windows`` is
-the strided-window view it shares with the graph-free ensemble forward in
-``training``), Adam, and the binary checkpoint container.  The rest of a
-step is a few fused nodes built with ``_node`` in ``samplers`` and
-``training``, each with its vjp written out in numpy.
+convolution with externally injected weights (``K @ patches`` over the
+``(B, kh*kw, H'*W')`` patch matrix of ``conv_patches``, which the
+graph-free ensemble forward in ``training`` multiplies by its kernels too,
+with a gradient for the kernels only), Adam, and the binary checkpoint
+container.  The rest of a step is a few fused nodes built with ``_node``
+in ``samplers`` and ``training``, each with its vjp written out in numpy.
 
 Every operation builds a fresh graph node; calling ``backward`` on a
 scalar loss walks the graph once in reverse topological order and
@@ -95,40 +95,50 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
-def conv_windows(images: np.ndarray, kernel_hw: tuple[int, int], stride: int) -> np.ndarray:
-    """(B, H', W', kh, kw) view of the valid stride-``stride`` windows of a
-    (B, H, W) image batch, H' = (H - kh)//stride + 1; no copy is made."""
+def conv_patches(images: np.ndarray, kernel_hw: tuple[int, int],
+                 stride: int) -> tuple[np.ndarray, tuple[int, int]]:
+    """The (B, kh*kw, H'*W') patch matrix of the valid stride-``stride``
+    windows of a (B, H, W) image batch, and (H', W'), H' = (H - kh)//stride + 1.
+
+    Row ``i*kw + j`` of image b holds the pixels at window offset (i, j),
+    so ``K.reshape(F, kh*kw) @ patches`` is the convolution in the (f, x, y)
+    order of the dense layer's features.  It is one copy of a read-only
+    (B, kh, kw, H', W') strided view of the images.
+    """
     x = np.asarray(images, dtype=np.float64)
     kh, kw = kernel_hw
     if x.ndim != 3:
         raise ValueError(f"convolution expects (B, H, W) images, got shape {x.shape}")
-    if x.shape[1] < kh or x.shape[2] < kw:
+    b, h, w = x.shape
+    if h < kh or w < kw:
         raise ValueError("image smaller than kernel")
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
-    return windows[:, ::stride, ::stride]
+    hp, wp = (h - kh) // stride + 1, (w - kw) // stride + 1
+    sb, sh, sw = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x, (b, kh, kw, hp, wp), (sb, sh, sw, sh * stride, sw * stride), writeable=False)
+    return windows.reshape(b, kh * kw, hp * wp), (hp, wp)
 
 
 def conv2d(images: np.ndarray, kernels: Tensor, stride: int = 2) -> Tensor:
     """Valid cross-correlation with F kernels, no padding, no bias.
 
     ``images`` is a plain (B, H, W) array and ``kernels`` is (F, kh, kw);
-    the output is (B, F, H', W') with H' = (H - kh)//stride + 1.  The
-    strided windows form one (B*H'*W', kh*kw) patch matrix, so the forward
-    and the kernel gradient are each one matrix product.  Images are data:
+    the output is a C-contiguous (B, F, H', W') with H' = (H - kh)//stride + 1,
+    the batched product ``K @ patches`` of ``conv_patches``.  The kernel
+    gradient is ``g @ patches^T`` summed over the batch.  Images are data:
     only the kernels receive a gradient.
     """
     k = kernels.data
     if k.ndim != 3:
         raise ValueError(f"conv2d expects (F, kh, kw) kernels, got shape {k.shape}")
     f, kh, kw = k.shape
-    windows = conv_windows(images, (kh, kw), stride)  # (B, H', W', kh, kw)
-    b, hp, wp = windows.shape[:3]
-    patches = windows.reshape(b * hp * wp, kh * kw)
-    out = (patches @ k.reshape(f, -1).T).reshape(b, hp, wp, f).transpose(0, 3, 1, 2)
+    patches, (hp, wp) = conv_patches(images, (kh, kw), stride)
+    b = len(patches)
+    out = (k.reshape(f, kh * kw) @ patches).reshape(b, f, hp, wp)
 
     def vjp(g):
-        g_flat = g.transpose(0, 2, 3, 1).reshape(-1, f)
-        return ((g_flat.T @ patches).reshape(k.shape),)
+        g_rows = g.reshape(b, f, hp * wp)
+        return ((g_rows @ patches.transpose(0, 2, 1)).sum(axis=0).reshape(k.shape),)
 
     return _node(out, (kernels,), vjp)
 
@@ -170,11 +180,20 @@ class Adam:
         t = self.step_count
         g = np.concatenate([np.zeros(p.data.size) if p.grad is None else np.ravel(p.grad)
                             for p in self.params])
-        self.m = self.beta1 * self.m + (1 - self.beta1) * g
-        self.v = self.beta2 * self.v + (1 - self.beta2) * g**2
-        m_hat = self.m / (1 - self.beta1**t)
-        v_hat = self.v / (1 - self.beta2**t)
-        update = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        # in place, in the operation order of the textbook update, so the
+        # values are the same bits: lr * m_hat / (sqrt(v_hat) + eps)
+        self.m *= self.beta1
+        self.m += (1 - self.beta1) * g
+        self.v *= self.beta2
+        g *= g
+        g *= 1 - self.beta2
+        self.v += g
+        update = np.divide(self.m, 1 - self.beta1**t)
+        update *= self.lr
+        denom = np.divide(self.v, 1 - self.beta2**t, out=g)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        update /= denom
         for p, part in zip(self.params, self._slices):
             p.data = p.data - update[part].reshape(p.data.shape)
 

@@ -218,20 +218,19 @@ def forward_probs_np(model: ModelState, images: np.ndarray, kernels: np.ndarray)
     fixed kernels, computed without an autodiff graph.
 
     One (F, kh, kw) kernel set gives (B, 2); a stacked (M, F, kh, kw)
-    array gives (M, B, 2), one row per member.  The (B, kh*kw, H'*W')
-    patch matrix is built once; per cache-sized image block and member,
-    ``K_m @ patches`` is already the (b, F, H'*W') activation in the
-    (f, x, y) feature order of ``dense_w``, so relu runs in place and the
-    dense layer reads it without a transposing copy.
+    array gives (M, B, 2), one row per member.  The patch matrix of
+    ``ad.conv_patches`` is built once, as in ``ad.conv2d``; per cache-sized
+    image block and member, ``K_m @ patches`` is the (b, F, H'*W')
+    activation that training computes, so relu runs in place and the
+    dense layer reads it without a copy.
     """
     stack = np.asarray(kernels, dtype=np.float64)
     single = stack.ndim == 3
     if single:
         stack = stack[None]
     m, f, kh, kw = stack.shape
-    windows = ad.conv_windows(images, (kh, kw), model.config.conv_stride)
-    b, hp, wp = windows.shape[:3]
-    patches = windows.transpose(0, 3, 4, 1, 2).reshape(b, kh * kw, hp * wp)
+    patches, (hp, wp) = ad.conv_patches(images, (kh, kw), model.config.conv_stride)
+    b = len(patches)
     flat_kernels = stack.reshape(m, f, kh * kw)
     dense_wt = model.dense_w.data.T
     logits = np.empty((m, b, dense_wt.shape[1]))
@@ -286,7 +285,8 @@ def _nll(model: ModelState, conv: ad.Tensor, labels: np.ndarray,
          data_scale: float) -> ad.Tensor:
     """``data_scale`` times the summed softmax cross-entropy of the dense
     head on relu(conv), as one node over the conv output and the head.
-    Features flatten in (f, x, y) order, the layout of ``dense_w``."""
+    Relu of ``conv2d``'s C-contiguous (B, F, H', W') output flattens without
+    a copy into (f, x, y) feature order, the layout of ``dense_w``."""
     z = conv.data
     active = z > 0
     flat = (z * active).reshape(len(z), -1)
@@ -301,10 +301,8 @@ def _nll(model: ModelState, conv: ad.Tensor, labels: np.ndarray,
         g_logits = exp / exp.sum(axis=1, keepdims=True)
         g_logits[rows, labels] -= 1.0
         g_logits *= g * data_scale
-        # mask in conv2d's (b, x, y, f) memory layout: numpy's elementwise
-        # loops are several times slower on operands of mixed layouts
-        g_xyf = np.ascontiguousarray((g_logits @ dense_w).reshape(z.shape).transpose(0, 2, 3, 1))
-        g_conv = (g_xyf * active.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        g_conv = (g_logits @ dense_w).reshape(z.shape)
+        g_conv *= active
         return g_conv, g_logits.T @ flat, g_logits.sum(axis=0)
 
     return ad._node(losses.sum() * data_scale, (conv, model.dense_w, model.dense_b), vjp)

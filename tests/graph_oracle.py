@@ -5,7 +5,9 @@ The step builds a few nodes whose vjps are written out in numpy
 arithmetic, elementwise, dense and cross-entropy ops those nodes
 replaced, and rebuilds every loss term, generator forward and the whole
 training step from them, in the operation order the fused vjps follow.
-Tests compare the two bit for bit.
+Tests compare the two bit for bit.  It also keeps ``patch_matrix_conv2d``,
+the (b, x, y, f)-layout convolution that ``ad.conv2d`` replaced; the
+rebuilt step calls ``ad.conv2d`` itself.
 """
 
 from __future__ import annotations
@@ -145,6 +147,25 @@ def softmax_cross_entropy(logits: ad.Tensor, labels) -> ad.Tensor:
         return ((probs - onehot) * g[:, None],)
 
     return ad._node(losses, (logits,), vjp)
+
+
+def patch_matrix_conv2d(images: np.ndarray, kernels: ad.Tensor, stride: int = 2) -> ad.Tensor:
+    """``ad.conv2d`` in the (b, x, y, f) layout: one (B*H'*W', kh*kw) patch
+    matrix from ``sliding_window_view``, ``patches @ K^T`` viewed as
+    (B, F, H', W'), and the kernel gradient as one ``g_flat^T @ patches``."""
+    k = kernels.data
+    f, kh, kw = k.shape
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.asarray(images, dtype=np.float64), (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    b, hp, wp = windows.shape[:3]
+    patches = windows.reshape(b * hp * wp, kh * kw)
+    out = (patches @ k.reshape(f, -1).T).reshape(b, hp, wp, f).transpose(0, 3, 1, 2)
+
+    def vjp(g):
+        g_flat = g.transpose(0, 2, 3, 1).reshape(-1, f)
+        return ((g_flat.T @ patches).reshape(k.shape),)
+
+    return ad._node(out, (kernels,), vjp)
 
 
 # -- model pieces ------------------------------------------------------------------

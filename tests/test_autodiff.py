@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import signal
@@ -163,6 +163,64 @@ class TestConv2d:
         offsets = [[images[:, i::2, j::2].sum() for j in range(2)] for i in range(2)]
         np.testing.assert_allclose(kernels.grad, np.broadcast_to(offsets, (3, 2, 2)),
                                    atol=1e-12)
+
+
+CONV_SHAPES = dict(batch=st.integers(1, 12), height=st.integers(2, 30),
+                   width=st.integers(2, 30), stride=st.integers(1, 3),
+                   seed=st.integers(0, 2**32 - 1))
+
+
+class TestConvPatchLayout:
+    """``conv2d`` in the evaluation layout against the (b, x, y, f)
+    patch-matrix convolution it replaced."""
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(features=st.integers(1, 16), **CONV_SHAPES)
+    @example(features=16, batch=3, height=9, width=8, stride=3, seed=0)
+    def test_matches_patch_matrix_oracle(self, features, batch, height, width, stride, seed):
+        rng = np.random.default_rng(seed)
+        images = rng.uniform(0.0, 1.0, (batch, height, width))
+        kernels0 = rng.normal(size=(features, 2, 2))
+        hp, wp = (height - 2) // stride + 1, (width - 2) // stride + 1
+        upstream = rng.normal(size=(batch, features, hp, wp))
+        results = []
+        for conv in (ad.conv2d, og.patch_matrix_conv2d):
+            kernels = ad.Tensor(kernels0, requires_grad=True)
+            out = conv(images, kernels, stride)
+            og.summation(og.mul(out, upstream)).backward()
+            results.append((out.data, kernels.grad))
+        (got, got_grad), (want, want_grad) = results
+        assert got.shape == (batch, features, hp, wp)
+        assert got.flags.c_contiguous
+        if features > 1 and hp * wp > 1:
+            assert np.array_equal(got, want)
+        else:  # numpy takes a matrix-vector path, which may round differently
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(got_grad, want_grad, rtol=1e-12, atol=0)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(kh=st.integers(1, 4), kw=st.integers(1, 4), **CONV_SHAPES)
+    def test_patches_come_from_a_read_only_window_view(self, batch, height, width, kh, kw,
+                                                       stride, seed):
+        assume(kh <= height and kw <= width)
+        images = np.random.default_rng(seed).uniform(0.0, 1.0, (batch, height, width))
+        strided, views = np.lib.stride_tricks.as_strided, []
+
+        def recording(*args, **kwargs):
+            views.append(strided(*args, **kwargs))
+            return views[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.lib.stride_tricks, "as_strided", recording)
+            patches, (hp, wp) = ad.conv_patches(images, (kh, kw), stride)
+        (view,) = views
+        windows = np.lib.stride_tricks.sliding_window_view(images, (kh, kw), axis=(1, 2))
+        windows = windows[:, ::stride, ::stride]
+        assert not view.flags.writeable
+        assert np.array_equal(view.transpose(0, 3, 4, 1, 2), windows)
+        assert patches.shape == (batch, kh * kw, hp * wp)
+        assert np.array_equal(patches, view.reshape(batch, kh * kw, hp * wp))
+        assert not np.shares_memory(patches, images) or not patches.flags.writeable
 
 
 class TestSoftmaxCrossEntropy:

@@ -868,3 +868,19 @@ class TestForwardProbsOracle:
         np.testing.assert_allclose(tr.forward_probs_np(model, images, kernels),
                                    per_member_probs(model, images, kernels),
                                    rtol=0, atol=1e-15)
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(batch=st.integers(1, 12), height=st.integers(2, 30), width=st.integers(2, 30),
+           stride=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_training_loss_reads_the_evaluation_features(self, batch, height, width,
+                                                         stride, seed):
+        model = cell_model("classical", (height, width), conv_stride=stride)
+        rng = np.random.default_rng(seed)
+        model.dense_b.data = rng.normal(size=2)
+        images, labels = random_batch(rng, batch, (height, width))
+        kernels = rng.normal(size=(16, 2, 2))
+        conv = ad.conv2d(images, ad.Tensor(kernels), stride)
+        probs = tr.forward_probs_np(model, images, kernels)
+        np.testing.assert_allclose(tr._nll(model, conv, labels, 1.0).item(),
+                                   -np.log(probs[np.arange(batch), labels]).sum(),
+                                   rtol=1e-12)
