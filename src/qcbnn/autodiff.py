@@ -78,11 +78,15 @@ def backward(loss: Tensor):
     for node in reversed(order):
         if node._vjp is None or node.grad is None:
             continue
-        for parent, pgrad in zip(node._parents, node._vjp(node.grad)):
+        pgrads = node._vjp(node.grad)
+        for parent, pgrad in zip(node._parents, pgrads):
             if parent.grad is None:
-                # a copy: a vjp may return a view of its own gradient, or
-                # one array for several parents; order K keeps its layout
-                parent.grad = pgrad.copy(order="K")
+                # a vjp may return a view of its own gradient, or one array
+                # for several parents: those are copied (order K keeps the
+                # layout); an array the vjp allocated for one parent is kept
+                fresh = (pgrad.flags.owndata and pgrad is not node.grad
+                         and sum(p is pgrad for p in pgrads) == 1)
+                parent.grad = pgrad if fresh else pgrad.copy(order="K")
             else:
                 parent.grad += pgrad
 

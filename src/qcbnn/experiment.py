@@ -33,7 +33,7 @@ from .autodiff import load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, format_config, parse_config
 from .data import Dataset, SynthSpec, load_dataset, split, synth_generate
 from .metrics import EvalReport, build_eval_report, kde_density, report_rows
-from .samplers import CHUNK_DIM, N_CHUNKS
+from .samplers import N_CHUNKS
 from .seeding import stream
 from .training import (
     DivergenceError,
@@ -172,11 +172,13 @@ def dump_weight_samples(model: ModelState, n_draws: int, path):
     if n_draws < 1:
         raise ConfigError(f"draw count must be >= 1, got {n_draws}")
     samples = draw_weight_samples(model, n_draws, stream(model.config.seed, "dump"))
-    values = np.concatenate([ws.chunks for ws in samples]).reshape(-1).tolist()
+    values = iter(np.concatenate([ws.chunks for ws in samples]).reshape(-1).tolist())
     with open(path, "w", newline="") as fh:
         fh.write("pass_index,qubit,value\n")
-        fh.writelines(f"{i // CHUNK_DIM},{i % CHUNK_DIM},{v!r}\n"
-                      for i, v in enumerate(values))
+        # one f-string per circuit pass, one line for each of its 4 qubits;
+        # a flat list keeps the memory of one float per value
+        fh.writelines(f"{k},0,{a!r}\n{k},1,{b!r}\n{k},2,{c!r}\n{k},3,{d!r}\n"
+                      for k, (a, b, c, d) in enumerate(zip(values, values, values, values)))
 
 
 def run_train(config: RunConfig, progress: bool = False) -> str:
@@ -187,30 +189,44 @@ def run_train(config: RunConfig, progress: bool = False) -> str:
     with open(os.path.join(out, "config_echo.cfg"), "w") as fh:
         fh.write(format_config(config))
 
-    summary_rows = []
-    by_label: dict[str, list[dict]] = {}
+    finished = []  # (label, layers, reupload, seed, summary row) per cell
     for arch, layers, reupload, seed in _run_cells(config):
         label = cell_label(config, arch, layers, reupload)
         run_dir = os.path.join(out, label, f"seed{seed}")
         if progress:
             print(f"[{label} seed {seed}] training...")
-        row = train_one_run(config, tagged, arch, layers, reupload, seed,
-                            run_dir, progress=progress)
-        summary_rows.append([label, layers, reupload, seed]
-                            + [row[f] for f in SUMMARY_FIELDS])
-        by_label.setdefault(label, []).append(row)
+        try:
+            row = train_one_run(config, tagged, arch, layers, reupload, seed,
+                                run_dir, progress=progress)
+        except DivergenceError:
+            # a diverged cell leaves no empty directory behind, and the
+            # cells that finished still get their summary
+            for path in (run_dir, os.path.dirname(run_dir)):
+                if os.path.isdir(path) and not os.listdir(path):
+                    os.rmdir(path)
+            _write_summary(out, finished)
+            raise
+        finished.append((label, layers, reupload, seed, row))
+    _write_summary(out, finished)
+    return out
 
+
+def _write_summary(out: str, finished: list[tuple]):
+    """summary.csv: one row per finished cell, then mean and std rows per label."""
+    rows = [[label, layers, reupload, seed] + [row[f] for f in SUMMARY_FIELDS]
+            for label, layers, reupload, seed, row in finished]
+    by_label: dict[str, list[dict]] = {}
+    for label, *_, row in finished:
+        by_label.setdefault(label, []).append(row)
     for label in sorted(by_label):
-        rows = by_label[label]
         for stat, fn in (("mean", np.mean), ("std", np.std)):
             agg = []
             for f in SUMMARY_FIELDS:
-                values = [r[f] for r in rows]
+                values = [r[f] for r in by_label[label]]
                 agg.append(float(fn(values)) if all(v is not None for v in values) else None)
-            summary_rows.append([label, "", "", stat] + agg)
+            rows.append([label, "", "", stat] + agg)
     _write_csv(os.path.join(out, "summary.csv"),
-               ["label", "layers", "reupload", "seed"] + SUMMARY_FIELDS, summary_rows)
-    return out
+               ["label", "layers", "reupload", "seed"] + SUMMARY_FIELDS, rows)
 
 
 # --- evaluation of stored checkpoints ------------------------------------------

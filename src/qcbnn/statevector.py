@@ -8,7 +8,10 @@ Conventions, fixed across the package:
   demand double precision).
 * Every operation is pure: states are never mutated in place (the grid
   executor updates only buffers it allocated itself), identical inputs
-  give bit-identical outputs, and no function touches global state.
+  give bit-identical outputs, and no function touches global state.  The
+  one state kept is per fused block: its last build at a single params
+  row, reused while the row's bytes stay the same, so outputs are the
+  same bits with or without it.
 
 Circuit templates carry symbolic angle references that are resolved
 against a trainable-parameter vector and a noise-input vector at run
@@ -42,6 +45,9 @@ blocks once per params row, whatever the grid size.  <Z> is read as
 shift plan, ``params + offsets``, without building each row's unitaries:
 every row moves one slot, so a fused block is built once at ``params``
 and the row that moves its gate f is ``prefix_f @ gate_f(row) @ suffix_f``.
+That unshifted build is the one a single-row forward at ``params`` made
+(or left for the next call), so a training step's forwards and its shift
+rows build each fused block once per theta.
 """
 
 from __future__ import annotations
@@ -611,6 +617,7 @@ class _FusedUnitary:
             factor = np.array([self.sequence[s] for s in seq])
             self.groups.append(_KindGroup(kind, seq, factor, params, dest, src))
         self.builds = [g.scatter(np.arange(len(g.seq)), g.factor, d * d) for g in self.groups]
+        self._memo: tuple | None = None  # (row bytes, factors, product) of _row_build
 
     def _factors(self, params: np.ndarray) -> list[np.ndarray]:
         """The factor sequence at R params rows: constants as (d, d), trainable
@@ -622,11 +629,33 @@ class _FusedUnitary:
         buf = buf.reshape(r, self.n_factors, d, d)
         return [f if isinstance(f, np.ndarray) else buf[:, f] for f in self.sequence]
 
-    def apply(self, psi, params, inputs):
-        matrix = None  # (R, d, d), or (d, d) when no gate reads params
-        for factor in self._factors(params):
+    @staticmethod
+    def _product(factors: list[np.ndarray]) -> np.ndarray:
+        """(R, d, d), or (d, d) when no gate reads params."""
+        matrix = None
+        for factor in factors:
             matrix = factor if matrix is None else matrix @ factor
-        return psi @ matrix
+        return matrix
+
+    def _row_build(self, params: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        """The factors and their product at one (1, P) params row, kept
+        read-only until the next row: a step builds once per theta for its
+        forwards and its shift rows.  Keyed on the row's bytes, so an
+        in-place edit of theta builds again."""
+        key = params.tobytes()
+        memo = self._memo
+        if memo is None or memo[0] != key:
+            factors = self._factors(params)
+            matrix = self._product(factors)
+            for a in factors + [matrix]:
+                a.flags.writeable = False
+            memo = self._memo = (key, factors, matrix)
+        return memo[1], memo[2]
+
+    def apply(self, psi, params, inputs):
+        if len(params) == 1:
+            return psi @ self._row_build(params)[1]
+        return psi @ self._product(self._factors(params))
 
     def compile_shift_rows(self, row_slot: np.ndarray) -> _ShiftRows | None:
         """Compile this block's share of a shift plan whose row r moves slot
@@ -648,7 +677,7 @@ class _FusedUnitary:
         """(R, d, d): the block's unitary at each plan row of ``shifted``,
         the shift plan's rows around ``params``."""
         d = self.dim
-        factors = [f if f.ndim == 2 else f[0] for f in self._factors(params[None])]
+        factors = [f if f.ndim == 2 else f[0] for f in self._row_build(params[None])[0]]
         prefix = [np.eye(d, dtype=np.complex128)]
         for f in factors:
             prefix.append(prefix[-1] @ f)

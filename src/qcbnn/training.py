@@ -301,7 +301,8 @@ def _nll(model: ModelState, conv: ad.Tensor, labels: np.ndarray,
         g_logits = exp / exp.sum(axis=1, keepdims=True)
         g_logits[rows, labels] -= 1.0
         g_logits *= g * data_scale
-        g_conv = (g_logits @ dense_w).reshape(z.shape)
+        g_conv = np.empty(z.shape)  # owns its data, so backward keeps it
+        np.matmul(g_logits, dense_w, out=g_conv.reshape(len(z), -1))
         g_conv *= active
         return g_conv, g_logits.T @ flat, g_logits.sum(axis=0)
 

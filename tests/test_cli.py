@@ -19,7 +19,13 @@ from qcbnn.experiment import (
 )
 from qcbnn.samplers import CHUNK_DIM
 from qcbnn.seeding import stream
-from qcbnn.training import DivergenceError, TrainConfig, build_model, draw_weight_samples
+from qcbnn.training import (
+    DivergenceError,
+    TrainConfig,
+    build_model,
+    draw_weight_samples,
+    train_model,
+)
 
 # config-file text: ``#`` starts a comment, ``=`` splits key from value,
 # and values are stripped, so drawn strings avoid all three
@@ -208,6 +214,33 @@ class TestTrainCommand:
         assert code == cli.EXIT_DIVERGENCE
         err = capsys.readouterr().err
         assert err == f"error: classical seed 0, epoch 0, batch 0: non-finite {term} (nan)\n"
+
+    def test_diverged_cell_keeps_summary_of_finished_cells(self, monkeypatch, tmp_path):
+        calls = []
+
+        def second_cell_diverges(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise DivergenceError("non-finite kl term (nan)")
+            return train_model(*args, **kwargs)
+
+        monkeypatch.setattr("qcbnn.experiment.train_model", second_cell_diverges)
+        out = tmp_path / "x"
+        assert cli.main(["train"] + TINY + ["--out", str(out), "--quiet"]) == \
+            cli.EXIT_DIVERGENCE
+        assert sorted(os.listdir(out / "classical")) == ["seed0"]
+        summary = (out / "summary.csv").read_text().splitlines()
+        assert [line.split(",")[:4] for line in summary[1:]] == [
+            ["classical", "1", "false", "0"], ["classical", "", "", "mean"],
+            ["classical", "", "", "std"]]
+
+    def test_diverged_first_cell_leaves_no_empty_directory(self, tmp_path):
+        argv = ["train"] + TINY + ["--set", "lr_discriminator=1e300", "--set", "disc_steps=2"]
+        out = tmp_path / "x"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(argv + ["--out", str(out), "--quiet"]) == cli.EXIT_DIVERGENCE
+        assert sorted(os.listdir(out)) == ["config_echo.cfg", "summary.csv"]
+        assert (out / "summary.csv").read_text().count("\n") == 1  # the header
 
     def test_unknown_set_key(self, capsys):
         assert cli.main(["train", "--set", "warp=9"]) == cli.EXIT_CONFIG

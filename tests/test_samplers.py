@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcbnn import autodiff as ad
 from qcbnn.circuits import Architecture, assemble_pqc, build_embedding
@@ -18,7 +20,12 @@ from qcbnn.samplers import (
     prior_sample_block,
     sample_noise_block,
 )
-from qcbnn.statevector import CircuitTemplate, parameter_shift_grad
+from qcbnn.statevector import (
+    CircuitTemplate,
+    parameter_shift_grad,
+    run_circuit_batch,
+    run_shift_rows,
+)
 from qcbnn.training import _quantum_theta_grad
 
 import graph_oracle as og
@@ -144,6 +151,52 @@ class TestQuantumSampler:
         template = assemble_pqc(Architecture.ROMERO, 4)
         with pytest.raises(ValueError, match="theta"):
             QuantumWeightSampler(template, np.zeros(3))
+
+
+# Calls that read a template's fused blocks at a sampler's theta; each is
+# made on the sampler under test and on a sampler over a freshly assembled
+# template, whose blocks have built nothing yet.
+_CALLS = {
+    "expectations": lambda s, noise, extra: s.expectations(noise),
+    "batch_1d": lambda s, noise, extra: run_circuit_batch(s.template, s.theta.data, noise),
+    "batch_2d_one_row": lambda s, noise, extra: run_circuit_batch(
+        s.template, s.theta.data[None], noise[0]),
+    "batch_2d": lambda s, noise, extra: run_circuit_batch(
+        s.template, np.stack([s.theta.data, extra]), noise),
+    "jacobian": lambda s, noise, extra: s.jacobian(noise),
+    "shift_rows_1d": lambda s, noise, extra: run_shift_rows(s.template, s.theta.data, noise[0]),
+}
+_MEMO_CELLS = [(Architecture.CIRCUIT_III, 1, False), (Architecture.CIRCUIT_III, 2, True),
+               (Architecture.CIRCUIT_IV, 2, False), (Architecture.MATIC_II, 1, True)]
+
+
+class TestBlockBuildMemo:
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(cell=st.sampled_from(_MEMO_CELLS), seed=st.integers(0, 2**32 - 1),
+           ops=st.lists(st.tuples(st.sampled_from(sorted(_CALLS) + ["fresh", "edit"]),
+                                  st.integers(0, 1)), min_size=1, max_size=12))
+    def test_call_sequences_match_a_fresh_template(self, cell, seed, ops):
+        """Two samplers share one template; theta is replaced or edited in
+        place between calls, and every result must be the same bits as
+        the call on a template that has built nothing."""
+        rng = np.random.default_rng(seed)
+        template = assemble_pqc(cell[0], 4, cell[1], cell[2])
+        slots = template.param_slots
+        samplers = [QuantumWeightSampler(template, rng.uniform(0, 2 * math.pi, slots))
+                    for _ in range(2)]
+        for op, which in ops:
+            sampler = samplers[which]
+            if op == "fresh":  # as Adam does: a new array
+                sampler.theta.data = rng.uniform(0, 2 * math.pi, slots)
+            elif op == "edit":  # the same array, one value moved
+                sampler.theta.data[rng.integers(slots)] += rng.normal()
+            else:
+                noise = rng.uniform(0, 2 * math.pi, (int(rng.integers(1, 5)), CHUNK_DIM))
+                extra = rng.uniform(0, 2 * math.pi, slots)
+                fresh = QuantumWeightSampler(assemble_pqc(cell[0], 4, cell[1], cell[2]),
+                                             sampler.theta.data.copy())
+                got = _CALLS[op](sampler, noise, extra)
+                assert np.array_equal(got, _CALLS[op](fresh, noise, extra)), op
 
 
 class TestClassicalSampler:

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcbnn import autodiff as ad
+from qcbnn import statevector as sv
 from qcbnn import training as tr
 from qcbnn.circuits import Architecture
 from qcbnn.samplers import (
@@ -729,6 +730,31 @@ class TestClosedFormStep:
         monkeypatch.setattr(ad, "_node", counting)
         tr.train_step(model, train.images[:7], train.labels[:7], 4.0, *step_streams(0))
         assert 0 < len(built) <= MAX_STEP_NODES
+
+    @pytest.mark.parametrize("cell, n_trainable", [("circuit_iii_L1", 1),
+                                                   ("circuit_iii_L2re", 2)])
+    def test_step_builds_each_trainable_block_once(self, tiny_split, cell, n_trainable,
+                                                   monkeypatch):
+        """The discriminator's chunks, the generator forward and the
+        shift-rule rows of one step share each trainable block's build."""
+        train, _ = tiny_split
+        model = cell_model(cell)
+        trainable = [b for b in model.sampler.template.blocks
+                     if isinstance(b, sv._FusedUnitary) and b.groups]
+        assert len(trainable) == n_trainable
+        builds = []
+        factors = sv._FusedUnitary._factors
+
+        def counting(block, params):
+            builds.append(block)
+            return factors(block, params)
+
+        monkeypatch.setattr(sv._FusedUnitary, "_factors", counting)
+        for step in range(2):  # theta moves between the steps
+            builds.clear()
+            tr.train_step(model, train.images[:7], train.labels[:7], 4.0, *step_streams(step))
+            assert [sum(b is block for b in builds) for block in trainable] == \
+                [1] * n_trainable
 
 
 NODE_SETTINGS = settings(derandomize=True, database=None, max_examples=30, deadline=None)
