@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .statevector import CircuitTemplate, run_circuit_batch, run_shift_rows
+from .statevector import CircuitTemplate, parameter_shift_grad, run_circuit_batch
 
 N_CHUNKS = 16
 CHUNK_DIM = 4
@@ -152,13 +152,10 @@ class QuantumWeightSampler:
         return np.einsum("cq,cqp->p", grad, self.jacobian(noise))
 
     def jacobian(self, noise: np.ndarray) -> np.ndarray:
-        """d(chunk)/d(theta) for every noise row: (rows, 4, param_slots).
-
-        Evaluates every shifted theta of the template's shift plan by noise
-        rows in one run; row-wise it agrees with parameter_shift_grad.
-        """
-        evals = run_shift_rows(self.template, self.theta.data, noise)
-        return np.einsum("crq,rp->cqp", evals, self.template.shift_plan[1])
+        """d(chunk)/d(theta) for every noise row: (rows, 4, param_slots),
+        the template's shift-rule gradient at theta over all noise rows in
+        one run."""
+        return parameter_shift_grad(self.template, self.theta.data, noise)
 
     def parameters(self) -> list[ad.Tensor]:
         return [self.theta]

@@ -6,12 +6,12 @@ Conventions, fixed across the package:
   so |q0 q1 .. q_{n-1}> lives at index q0*2^(n-1) + q1*2^(n-2) + ... + q_{n-1}.
 * Angles are radians; amplitudes are complex128 (gradient tolerances
   demand double precision).
-* Every operation is pure: states are never mutated in place (the grid
+* Every operation is pure: states are never mutated in place (the
   executor updates only buffers it allocated itself), identical inputs
   give bit-identical outputs, and no function touches global state.  The
-  one state kept is per fused block: its last build at a single params
-  row, reused while the row's bytes stay the same, so outputs are the
-  same bits with or without it.
+  one state kept is per fused block: its last build, reused while the
+  params' bytes stay the same (or for good, in a block that reads no
+  params), so outputs are the same bits with or without it.
 
 Circuit templates carry symbolic angle references that are resolved
 against a trainable-parameter vector and a noise-input vector at run
@@ -23,13 +23,13 @@ time.  Supported reference forms::
 
 Two executors share the gate matrices.  ``run_circuit`` applies one gate
 at a time to a ``StateVector``; it is the reference path that tests
-compare against.  ``run_circuit_batch`` evaluates a grid,
-``result[b, r] = run_circuit(template, params[r], inputs[b])``, from the
-template's compiled ``blocks``, computed once per template:
+compare against.  ``run_circuit_batch`` runs one params vector on a batch
+of input rows, ``result[b] = run_circuit(template, params, inputs[b])``,
+from the template's compiled ``blocks``, computed once per template:
 
 * a run of gates that read no input (constant and trainable gates, H
-  included) becomes one 2^n x 2^n unitary per params row, or one shared
-  unitary when no gate of the run reads params;
+  included) becomes one 2^n x 2^n unitary, built once per params vector,
+  or once per template when no gate of the run reads params;
 * a run of input-reading diagonal gates and angle-free permutations (every
   embedding gate: RZ(enc1) and CNOT.RZ(enc2).CNOT) becomes one fixed index
   permutation and one coefficient matrix A, applied per input row as
@@ -38,16 +38,19 @@ template's compiled ``blocks``, computed once per template:
   gate that reads no input on templates wider than ``_FUSE_MAX_QUBITS``.
 
 So the input-only blocks run once per input row and the params-only
-blocks once per params row, whatever the grid size.  <Z> is read as
+blocks once per params vector, whatever the batch size.  <Z> is read as
 ``|psi|^2 @ zsign``.
 
-``run_shift_rows`` gives the same grid for the rows of a template's
-shift plan, ``params + offsets``, without building each row's unitaries:
-every row moves one slot, so a fused block is built once at ``params``
-and the row that moves its gate f is ``prefix_f @ gate_f(row) @ suffix_f``.
-That unshifted build is the one a single-row forward at ``params`` made
-(or left for the next call), so a training step's forwards and its shift
-rows build each fused block once per theta.
+``run_shift_rows`` runs the rows of a template's shift plan,
+``params + offsets``, on the same input rows without building each row's
+unitaries: every row moves one slot, so a fused block is built once at
+``params`` and the row that moves its gate f is
+``prefix_f @ gate_f(row) @ suffix_f``.  That unshifted build is the one a
+forward at ``params`` made (or left for the next call), so a training
+step's forwards and its shift rows build each fused block once per theta.
+``parameter_shift_grad`` contracts these rows with the shift-rule weights;
+it is the one shift-rule evaluator, for single noise vectors and for the
+sampler's batched Jacobian alike.
 """
 
 from __future__ import annotations
@@ -188,8 +191,9 @@ class CircuitTemplate:
     @cached_property
     def shift_rows(self) -> tuple:
         """Per block, its compiled share of ``shift_plan`` for
-        ``run_shift_rows``, or None for a block that takes the shifted
-        params rows as they are."""
+        ``run_shift_rows``, or None for a block that no plan row changes
+        inside (it has no trainable gate, or it takes the shifted params
+        rows as they are)."""
         row_slot = np.nonzero(self.shift_plan[0])[1]  # one moved slot per row
         return tuple(block.compile_shift_rows(row_slot) if isinstance(block, _FusedUnitary)
                      else None for block in self.blocks)
@@ -414,9 +418,13 @@ def resolve_angles(gate: Gate, params: np.ndarray, inputs: np.ndarray) -> np.nda
 
 
 def _check_slots(template: CircuitTemplate, params, inputs) -> tuple[np.ndarray, np.ndarray]:
+    """One params vector and 1-D or 2-D inputs, as float arrays."""
     params = np.asarray(params, dtype=np.float64)
     inputs = np.asarray(inputs, dtype=np.float64)
-    if params.shape[-1:] != (template.param_slots,):
+    if params.ndim != 1 or inputs.ndim > 2:
+        raise ValueError("a circuit run takes one params vector and 1-D or 2-D inputs, "
+                         f"got shapes {params.shape} and {inputs.shape}")
+    if params.shape != (template.param_slots,):
         raise ValueError(
             f"expected {template.param_slots} params, got {params.shape[-1:]}"
         )
@@ -430,8 +438,8 @@ def _check_slots(template: CircuitTemplate, params, inputs) -> tuple[np.ndarray,
 def run_circuit(template: CircuitTemplate, params, inputs) -> np.ndarray:
     """Execute the template on |0..0> and return per-qubit <Z>, shape (n,)."""
     params, inputs = _check_slots(template, params, inputs)
-    if params.ndim != 1 or inputs.ndim != 1:
-        raise ValueError("run_circuit takes single parameter/input vectors")
+    if inputs.ndim != 1:
+        raise ValueError("run_circuit takes a single input vector")
     state = init_state(template.n_qubits)
     for gate in template.gates:
         state = apply_gate(state, gate, resolve_angles(gate, params, inputs))
@@ -441,22 +449,18 @@ def run_circuit(template: CircuitTemplate, params, inputs) -> np.ndarray:
 
 
 def run_circuit_batch(template: CircuitTemplate, params, inputs) -> np.ndarray:
-    """Grid execution: ``result[b, r] = run_circuit(template, params[r], inputs[b])``.
+    """``run_circuit(template, params, inputs[b])`` for every input row.
 
-    ``params`` is (R, P) or (P,) and ``inputs`` is (B, I) or (I,); a 1-D
-    argument drops its axis, so the result is (B, R, n), (B, n), (R, n)
-    or (n,).
+    ``params`` is one (P,) vector and ``inputs`` is (B, I), giving (B, n),
+    or (I,), giving (n,).
     """
     params, inputs = _check_slots(template, params, inputs)
-    if params.ndim > 2 or inputs.ndim > 2:
-        raise ValueError("run_circuit_batch takes 1-D or 2-D params and inputs")
-    z = _execute(template, np.atleast_2d(params), inputs)
-    return np.ascontiguousarray(z[..., 0, :] if params.ndim == 1 else z)
+    return np.ascontiguousarray(_execute(template, params, inputs))
 
 
 def run_shift_rows(template: CircuitTemplate, params, inputs) -> np.ndarray:
-    """``run_circuit_batch(template, params + offsets, inputs)`` for the
-    offsets of ``template.shift_plan``, from one build of each fused block.
+    """``run_circuit_batch(template, params + offsets[r], inputs)`` for every
+    row r of ``template.shift_plan``, from one build of each fused block.
 
     ``params`` is (P,); the result is (B, R, n), or (R, n) for 1-D inputs.
     Each plan row moves one slot, so inside a fused block a row that moves
@@ -465,35 +469,35 @@ def run_shift_rows(template: CircuitTemplate, params, inputs) -> np.ndarray:
     gets the unshifted product.
     """
     params, inputs = _check_slots(template, params, inputs)
-    if params.ndim != 1 or inputs.ndim > 2:
-        raise ValueError("run_shift_rows takes one params vector and 1-D or 2-D inputs")
-    return np.ascontiguousarray(
-        _execute(template, params + template.shift_plan[0], inputs, shifted_from=params))
+    return np.ascontiguousarray(_execute(template, params, inputs, shifted=True))
 
 
-def _execute(template: CircuitTemplate, grid_params: np.ndarray, inputs: np.ndarray,
-             shifted_from: np.ndarray | None = None) -> np.ndarray:
-    """Per-qubit <Z> at every (input row, params row), as (B, R, n), or
-    (R, n) for 1-D ``inputs``.  With ``shifted_from``, ``grid_params`` are
-    the shift-plan rows around it and fused blocks build them from one
-    unshifted build."""
+def _execute(template: CircuitTemplate, params: np.ndarray, inputs: np.ndarray,
+             shifted: bool = False) -> np.ndarray:
+    """Per-qubit <Z> at ``params`` for every input row, as (B, n), or (n,)
+    for 1-D ``inputs``; with ``shifted``, at every row of the shift plan
+    around ``params``, as (B, R, n) or (R, n)."""
     n = template.n_qubits
     grid_inputs = np.atleast_2d(inputs)
-    plans = template.shift_rows if shifted_from is not None else (None,) * len(template.blocks)
+    grid_params = params + template.shift_plan[0] if shifted else params[None]
     # psi has axes (params row, input row, amplitude); an axis stays 1
     # until a block reads that argument
     psi = np.zeros((1, 1, 2**n), dtype=np.complex128)
     psi[..., 0] = 1.0
-    for block, plan in zip(template.blocks, plans):
-        if plan is None:
+    for block, plan in zip(template.blocks, template.shift_rows):
+        if not isinstance(block, _FusedUnitary):
             psi = block.apply(psi, grid_params, grid_inputs)
+        elif shifted and plan is not None:
+            psi = psi @ block.shifted_matrices(params, grid_params, plan)
         else:
-            psi = psi @ block.shifted_matrices(shifted_from, grid_params, plan)
+            psi = psi @ block.matrix(params)
     probs = psi.real**2
     probs += psi.imag**2
     del psi
     z = np.clip(probs @ template.zsign, -1.0, 1.0)
     z = np.broadcast_to(z, (len(grid_params), len(grid_inputs), n)).swapaxes(0, 1)
+    if not shifted:
+        z = z[:, 0]
     return z[0] if inputs.ndim == 1 else z
 
 
@@ -584,11 +588,11 @@ class _ShiftRows:
 
 class _FusedUnitary:
     """Consecutive gates that read no input, multiplied into one transposed
-    unitary per params row (``psi_row @ matrix``).
+    unitary (``psi @ matrix(params)``).
 
     The product runs over a fixed factor sequence: each merged run of
     angle-free gates is one constant matrix, and each trainable gate is
-    one factor of a (R, F, 2^n, 2^n) buffer that a build fills with one
+    one factor of an (F, 2^n, 2^n) buffer that a build fills with one
     gather, one ``gate_matrix`` call and one scatter per gate kind.
     """
 
@@ -617,45 +621,38 @@ class _FusedUnitary:
             factor = np.array([self.sequence[s] for s in seq])
             self.groups.append(_KindGroup(kind, seq, factor, params, dest, src))
         self.builds = [g.scatter(np.arange(len(g.seq)), g.factor, d * d) for g in self.groups]
-        self._memo: tuple | None = None  # (row bytes, factors, product) of _row_build
+        self._memo: tuple | None = None  # (params key, factors, matrix) of _build
 
     def _factors(self, params: np.ndarray) -> list[np.ndarray]:
-        """The factor sequence at R params rows: constants as (d, d), trainable
-        gates as (R, d, d)."""
-        r, d = len(params), self.dim
-        buf = np.zeros((r, self.n_factors * d * d), dtype=np.complex128)
+        """The (d, d) factor sequence at one params vector."""
+        d = self.dim
+        buf = np.zeros(self.n_factors * d * d, dtype=np.complex128)
         for g, (dest, src) in zip(self.groups, self.builds):
-            buf[:, dest] = gate_matrix(g.kind, params[:, g.params]).reshape(r, -1)[:, src]
-        buf = buf.reshape(r, self.n_factors, d, d)
-        return [f if isinstance(f, np.ndarray) else buf[:, f] for f in self.sequence]
+            buf[dest] = gate_matrix(g.kind, params[g.params]).ravel()[src]
+        buf = buf.reshape(self.n_factors, d, d)
+        return [f if isinstance(f, np.ndarray) else buf[f] for f in self.sequence]
 
-    @staticmethod
-    def _product(factors: list[np.ndarray]) -> np.ndarray:
-        """(R, d, d), or (d, d) when no gate reads params."""
-        matrix = None
-        for factor in factors:
-            matrix = factor if matrix is None else matrix @ factor
-        return matrix
-
-    def _row_build(self, params: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        """The factors and their product at one (1, P) params row, kept
-        read-only until the next row: a step builds once per theta for its
-        forwards and its shift rows.  Keyed on the row's bytes, so an
-        in-place edit of theta builds again."""
-        key = params.tobytes()
+    def _build(self, params: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        """The factors and their product at ``params``, kept read-only until
+        params change: a step builds once per theta for its forwards and
+        its shift rows.  Keyed on the params' bytes, so an in-place edit of
+        theta builds again, or on ``b""`` for a block that reads no params,
+        which builds once."""
+        key = params.tobytes() if self.groups else b""
         memo = self._memo
         if memo is None or memo[0] != key:
             factors = self._factors(params)
-            matrix = self._product(factors)
+            matrix = factors[0]
+            for f in factors[1:]:
+                matrix = matrix @ f
             for a in factors + [matrix]:
                 a.flags.writeable = False
             memo = self._memo = (key, factors, matrix)
         return memo[1], memo[2]
 
-    def apply(self, psi, params, inputs):
-        if len(params) == 1:
-            return psi @ self._row_build(params)[1]
-        return psi @ self._product(self._factors(params))
+    def matrix(self, params: np.ndarray) -> np.ndarray:
+        """The block's (d, d) transposed unitary at ``params``."""
+        return self._build(params)[1]
 
     def compile_shift_rows(self, row_slot: np.ndarray) -> _ShiftRows | None:
         """Compile this block's share of a shift plan whose row r moves slot
@@ -677,7 +674,7 @@ class _FusedUnitary:
         """(R, d, d): the block's unitary at each plan row of ``shifted``,
         the shift plan's rows around ``params``."""
         d = self.dim
-        factors = [f if f.ndim == 2 else f[0] for f in self._row_build(params[None])[0]]
+        factors = self._build(params)[0]
         prefix = [np.eye(d, dtype=np.complex128)]
         for f in factors:
             prefix.append(prefix[-1] @ f)
@@ -788,14 +785,10 @@ def _shift_terms(kind: str) -> list[tuple[float, float]]:
 def parameter_shift_grad(template: CircuitTemplate, params, inputs) -> np.ndarray:
     """Analytic gradient of every <Z_q> w.r.t. every trainable angle.
 
-    Returns a (n_qubits, param_slots) matrix with entry (q, j) equal to
-    d<Z_q>/d theta_j, evaluated via exact shift rules.
+    Returns (n_qubits, param_slots) with entry (q, j) equal to
+    d<Z_q>/d theta_j for (I,) inputs, or (B, n_qubits, param_slots) for
+    (B, I) inputs: the rows of ``run_shift_rows`` contracted with the
+    shift-rule weights of ``template.shift_plan``.
     """
-    params, inputs = _check_slots(template, params, inputs)
-    if params.ndim != 1 or inputs.ndim != 1:
-        raise ValueError("parameter_shift_grad takes single vectors")
-    offsets, weights = template.shift_plan
-    if not len(offsets):
-        return np.zeros((template.n_qubits, 0))
-    evals = run_circuit_batch(template, params + offsets, inputs)
-    return np.einsum("rq,rp->qp", evals, weights)
+    return np.einsum("...rq,rp->...qp", run_shift_rows(template, params, inputs),
+                     template.shift_plan[1])

@@ -1,11 +1,15 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and every
+private name it defines is read somewhere in the repository."""
 
 import ast
 import pathlib
 
 import pytest
 
-MODULES = sorted((pathlib.Path(__file__).resolve().parents[1] / "src" / "qcbnn").glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "qcbnn").glob("*.py"))
+READERS = sorted(path for folder in ("src", "tests", "demos", "benchmarks")
+                 for path in (ROOT / folder).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,3 +36,54 @@ def test_module_uses_every_import(path):
 def test_guard_reports_an_unused_import():
     source = "import io\nimport os\nfrom math import pi, tau\nprint(os.sep, tau)\n"
     assert unused_imports(source) == ["line 1: io", "line 3: pi"]
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_definitions(source: str) -> list[str]:
+    """Private module-level names and private methods a module defines."""
+    defined = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [t.id for t in targets if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            defined += [item.name for item in node.body if isinstance(item, ast.FunctionDef)]
+    return [name for name in defined if _private(name)]
+
+
+def names_read(source: str) -> set[str]:
+    """Names a source reads: loaded names and attributes, imported names,
+    and strings (``getattr`` and ``monkeypatch.setattr`` name attributes)."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return read
+
+
+def test_every_private_name_is_read():
+    read = set().union(*(names_read(path.read_text()) for path in READERS))
+    dead = {path.name: [name for name in private_definitions(path.read_text())
+                        if name not in read] for path in MODULES}
+    assert {module: names for module, names in dead.items() if names} == {}
+
+
+def test_guard_reports_a_dead_private_name():
+    source = ("_LIMIT = 3\n_spare = 4\n\ndef _used():\n    return _LIMIT\n\n"
+              "def _dead():\n    pass\n\nclass K:\n    def __init__(self):\n"
+              "        self._used()\n\n    def _helper(self):\n        pass\n")
+    assert private_definitions(source) == ["_LIMIT", "_spare", "_used", "_dead", "_helper"]
+    read = names_read(source)
+    assert [n for n in private_definitions(source) if n not in read] == \
+        ["_spare", "_dead", "_helper"]

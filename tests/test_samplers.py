@@ -20,16 +20,11 @@ from qcbnn.samplers import (
     prior_sample_block,
     sample_noise_block,
 )
-from qcbnn.statevector import (
-    CircuitTemplate,
-    parameter_shift_grad,
-    run_circuit_batch,
-    run_shift_rows,
-)
+from qcbnn.statevector import CircuitTemplate, run_circuit_batch, run_shift_rows
 from qcbnn.training import _quantum_theta_grad
 
 import graph_oracle as og
-from conftest import finite_difference_grad, per_draw_samples
+from conftest import finite_difference_grad, per_draw_samples, shift_rule_oracle
 
 
 def logit(p: float) -> float:
@@ -137,9 +132,7 @@ class TestQuantumSampler:
         noise = sample_noise_block(np.random.default_rng(8), sampler.noise_law, 3)
         jac = sampler.jacobian(noise)
         for row in range(3):
-            reference = parameter_shift_grad(
-                sampler.template, sampler.theta.data, noise[row]
-            )
+            reference = shift_rule_oracle(sampler.template, sampler.theta.data, noise[row])
             np.testing.assert_allclose(jac[row], reference, atol=1e-12)
 
     def test_noise_width_validated(self):
@@ -157,14 +150,11 @@ class TestQuantumSampler:
 # made on the sampler under test and on a sampler over a freshly assembled
 # template, whose blocks have built nothing yet.
 _CALLS = {
-    "expectations": lambda s, noise, extra: s.expectations(noise),
-    "batch_1d": lambda s, noise, extra: run_circuit_batch(s.template, s.theta.data, noise),
-    "batch_2d_one_row": lambda s, noise, extra: run_circuit_batch(
-        s.template, s.theta.data[None], noise[0]),
-    "batch_2d": lambda s, noise, extra: run_circuit_batch(
-        s.template, np.stack([s.theta.data, extra]), noise),
-    "jacobian": lambda s, noise, extra: s.jacobian(noise),
-    "shift_rows_1d": lambda s, noise, extra: run_shift_rows(s.template, s.theta.data, noise[0]),
+    "expectations": lambda s, noise: s.expectations(noise),
+    "batch": lambda s, noise: run_circuit_batch(s.template, s.theta.data, noise),
+    "batch_one_row": lambda s, noise: run_circuit_batch(s.template, s.theta.data, noise[0]),
+    "jacobian": lambda s, noise: s.jacobian(noise),
+    "shift_rows_one_row": lambda s, noise: run_shift_rows(s.template, s.theta.data, noise[0]),
 }
 _MEMO_CELLS = [(Architecture.CIRCUIT_III, 1, False), (Architecture.CIRCUIT_III, 2, True),
                (Architecture.CIRCUIT_IV, 2, False), (Architecture.MATIC_II, 1, True)]
@@ -192,11 +182,10 @@ class TestBlockBuildMemo:
                 sampler.theta.data[rng.integers(slots)] += rng.normal()
             else:
                 noise = rng.uniform(0, 2 * math.pi, (int(rng.integers(1, 5)), CHUNK_DIM))
-                extra = rng.uniform(0, 2 * math.pi, slots)
                 fresh = QuantumWeightSampler(assemble_pqc(cell[0], 4, cell[1], cell[2]),
                                              sampler.theta.data.copy())
-                got = _CALLS[op](sampler, noise, extra)
-                assert np.array_equal(got, _CALLS[op](fresh, noise, extra)), op
+                got = _CALLS[op](sampler, noise)
+                assert np.array_equal(got, _CALLS[op](fresh, noise)), op
 
 
 class TestClassicalSampler:

@@ -24,7 +24,7 @@ from qcbnn.statevector import (
     _FUSE_MAX_QUBITS,
 )
 
-from conftest import finite_difference_grad
+from conftest import finite_difference_grad, shift_rule_oracle, shifted_rows_oracle
 
 
 def rx_template(n=1):
@@ -221,9 +221,13 @@ class TestRunCircuit:
         rng = np.random.default_rng(0)
         params = rng.uniform(0, 2 * math.pi, (40, template.param_slots))
         inputs = rng.uniform(0, 2 * math.pi, (25, template.input_slots))
-        out = run_circuit_batch(template, params, inputs)
-        assert out.shape == (25, 40, 4)
-        assert out.min() >= -1.0 and out.max() <= 1.0
+        for r, row in enumerate(params):
+            out = run_circuit_batch(template, row, inputs)
+            assert out.shape == (25, 4)
+            assert out.min() >= -1.0 and out.max() <= 1.0
+            b = r % len(inputs)
+            np.testing.assert_allclose(out[b], run_circuit(template, row, inputs[b]),
+                                       rtol=0, atol=1e-12)
 
     def test_slot_count_mismatch(self):
         template = rx_template(2)
@@ -244,12 +248,12 @@ class TestRunCircuit:
         rng = np.random.default_rng(2)
         params = rng.uniform(0, 2 * math.pi, (4, template.param_slots))
         inputs = rng.uniform(0, 2 * math.pi, (3, template.input_slots))
-        grid = run_circuit_batch(template, params, inputs)
-        assert grid.shape == (3, 4, 4)
-        for b in range(3):
-            for r in range(4):
+        for row in params:
+            batch = run_circuit_batch(template, row, inputs)
+            assert batch.shape == (3, 4)
+            for b in range(3):
                 np.testing.assert_allclose(
-                    grid[b, r], run_circuit(template, params[r], inputs[b]), atol=1e-13
+                    batch[b], run_circuit(template, row, inputs[b]), atol=1e-13
                 )
 
 
@@ -302,20 +306,16 @@ class TestCompiledExecutor:
         rng = np.random.default_rng(seed)
         params = rng.uniform(-2 * math.pi, 2 * math.pi, (3, template.param_slots))
         inputs = rng.uniform(0, 2 * math.pi, (2, template.input_slots))
-        grid = run_circuit_batch(template, params, inputs)
-        assert grid.shape == (2, 3, template.n_qubits)
-        for b in range(2):
-            for r in range(3):
+        for row in params:
+            batch = run_circuit_batch(template, row, inputs)
+            assert batch.shape == (2, template.n_qubits)
+            for b in range(2):
                 np.testing.assert_allclose(
-                    grid[b, r], run_circuit(template, params[r], inputs[b]), rtol=0, atol=1e-12
+                    batch[b], run_circuit(template, row, inputs[b]), rtol=0, atol=1e-12
                 )
-        # a 1-D argument drops its grid axis
-        np.testing.assert_allclose(run_circuit_batch(template, params[1], inputs), grid[:, 1],
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_allclose(run_circuit_batch(template, params, inputs[0]), grid[0],
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_allclose(run_circuit_batch(template, params[2], inputs[1]),
-                                   grid[1, 2], rtol=0, atol=1e-12)
+                # 1-D inputs drop the batch axis
+                np.testing.assert_allclose(run_circuit_batch(template, row, inputs[b]),
+                                           batch[b], rtol=0, atol=1e-12)
 
 
 class TestShiftRows:
@@ -329,19 +329,30 @@ class TestShiftRows:
         rng = np.random.default_rng(seed)
         params = rng.uniform(-2 * math.pi, 2 * math.pi, template.param_slots)
         inputs = rng.uniform(0, 2 * math.pi, (3, template.input_slots))
-        grid = params + template.shift_plan[0]
         rows = run_shift_rows(template, params, inputs)
-        assert rows.shape == (3, len(grid), template.n_qubits)
-        np.testing.assert_allclose(rows, run_circuit_batch(template, grid, inputs),
-                                   rtol=0, atol=1e-13)
-        np.testing.assert_allclose(run_shift_rows(template, params, inputs[1]),
-                                   run_circuit_batch(template, grid, inputs[1]),
-                                   rtol=0, atol=1e-13)
+        assert rows.shape == (3, len(template.shift_plan[0]), template.n_qubits)
+        for b in range(3):
+            np.testing.assert_allclose(rows[b], shifted_rows_oracle(template, params, inputs[b]),
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(run_shift_rows(template, params, inputs[b]), rows[b],
+                                       rtol=0, atol=1e-13)
+            np.testing.assert_allclose(parameter_shift_grad(template, params, inputs[b]),
+                                       shift_rule_oracle(template, params, inputs[b]),
+                                       rtol=0, atol=1e-12)
 
-    def test_takes_one_params_vector(self):
+
+class TestInputChecks:
+    @pytest.mark.parametrize("run", [run_circuit_batch, run_shift_rows, parameter_shift_grad],
+                             ids=lambda f: f.__name__)
+    def test_takes_one_params_vector(self, run):
         template = rx_template(2)
         with pytest.raises(ValueError, match="one params vector"):
-            run_shift_rows(template, np.zeros((3, 2)), [])
+            run(template, np.zeros((3, 2)), [])
+
+    def test_gradient_without_trainable_slots(self):
+        template = CircuitTemplate(3, (Gate("H", (0,)), Gate("RZ", (1,), (("enc1", 0),))), 0, 1)
+        assert parameter_shift_grad(template, [], [0.3]).shape == (3, 0)
+        assert parameter_shift_grad(template, [], np.zeros((5, 1))).shape == (5, 3, 0)
 
 
 class TestParameterShift:
@@ -371,12 +382,9 @@ class TestParameterShift:
         rng = np.random.default_rng(seed)
         params = rng.uniform(-2 * math.pi, 2 * math.pi, template.param_slots)
         inputs = rng.uniform(0, 2 * math.pi, template.input_slots)
-        h = 1e-4
-        steps = h * np.eye(template.param_slots)
-        up = run_circuit_batch(template, params + steps, inputs)  # (P, n_qubits)
-        down = run_circuit_batch(template, params - steps, inputs)
-        np.testing.assert_allclose(parameter_shift_grad(template, params, inputs),
-                                   (up - down).T / (2 * h), rtol=0, atol=1e-6)
+        fd = finite_difference_grad(lambda p: run_circuit(template, p, inputs), params)
+        np.testing.assert_allclose(parameter_shift_grad(template, params, inputs), fd,
+                                   rtol=0, atol=1e-6)
 
     def test_grad_shape(self):
         template = assemble_pqc(Architecture.MATIC_II, 4)

@@ -736,12 +736,14 @@ class TestClosedFormStep:
     def test_step_builds_each_trainable_block_once(self, tiny_split, cell, n_trainable,
                                                    monkeypatch):
         """The discriminator's chunks, the generator forward and the
-        shift-rule rows of one step share each trainable block's build."""
+        shift-rule rows of one step share each trainable block's build,
+        and a block with no trainable gate builds at most once in all."""
         train, _ = tiny_split
         model = cell_model(cell)
-        trainable = [b for b in model.sampler.template.blocks
-                     if isinstance(b, sv._FusedUnitary) and b.groups]
-        assert len(trainable) == n_trainable
+        fused = [b for b in model.sampler.template.blocks if isinstance(b, sv._FusedUnitary)]
+        trainable = [b for b in fused if b.groups]
+        constant = [b for b in fused if not b.groups]
+        assert len(trainable) == n_trainable and constant
         builds = []
         factors = sv._FusedUnitary._factors
 
@@ -750,11 +752,15 @@ class TestClosedFormStep:
             return factors(block, params)
 
         monkeypatch.setattr(sv._FusedUnitary, "_factors", counting)
+        constant_builds = [0] * len(constant)
         for step in range(2):  # theta moves between the steps
             builds.clear()
             tr.train_step(model, train.images[:7], train.labels[:7], 4.0, *step_streams(step))
             assert [sum(b is block for b in builds) for block in trainable] == \
                 [1] * n_trainable
+            constant_builds = [n + sum(b is block for b in builds)
+                               for n, block in zip(constant_builds, constant)]
+        assert max(constant_builds) <= 1
 
 
 NODE_SETTINGS = settings(derandomize=True, database=None, max_examples=30, deadline=None)
