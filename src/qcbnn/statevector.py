@@ -34,8 +34,8 @@ from the template's compiled ``blocks``, computed once per template:
   embedding gate: RZ(enc1) and CNOT.RZ(enc2).CNOT) becomes one fixed index
   permutation and one coefficient matrix A, applied per input row as
   ``amps[..., perm] * exp(i * angles @ A)``;
-* any other input-reading gate is applied on its own, and so is every
-  gate that reads no input on templates wider than ``_FUSE_MAX_QUBITS``.
+* a template with any other input-reading gate, or wider than
+  ``_FUSE_MAX_QUBITS``, does not compile: ``blocks`` raises a ``ValueError``.
 
 So the input-only blocks run once per input row and the params-only
 blocks once per params vector, whatever the batch size.  <Z> is read as
@@ -56,8 +56,9 @@ sampler's batched Jacobian alike.
 from __future__ import annotations
 
 import math
+import string
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -170,16 +171,18 @@ class CircuitTemplate:
     @cached_property
     def blocks(self) -> tuple:
         """The gate list split into fused blocks, in circuit order."""
-        fuse = self.n_qubits <= _FUSE_MAX_QUBITS
+        if self.n_qubits > _FUSE_MAX_QUBITS:
+            raise ValueError(f"cannot compile a {self.n_qubits}-qubit template: "
+                             f"fused blocks take at most {_FUSE_MAX_QUBITS} qubits")
         runs: list[tuple[type, list[Gate]]] = []
         for gate in self.gates:
             reads_input = any(ref[0] != "p" for ref in gate.angles)
-            if reads_input and gate.kind in _DIAGONAL_PHASES:
+            if reads_input and gate.kind not in _DIAGONAL_PHASES:
+                raise ValueError(f"cannot compile {gate.kind} on {gate.targets} reading "
+                                 f"{gate.angles}: only {sorted(_DIAGONAL_PHASES)} read inputs")
+            if reads_input or (gate.kind in _PERMUTATIONS and runs
+                               and runs[-1][0] is _PhasePermutation):
                 kind = _PhasePermutation
-            elif gate.kind in _PERMUTATIONS and runs and runs[-1][0] is _PhasePermutation:
-                kind = _PhasePermutation
-            elif reads_input or not fuse:
-                kind = _GateByGate
             else:
                 kind = _FusedUnitary
             if runs and runs[-1][0] is kind:
@@ -342,26 +345,14 @@ def gate_matrix(kind: str, angles: np.ndarray) -> np.ndarray:
 # --- state updates ----------------------------------------------------------
 
 
-def _apply_matrix(
-    amps: np.ndarray, mat: np.ndarray, targets: tuple[int, ...], n: int
-) -> np.ndarray:
-    """Apply a (B,d,d) or (d,d) matrix on ``targets`` of (B,2^n) or (2^n,) amps."""
-    batched = amps.ndim == 2
-    lead = 1 if batched else 0
-    t = amps.reshape(amps.shape[:lead] + (2,) * n)
-    axes = tuple(lead + q for q in targets)
-    dest = tuple(range(t.ndim - len(targets), t.ndim))
-    t = np.moveaxis(t, axes, dest)
-    head = t.shape[: t.ndim - len(targets)]
-    d = 2 ** len(targets)
-    t = t.reshape(head + (d,))
-    if mat.ndim == 2:
-        t = t @ mat.T
-    else:
-        t = np.einsum("bij,b...j->b...i", mat, t)
-    t = t.reshape(head + (2,) * len(targets))
-    t = np.moveaxis(t, dest, axes)
-    return t.reshape(amps.shape)
+@lru_cache(maxsize=None)
+def _gate_subscripts(n: int, targets: tuple[int, ...]) -> str:
+    """``np.einsum`` subscripts applying a gate tensor, axes (out..., in...)
+    over ``targets`` in order, to a (2,)*n state."""
+    state = string.ascii_letters[:n]
+    out = dict(zip(targets, string.ascii_letters[n:]))
+    return (f"{''.join(out.values())}{''.join(state[q] for q in targets)},{state}->"
+            + "".join(out.get(q, state[q]) for q in range(n)))
 
 
 def apply_gate(
@@ -377,10 +368,11 @@ def apply_gate(
     for q in gate.targets:
         if not 0 <= q < state.n_qubits:
             raise ValueError(f"gate target {q} out of range")
-    mat = gate_matrix(gate.kind, angles)
-    return StateVector(
-        state.n_qubits, _apply_matrix(state.amplitudes, mat, gate.targets, state.n_qubits)
-    )
+    n, k = state.n_qubits, len(gate.targets)
+    amps = np.einsum(_gate_subscripts(n, gate.targets),
+                     gate_matrix(gate.kind, angles).reshape((2,) * (2 * k)),
+                     state.amplitudes.reshape((2,) * n))
+    return StateVector(n, amps.reshape(-1))
 
 
 def born_probabilities(state: StateVector) -> np.ndarray:
@@ -403,18 +395,18 @@ def expectation_z(state: StateVector, qubit: int) -> float:
 
 
 def resolve_angles(gate: Gate, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """Concrete angle values for one gate; batched when params/inputs are 2-D."""
-    cols = []
+    """Concrete angle values for one gate, shape (n_angles,)."""
+    values = []
     for ref in gate.angles:
         tag = ref[0]
         if tag == "p":
-            cols.append(params[..., ref[1]])
+            values.append(params[ref[1]])
         elif tag == "enc1":
-            cols.append(2.0 * inputs[..., ref[1]])
+            values.append(2.0 * inputs[ref[1]])
         else:  # enc2
-            zi, zj = inputs[..., ref[1]], inputs[..., ref[2]]
-            cols.append(2.0 * (math.pi - zi) * (math.pi - zj))
-    return np.stack(cols, axis=-1) if cols else np.zeros(params.shape[:-1] + (0,))
+            zi, zj = inputs[ref[1]], inputs[ref[2]]
+            values.append(2.0 * (math.pi - zi) * (math.pi - zj))
+    return np.array(values, dtype=np.float64)
 
 
 def _check_slots(template: CircuitTemplate, params, inputs) -> tuple[np.ndarray, np.ndarray]:
@@ -436,16 +428,20 @@ def _check_slots(template: CircuitTemplate, params, inputs) -> tuple[np.ndarray,
 
 
 def run_circuit(template: CircuitTemplate, params, inputs) -> np.ndarray:
-    """Execute the template on |0..0> and return per-qubit <Z>, shape (n,)."""
+    """Execute the template on |0..0> one gate at a time and return
+    per-qubit <Z>, shape (n,): the reference oracle, sharing only
+    ``gate_matrix`` with the compiled path and running any template."""
     params, inputs = _check_slots(template, params, inputs)
     if inputs.ndim != 1:
         raise ValueError("run_circuit takes a single input vector")
-    state = init_state(template.n_qubits)
+    n = template.n_qubits
+    state = init_state(n)
     for gate in template.gates:
         state = apply_gate(state, gate, resolve_angles(gate, params, inputs))
-    return np.array(
-        [expectation_z(state, q) for q in range(template.n_qubits)]
-    )
+    probs = born_probabilities(state).reshape((2,) * n)
+    # sign[q] is +1 where wire q reads 0 and -1 where it reads 1; clip float dust
+    sign = 1 - 2 * np.indices((2,) * n)
+    return np.clip((sign * probs).reshape(n, -1).sum(axis=1), -1.0, 1.0)
 
 
 def run_circuit_batch(template: CircuitTemplate, params, inputs) -> np.ndarray:
@@ -481,12 +477,12 @@ def _execute(template: CircuitTemplate, params: np.ndarray, inputs: np.ndarray,
     grid_inputs = np.atleast_2d(inputs)
     grid_params = params + template.shift_plan[0] if shifted else params[None]
     # psi has axes (params row, input row, amplitude); an axis stays 1
-    # until a block reads that argument
+    # until a shifted fused block or a phase block widens it
     psi = np.zeros((1, 1, 2**n), dtype=np.complex128)
     psi[..., 0] = 1.0
     for block, plan in zip(template.blocks, template.shift_rows):
-        if not isinstance(block, _FusedUnitary):
-            psi = block.apply(psi, grid_params, grid_inputs)
+        if isinstance(block, _PhasePermutation):
+            psi = block.apply(psi, grid_inputs)
         elif shifted and plan is not None:
             psi = psi @ block.shifted_matrices(params, grid_params, plan)
         else:
@@ -504,8 +500,7 @@ def _execute(template: CircuitTemplate, params: np.ndarray, inputs: np.ndarray,
 # --- compiled blocks ----------------------------------------------------------
 
 # Fused unitaries are dense 2^n x 2^n matrices per params row, so their cost
-# grows as 4^n; past this width, gates that read no input are applied one at
-# a time instead.
+# grows as 4^n; past this width a template does not compile.
 _FUSE_MAX_QUBITS = 5
 
 # Diagonal kinds: phase of each diagonal entry per unit angle, in the basis
@@ -715,7 +710,7 @@ class _PhasePermutation:
         self.enc2 = np.array([(c, *ref[1:]) for c, ref in enumerate(refs) if ref[0] == "enc2"],
                              dtype=np.intp).reshape(-1, 3).T
 
-    def apply(self, psi, params, inputs):
+    def apply(self, psi, inputs):
         angles = np.empty((len(inputs), len(self.coeffs)))
         col, i = self.enc1
         angles[:, col] = 2.0 * inputs[:, i]
@@ -737,24 +732,6 @@ class _PhasePermutation:
             phase *= psi
             return phase
         return psi * phase
-
-
-class _GateByGate:
-    """Gates applied one at a time on every grid cell."""
-
-    def __init__(self, gates: list[Gate], n: int):
-        self.gates = gates
-        self.n = n
-
-    def apply(self, psi, params, inputs):
-        r, b, d = len(params), len(inputs), 2**self.n
-        cell_params = np.broadcast_to(params[:, None, :], (r, b, params.shape[1]))
-        cell_inputs = np.broadcast_to(inputs[None, :, :], (r, b, inputs.shape[1]))
-        amps = np.broadcast_to(psi, (r, b, d)).reshape(r * b, d)
-        for gate in self.gates:
-            angles = resolve_angles(gate, cell_params, cell_inputs).reshape(r * b, len(gate.angles))
-            amps = _apply_matrix(amps, gate_matrix(gate.kind, angles), gate.targets, self.n)
-        return amps.reshape(r, b, d)
 
 
 # --- parameter-shift gradients ----------------------------------------------

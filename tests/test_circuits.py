@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,8 @@ from qcbnn.statevector import (
     parameter_shift_grad,
     resolve_angles,
     run_circuit,
+    _FusedUnitary,
+    _PhasePermutation,
 )
 
 from conftest import finite_difference_grad
@@ -148,6 +151,18 @@ class TestAssembly:
         grad = parameter_shift_grad(template, params, inputs)
         fd = finite_difference_grad(lambda p: run_circuit(template, p, inputs), params)
         assert np.abs(grad - fd).max() < 1e-5
+
+
+class TestCompileContract:
+    @pytest.mark.parametrize("arch", list(Architecture))
+    def test_every_assembled_template_compiles(self, arch):
+        # The compiled executor has no gate-by-gate fallback: every template
+        # the package builds must split into fused unitaries and phase maps.
+        for layers, reupload, cr_axis, pairs in itertools.product(
+                (1, 2, 3), (False, True), "XYZ", ("adjacent", "all")):
+            template = assemble_pqc(arch, 4, layers, reupload, pairs=pairs, cr_axis=cr_axis)
+            kinds = {type(block) for block in template.blocks}
+            assert kinds <= {_FusedUnitary, _PhasePermutation}, (template.name, cr_axis, pairs)
 
 
 class TestArchitectureParsing:

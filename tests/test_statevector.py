@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -21,6 +21,7 @@ from qcbnn.statevector import (
     run_circuit,
     run_circuit_batch,
     run_shift_rows,
+    _DIAGONAL_PHASES,
     _FUSE_MAX_QUBITS,
 )
 
@@ -43,6 +44,31 @@ class TestInitState:
     def test_budget(self, n):
         with pytest.raises(ValueError, match="qubit budget exceeded"):
             init_state(n)
+
+
+@st.composite
+def placed_gates(draw):
+    """A width n in 1..6 and a gate of any kind on distinct wires in any
+    order, descending ones included, with one trainable slot per angle."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(sorted(k for k, (t, _) in GATE_SIGNATURES.items() if t <= n)))
+    n_targets, n_angles = GATE_SIGNATURES[kind]
+    targets = tuple(draw(st.permutations(range(n)))[:n_targets])
+    return n, Gate(kind, targets, tuple(("p", a) for a in range(n_angles)))
+
+
+def _dense_operator(n, mat, targets):
+    """The 2^n x 2^n operator of gate matrix ``mat`` on ``targets``:
+    ``kron(mat, I)`` acts on the wires ordered (targets..., the rest...),
+    and a basis-index permutation maps that order to the wire order."""
+    order = list(targets) + [q for q in range(n) if q not in targets]
+    index = np.arange(2**n)
+    wire_index = np.zeros(2**n, dtype=np.intp)  # of each basis index in kron order
+    for pos, q in enumerate(order):
+        wire_index |= ((index >> (n - 1 - pos)) & 1) << (n - 1 - q)
+    perm = np.zeros((2**n, 2**n))
+    perm[wire_index, index] = 1.0
+    return perm @ np.kron(mat, np.eye(2 ** (n - len(targets)))) @ perm.T
 
 
 class TestApplyGate:
@@ -68,6 +94,21 @@ class TestApplyGate:
     def test_target_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             apply_gate(init_state(1), Gate("RX", (1,), (("p", 0),)), [0.1])
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(placed=placed_gates(), seed=st.integers(0, 2**32 - 1))
+    @example(placed=(3, Gate("CRX", (2, 0), (("p", 0),))), seed=0)
+    @example(placed=(6, Gate("ZZ", (5, 1), (("p", 0),))), seed=1)
+    @example(placed=(6, Gate("U3", (0,), (("p", 0), ("p", 1), ("p", 2)))), seed=2)
+    def test_matches_dense_operator(self, placed, seed):
+        n, gate = placed
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        amps /= np.linalg.norm(amps)
+        angles = rng.uniform(-2 * math.pi, 2 * math.pi, len(gate.angles))
+        got = apply_gate(StateVector(n, amps), gate, angles).amplitudes
+        dense = _dense_operator(n, gate_matrix(gate.kind, angles), gate.targets)
+        np.testing.assert_allclose(got, dense @ amps, rtol=0, atol=1e-13)
 
     def test_gate_validation(self):
         with pytest.raises(ValueError, match="unknown gate kind"):
@@ -258,20 +299,23 @@ class TestRunCircuit:
 
 
 @st.composite
-def random_templates(draw):
+def random_templates(draw, compilable=False):
     """Templates over every gate kind with p/enc1/enc2 angle refs mixed
     freely within a gate, on any ordered pair of distinct wires, up to one
-    qubit past the widest fused unitary."""
-    n = draw(st.integers(1, _FUSE_MAX_QUBITS + 1))
+    qubit past the widest fused unitary.  ``compilable`` keeps to what the
+    compiled executor runs: at most ``_FUSE_MAX_QUBITS`` wires, and input
+    refs only on diagonal kinds."""
+    n = draw(st.integers(1, _FUSE_MAX_QUBITS + (0 if compilable else 1)))
     input_slots = draw(st.integers(0, 3))
     kinds = sorted(k for k, (n_targets, _) in GATE_SIGNATURES.items() if n_targets <= n)
-    tags = ["p", "enc1", "enc2"] if input_slots else ["p"]
     inputs = st.integers(0, max(input_slots - 1, 0))
     gates, slots = [], 0
     for _ in range(draw(st.integers(0, 14))):
         kind = draw(st.sampled_from(kinds))
         n_targets, n_angles = GATE_SIGNATURES[kind]
         targets = tuple(draw(st.permutations(range(n)))[:n_targets])
+        reads_input = input_slots and (kind in _DIAGONAL_PHASES or not compilable)
+        tags = ["p", "enc1", "enc2"] if reads_input else ["p"]
         refs = []
         for _ in range(n_angles):
             tag = draw(st.sampled_from(tags))
@@ -286,7 +330,30 @@ def random_templates(draw):
     return CircuitTemplate(n, tuple(gates), slots, input_slots)
 
 
-_MIXED = CircuitTemplate(3, (
+def _compiles(template):
+    """The compiled executor's contract, restated: at most
+    ``_FUSE_MAX_QUBITS`` wires, and only diagonal gates read inputs."""
+    return template.n_qubits <= _FUSE_MAX_QUBITS and all(
+        gate.kind in _DIAGONAL_PHASES for gate in template.gates
+        if any(ref[0] != "p" for ref in gate.angles))
+
+
+# Every kind, p/enc refs and descending wire pairs, at the widest width
+# that compiles; inputs are read only by diagonal kinds.
+_MIXED = CircuitTemplate(_FUSE_MAX_QUBITS, (
+    Gate("H", (0,)), Gate("H", (4,)),
+    Gate("RZ", (2,), (("enc1", 0),)), Gate("CNOT", (2, 0)), Gate("CNOT", (0, 1)),
+    Gate("ZZ", (4, 1), (("enc2", 0, 1),)), Gate("PHASE", (0,), (("enc1", 1),)),
+    Gate("U3", (1,), (("p", 0), ("p", 1), ("p", 2))),
+    Gate("RX", (3,), (("p", 3),)), Gate("CRY", (2, 0), (("p", 4),)),
+    Gate("CRZ", (3, 1), (("enc2", 1, 0),)), Gate("RY", (4,), (("p", 5),)),
+    Gate("CRZ", (2, 1), (("p", 6),)), Gate("CNOT", (1, 3)), Gate("CRX", (0, 4), (("p", 7),)),
+    Gate("PHASE", (3,), (("p", 8),)), Gate("ZZ", (0, 3), (("p", 9),)),
+), 10, 2)
+
+# What the compiled executor rejects: input-reading RX, U3 and CRY gates,
+# and a template one qubit past the widest fused unitary.
+_UNCOMPILABLE_MIXED = CircuitTemplate(3, (
     Gate("H", (0,)), Gate("H", (2,)),
     Gate("RZ", (2,), (("enc1", 0),)), Gate("CNOT", (2, 0)), Gate("CNOT", (0, 1)),
     Gate("ZZ", (2, 1), (("enc2", 0, 1),)), Gate("PHASE", (0,), (("enc1", 1),)),
@@ -294,11 +361,12 @@ _MIXED = CircuitTemplate(3, (
     Gate("RX", (0,), (("enc2", 1, 0),)), Gate("CRY", (2, 0), (("enc1", 0),)),
     Gate("CRZ", (2, 1), (("p", 2),)), Gate("CNOT", (1, 2)), Gate("CRX", (0, 2), (("p", 3),)),
 ), 4, 2)
+_TOO_WIDE = assemble_pqc(Architecture.CIRCUIT_IV, _FUSE_MAX_QUBITS + 1, 2, True, cr_axis="Y")
 
 
 class TestCompiledExecutor:
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
-    @given(template=random_templates(), seed=st.integers(0, 2**32 - 1))
+    @given(template=random_templates(compilable=True), seed=st.integers(0, 2**32 - 1))
     @example(template=assemble_pqc(Architecture.MATIC_I, 4, 2, True), seed=0)
     @example(template=assemble_pqc(Architecture.CIRCUIT_IV, 4, 2, True, cr_axis="Z"), seed=1)
     @example(template=_MIXED, seed=2)
@@ -318,12 +386,37 @@ class TestCompiledExecutor:
                                            batch[b], rtol=0, atol=1e-12)
 
 
+class TestUncompilableTemplates:
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(template=random_templates(), seed=st.integers(0, 2**32 - 1))
+    @example(template=_UNCOMPILABLE_MIXED, seed=0)
+    @example(template=_TOO_WIDE, seed=1)
+    def test_compiled_entry_points_raise_and_run_circuit_runs(self, template, seed):
+        assume(not _compiles(template))
+        rng = np.random.default_rng(seed)
+        params = rng.uniform(-2 * math.pi, 2 * math.pi, template.param_slots)
+        inputs = rng.uniform(0, 2 * math.pi, template.input_slots)
+        for run in (run_circuit_batch, run_shift_rows, parameter_shift_grad):
+            with pytest.raises(ValueError, match="cannot compile"):
+                run(template, params, inputs)
+        z = run_circuit(template, params, inputs)
+        assert z.shape == (template.n_qubits,)
+        assert -1.0 <= z.min() and z.max() <= 1.0
+
+    @pytest.mark.parametrize("template, named", [
+        (_UNCOMPILABLE_MIXED, r"U3 on \(1,\)"),
+        (_TOO_WIDE, f"{_FUSE_MAX_QUBITS + 1}-qubit"),
+    ], ids=["gate", "width"])
+    def test_error_names_the_gate_or_the_width(self, template, named):
+        with pytest.raises(ValueError, match=named):
+            template.blocks
+
+
 class TestShiftRows:
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
-    @given(template=random_templates(), seed=st.integers(0, 2**32 - 1))
+    @given(template=random_templates(compilable=True), seed=st.integers(0, 2**32 - 1))
     @example(template=assemble_pqc(Architecture.MATIC_II, 4, 2, True), seed=0)
     @example(template=assemble_pqc(Architecture.CIRCUIT_II, 4, 2, True), seed=1)
-    @example(template=assemble_pqc(Architecture.CIRCUIT_IV, 6, 2, True, cr_axis="Y"), seed=2)
     @example(template=_MIXED, seed=3)
     def test_matches_grid_of_shifted_params(self, template, seed):
         rng = np.random.default_rng(seed)
@@ -377,7 +470,7 @@ class TestParameterShift:
             assert np.abs(grad - fd).max() < 1e-5
 
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
-    @given(template=random_templates(), seed=st.integers(0, 2**32 - 1))
+    @given(template=random_templates(compilable=True), seed=st.integers(0, 2**32 - 1))
     def test_matches_central_differences_on_random_templates(self, template, seed):
         rng = np.random.default_rng(seed)
         params = rng.uniform(-2 * math.pi, 2 * math.pi, template.param_slots)
