@@ -170,7 +170,8 @@ class CircuitTemplate:
 
     @cached_property
     def blocks(self) -> tuple:
-        """The gate list split into fused blocks, in circuit order."""
+        """The gate list split into fused blocks, in circuit order; a
+        ``ValueError`` for a template that does not compile."""
         if self.n_qubits > _FUSE_MAX_QUBITS:
             raise ValueError(f"cannot compile a {self.n_qubits}-qubit template: "
                              f"fused blocks take at most {_FUSE_MAX_QUBITS} qubits")
