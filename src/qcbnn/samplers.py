@@ -9,7 +9,7 @@ reaches every tensor of ``parameters()``, and ``named_tensors()`` names
 the trainable state.
 
 * ``QuantumWeightSampler`` feeds each noise vector into a parametrized
-  circuit and reads the per-qubit expectation values;
+  circuit and reads the per-qubit expectations; an adjoint sweep trains it;
 * ``ClassicalWeightSampler``, the benchmark, is a 4-8-4 MLP fed with the
   same kind of noise;
 * ``GaussianPosterior``, the plain-VI baseline, reparameterizes a
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .statevector import CircuitTemplate, parameter_shift_grad, run_circuit_batch
+from .statevector import CircuitTemplate, adjoint_vjp, parameter_shift_grad, run_circuit_batch
 
 N_CHUNKS = 16
 CHUNK_DIM = 4
@@ -119,8 +119,8 @@ class QuantumWeightSampler:
     """Noise -> PQC -> per-qubit expectations, one chunk per circuit pass.
 
     All stochasticity lives in the noise source: for fixed angles and
-    fixed noise the output is deterministic, which is what lets the
-    parameter-shift rule differentiate through the sampler.
+    fixed noise the output is deterministic, so ``theta_vjp``, one adjoint
+    sweep, differentiates it exactly; ``jacobian`` is its shift-rule check.
     """
 
     def __init__(self, template: CircuitTemplate, theta: np.ndarray,
@@ -142,19 +142,19 @@ class QuantumWeightSampler:
         return run_circuit_batch(self.template, self.theta.data, noise)
 
     def forward(self, noise: np.ndarray) -> ad.Tensor:
-        """Chunk matrix as a graph node over theta; the shift-rule
-        Jacobian runs only when backward reaches the node."""
+        """Chunk matrix as a graph node over theta; the adjoint sweep runs
+        only when backward reaches the node."""
         return ad._node(self.expectations(noise), (self.theta,),
                         lambda g: (self.theta_vjp(noise, g),))
 
     def theta_vjp(self, noise: np.ndarray, grad: np.ndarray) -> np.ndarray:
         """theta's gradient from the (rows, 4) gradient of the chunks."""
-        return np.einsum("cq,cqp->p", grad, self.jacobian(noise))
+        return adjoint_vjp(self.template, self.theta.data, noise, grad)
 
     def jacobian(self, noise: np.ndarray) -> np.ndarray:
         """d(chunk)/d(theta) for every noise row: (rows, 4, param_slots),
-        the template's shift-rule gradient at theta over all noise rows in
-        one run."""
+        the template's shift-rule gradient at theta; the reference for
+        ``theta_vjp``, which training uses instead."""
         return parameter_shift_grad(self.template, self.theta.data, noise)
 
     def parameters(self) -> list[ad.Tensor]:

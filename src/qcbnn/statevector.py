@@ -9,9 +9,9 @@ Conventions, fixed across the package:
 * Every operation is pure: states are never mutated in place (the
   executor updates only buffers it allocated itself), identical inputs
   give bit-identical outputs, and no function touches global state.  The
-  one state kept is per fused block: its last build, reused while the
-  params' bytes stay the same (or for good, in a block that reads no
-  params), so outputs are the same bits with or without it.
+  one state kept is per fused block: its last build and derivatives,
+  reused while the params' bytes stay the same (or for good, in a block
+  that reads no params), so outputs are the same bits with or without it.
 
 Circuit templates carry symbolic angle references that are resolved
 against a trainable-parameter vector and a noise-input vector at run
@@ -41,16 +41,10 @@ So the input-only blocks run once per input row and the params-only
 blocks once per params vector, whatever the batch size.  <Z> is read as
 ``|psi|^2 @ zsign``.
 
-``run_shift_rows`` runs the rows of a template's shift plan,
-``params + offsets``, on the same input rows without building each row's
-unitaries: every row moves one slot, so a fused block is built once at
-``params`` and the row that moves its gate f is
-``prefix_f @ gate_f(row) @ suffix_f``.  That unshifted build is the one a
-forward at ``params`` made (or left for the next call), so a training
-step's forwards and its shift rows build each fused block once per theta.
-``parameter_shift_grad`` contracts these rows with the shift-rule weights;
-it is the one shift-rule evaluator, for single noise vectors and for the
-sampler's batched Jacobian alike.
+``adjoint_vjp``, which training uses, gives the params gradient of
+``sum(grad * <Z>)`` by one forward and one backward sweep over the blocks.
+``parameter_shift_grad``, its reference, contracts ``run_circuit_batch`` at
+every row of the shift plan with the shift-rule weights.
 """
 
 from __future__ import annotations
@@ -193,16 +187,6 @@ class CircuitTemplate:
         return tuple(kind(gates, self.n_qubits) for kind, gates in runs)
 
     @cached_property
-    def shift_rows(self) -> tuple:
-        """Per block, its compiled share of ``shift_plan`` for
-        ``run_shift_rows``, or None for a block that no plan row changes
-        inside (it has no trainable gate, or it takes the shifted params
-        rows as they are)."""
-        row_slot = np.nonzero(self.shift_plan[0])[1]  # one moved slot per row
-        return tuple(block.compile_shift_rows(row_slot) if isinstance(block, _FusedUnitary)
-                     else None for block in self.blocks)
-
-    @cached_property
     def zsign(self) -> np.ndarray:
         """(2^n, n) sign of Z on each wire in each basis state: <Z> = |psi|^2 @ zsign."""
         n = self.n_qubits
@@ -343,6 +327,21 @@ def gate_matrix(kind: str, angles: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
+def _derivative_rule(kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Angle steps (n_angles, 2, 1, n_angles) and weights (n_angles, 1, 1, 1)
+    with dG/da = weights[a] * (G(angles + steps[a, 0]) - G(angles + steps[a, 1])).
+
+    A period-4pi angle enters every entry as c + u e^(ia/2) + v e^(-ia/2), so
+    G' = (G(a + pi) - G(a - pi)) / 4; a period-2pi one (PHASE's, U3's phi and
+    lambda) as c + u e^(ia), so G' = i (G(a) - G(a + pi)) / 2.  Both are exact
+    for matrices, which the +-pi/2 shift rule is not."""
+    full = np.array([(kind, a) in {("PHASE", 0), ("U3", 1), ("U3", 2)}
+                     for a in range(GATE_SIGNATURES[kind][1])])
+    shifts = np.where(full[:, None], [0.0, math.pi], [math.pi, -math.pi])
+    steps = shifts[:, :, None, None] * np.eye(len(full))[:, None, None, :]
+    return steps, np.where(full, 0.5j, 0.25).reshape(-1, 1, 1, 1)
+
+
 # --- state updates ----------------------------------------------------------
 
 
@@ -452,50 +451,57 @@ def run_circuit_batch(template: CircuitTemplate, params, inputs) -> np.ndarray:
     or (I,), giving (n,).
     """
     params, inputs = _check_slots(template, params, inputs)
-    return np.ascontiguousarray(_execute(template, params, inputs))
-
-
-def run_shift_rows(template: CircuitTemplate, params, inputs) -> np.ndarray:
-    """``run_circuit_batch(template, params + offsets[r], inputs)`` for every
-    row r of ``template.shift_plan``, from one build of each fused block.
-
-    ``params`` is (P,); the result is (B, R, n), or (R, n) for 1-D inputs.
-    Each plan row moves one slot, so inside a fused block a row that moves
-    gate f is ``prefix_f @ gate_f(shifted row) @ suffix_f`` around the
-    block's unshifted factors, and a row that moves another block's slot
-    gets the unshifted product.
-    """
-    params, inputs = _check_slots(template, params, inputs)
-    return np.ascontiguousarray(_execute(template, params, inputs, shifted=True))
-
-
-def _execute(template: CircuitTemplate, params: np.ndarray, inputs: np.ndarray,
-             shifted: bool = False) -> np.ndarray:
-    """Per-qubit <Z> at ``params`` for every input row, as (B, n), or (n,)
-    for 1-D ``inputs``; with ``shifted``, at every row of the shift plan
-    around ``params``, as (B, R, n) or (R, n)."""
-    n = template.n_qubits
     grid_inputs = np.atleast_2d(inputs)
-    grid_params = params + template.shift_plan[0] if shifted else params[None]
-    # psi has axes (params row, input row, amplitude); an axis stays 1
-    # until a shifted fused block or a phase block widens it
-    psi = np.zeros((1, 1, 2**n), dtype=np.complex128)
-    psi[..., 0] = 1.0
-    for block, plan in zip(template.blocks, template.shift_rows):
-        if isinstance(block, _PhasePermutation):
-            psi = block.apply(psi, grid_inputs)
-        elif shifted and plan is not None:
-            psi = psi @ block.shifted_matrices(params, grid_params, plan)
-        else:
-            psi = psi @ block.matrix(params)
+    psi = _run_blocks(template, params, grid_inputs)
     probs = psi.real**2
     probs += psi.imag**2
     del psi
     z = np.clip(probs @ template.zsign, -1.0, 1.0)
-    z = np.broadcast_to(z, (len(grid_params), len(grid_inputs), n)).swapaxes(0, 1)
-    if not shifted:
-        z = z[:, 0]
-    return z[0] if inputs.ndim == 1 else z
+    z = np.broadcast_to(z, (1, len(grid_inputs), template.n_qubits))[0]
+    return np.ascontiguousarray(z[0] if inputs.ndim == 1 else z)
+
+
+def adjoint_vjp(template: CircuitTemplate, params, inputs, grad) -> np.ndarray:
+    """``sum(grad * d run_circuit_batch(template, params, inputs) / d params)``,
+    (P,), for ``grad`` of the output's shape, by one adjoint sweep (Jones &
+    Gacon 2020, arXiv:2009.02823).  A forward keeps each block's input;
+    lam = (grad @ zsign.T) * psi then runs back through the blocks' adjoints,
+    and each fused block adds ``2 Re(D @ (psi_in.T @ conj(lam)).ravel())``
+    to its slots, D being its ``derivatives``."""
+    params, inputs = _check_slots(template, params, inputs)
+    shape = inputs.shape[:-1] + (template.n_qubits,)
+    if np.shape(grad) != shape:
+        raise ValueError(f"grad must have the output's shape {shape}, got {np.shape(grad)}")
+    grid_inputs = np.atleast_2d(inputs)
+    kept: list[np.ndarray] = []
+    psi = _run_blocks(template, params, grid_inputs, kept)[0]
+    lam = (np.atleast_2d(grad) @ template.zsign.T) * psi
+    out = np.zeros(template.param_slots)
+    for block in reversed(template.blocks):
+        if isinstance(block, _PhasePermutation):
+            lam = lam * kept.pop()
+            lam = lam if block.perm is None else lam[..., np.argsort(block.perm)]
+            continue
+        psi_in = np.broadcast_to(kept.pop()[0], lam.shape)
+        if len(block.slots):
+            out[block.slots] = 2.0 * (block.derivatives(params)
+                                      @ (psi_in.T @ lam.conj()).ravel()).real
+        lam = lam @ block.matrix(params).conj().T
+    return out
+
+
+def _run_blocks(template: CircuitTemplate, params: np.ndarray, inputs: np.ndarray,
+                kept: list | None = None) -> np.ndarray:
+    """The (1, B or 1, 2^n) state for 2-D ``inputs``; ``kept`` gets each fused
+    block's input state and each phase block's conjugate phases."""
+    psi = np.zeros((1, 1, 2**template.n_qubits), dtype=np.complex128)
+    psi[..., 0] = 1.0
+    for block in template.blocks:
+        phase = block.phases(inputs) if isinstance(block, _PhasePermutation) else None
+        if kept is not None:
+            kept.append(psi if phase is None else phase.conj())
+        psi = psi @ block.matrix(params) if phase is None else block.apply(psi, phase)
+    return psi
 
 
 # --- compiled blocks ----------------------------------------------------------
@@ -570,18 +576,6 @@ class _KindGroup:
                 (np.arange(len(members))[:, None] * k2 + self.src[members]).ravel())
 
 
-@dataclass(frozen=True)
-class _ShiftRows:
-    """A fused block's share of a shift plan: the plan rows that move one
-    of its gates, that gate's position in the factor sequence, and per kind
-    the gather of the moved gates' angles and the scatter of their matrices
-    into a (rows * 4^n) buffer."""
-
-    rows: np.ndarray  # (m,)
-    seq: np.ndarray  # (m,)
-    kinds: tuple  # (kind, plan rows (m_k, 1), slots (m_k, n_angles), dest, src)
-
-
 class _FusedUnitary:
     """Consecutive gates that read no input, multiplied into one transposed
     unitary (``psi @ matrix(params)``).
@@ -617,7 +611,18 @@ class _FusedUnitary:
             factor = np.array([self.sequence[s] for s in seq])
             self.groups.append(_KindGroup(kind, seq, factor, params, dest, src))
         self.builds = [g.scatter(np.arange(len(g.seq)), g.factor, d * d) for g in self.groups]
+        # per trainable angle, angle-major in each kind: slot, position, rule, scatter
+        slots, seq, self.derivative_builds = [], [], []
+        for g in self.groups:
+            members = np.tile(np.arange(len(g.seq)), g.params.shape[1])
+            self.derivative_builds.append((*_derivative_rule(g.kind), *g.scatter(
+                members, len(slots) + np.arange(len(members)), d * d)))
+            slots.extend(g.params.T.ravel())
+            seq.extend(g.seq[members])
+        self.slots = np.array(slots, dtype=np.intp)
+        self.slot_seq = np.array(seq, dtype=np.intp)
         self._memo: tuple | None = None  # (params key, factors, matrix) of _build
+        self._derivative_memo: tuple | None = None  # (params key, derivatives)
 
     def _factors(self, params: np.ndarray) -> list[np.ndarray]:
         """The (d, d) factor sequence at one params vector."""
@@ -631,7 +636,7 @@ class _FusedUnitary:
     def _build(self, params: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
         """The factors and their product at ``params``, kept read-only until
         params change: a step builds once per theta for its forwards and
-        its shift rows.  Keyed on the params' bytes, so an in-place edit of
+        its adjoint sweep.  Keyed on the params' bytes, so an in-place edit of
         theta builds again, or on ``b""`` for a block that reads no params,
         which builds once."""
         key = params.tobytes() if self.groups else b""
@@ -650,40 +655,28 @@ class _FusedUnitary:
         """The block's (d, d) transposed unitary at ``params``."""
         return self._build(params)[1]
 
-    def compile_shift_rows(self, row_slot: np.ndarray) -> _ShiftRows | None:
-        """Compile this block's share of a shift plan whose row r moves slot
-        ``row_slot[r]``; None when the block has no trainable gate."""
-        if not self.groups:
-            return None
-        rows, seq, kinds = [], [], []
-        for g in self.groups:
-            plan_rows, members = np.nonzero((row_slot[:, None, None] == g.params).any(axis=2))
-            moved = len(rows) + np.arange(len(plan_rows))
-            kinds.append((g.kind, plan_rows[:, None], g.params[members],
-                          *g.scatter(members, moved, self.dim**2)))
-            rows.extend(plan_rows)
-            seq.extend(g.seq[members])
-        return _ShiftRows(np.array(rows), np.array(seq), tuple(kinds))
-
-    def shifted_matrices(self, params: np.ndarray, shifted: np.ndarray,
-                         plan: _ShiftRows) -> np.ndarray:
-        """(R, d, d): the block's unitary at each plan row of ``shifted``,
-        the shift plan's rows around ``params``."""
-        d = self.dim
-        factors = self._build(params)[0]
-        prefix = [np.eye(d, dtype=np.complex128)]
-        for f in factors:
-            prefix.append(prefix[-1] @ f)
-        suffix = [np.eye(d, dtype=np.complex128)]
-        for f in reversed(factors):
-            suffix.append(f @ suffix[-1])
-        prefix, suffix = np.array(prefix), np.array(suffix[::-1])
-        moved = np.zeros(len(plan.rows) * d * d, dtype=np.complex128)
-        for kind, rows, slots, dest, src in plan.kinds:
-            moved[dest] = gate_matrix(kind, shifted[rows, slots]).ravel()[src]
-        out = np.repeat(prefix[-1][None], len(shifted), axis=0)
-        out[plan.rows] = prefix[plan.seq] @ moved.reshape(-1, d, d) @ suffix[plan.seq + 1]
-        return out
+    def derivatives(self, params: np.ndarray) -> np.ndarray:
+        """(m, d*d): row r is d matrix(params) / d params[slots[r]], from the
+        factors ``_build`` keeps, as prefix @ d factor @ suffix; memoised."""
+        key = params.tobytes()
+        memo = self._derivative_memo
+        if memo is None or memo[0] != key:
+            d = self.dim
+            factors = self._build(params)[0]
+            # prefix[s] is the product of factors[:s], suffix[s] of factors[s + 1:]
+            prefix = np.empty((len(factors), d, d), dtype=np.complex128)
+            suffix = np.empty_like(prefix)
+            prefix[0] = suffix[-1] = np.eye(d)
+            for s in range(1, len(factors)):
+                np.matmul(prefix[s - 1], factors[s - 1], out=prefix[s])
+                np.matmul(factors[-s], suffix[-s], out=suffix[-s - 1])
+            moved = np.zeros(len(self.slots) * d * d, dtype=np.complex128)
+            for g, (steps, weights, dest, src) in zip(self.groups, self.derivative_builds):
+                pair = gate_matrix(g.kind, params[g.params] + steps)  # (angles, 2, g, k, k)
+                moved[dest] = (weights * (pair[:, 0] - pair[:, 1])).ravel()[src]
+            out = prefix[self.slot_seq] @ moved.reshape(-1, d, d) @ suffix[self.slot_seq]
+            memo = self._derivative_memo = (key, out.reshape(-1, d * d))
+        return memo[1]
 
 
 class _PhasePermutation:
@@ -711,7 +704,8 @@ class _PhasePermutation:
         self.enc2 = np.array([(c, *ref[1:]) for c, ref in enumerate(refs) if ref[0] == "enc2"],
                              dtype=np.intp).reshape(-1, 3).T
 
-    def apply(self, psi, inputs):
+    def phases(self, inputs: np.ndarray) -> np.ndarray:
+        """(B, 2^n): ``exp(i * angles @ coeffs)`` for each input row."""
         angles = np.empty((len(inputs), len(self.coeffs)))
         col, i = self.enc1
         angles[:, col] = 2.0 * inputs[:, i]
@@ -719,6 +713,10 @@ class _PhasePermutation:
         angles[:, col] = 2.0 * (math.pi - inputs[:, i]) * (math.pi - inputs[:, j])
         phase = (angles @ self.coeffs) * 1j
         np.exp(phase, out=phase)
+        return phase
+
+    def apply(self, psi: np.ndarray, phase: np.ndarray) -> np.ndarray:
+        """``psi[..., perm] * phase``, for ``phase`` from ``phases``."""
         if self.perm is not None:
             psi = psi[..., self.perm]
         phase = phase[None]
@@ -751,12 +749,8 @@ def _shift_terms(kind: str) -> list[tuple[float, float]]:
     if kind in _TWO_TERM_KINDS:
         return [(math.pi / 2, 0.5), (-math.pi / 2, -0.5)]
     if kind in _FOUR_TERM_KINDS:
-        return [
-            (math.pi / 2, _C_PLUS),
-            (-math.pi / 2, -_C_PLUS),
-            (3 * math.pi / 2, -_C_MINUS),
-            (-3 * math.pi / 2, _C_MINUS),
-        ]
+        return [(math.pi / 2, _C_PLUS), (-math.pi / 2, -_C_PLUS),
+                (3 * math.pi / 2, -_C_MINUS), (-3 * math.pi / 2, _C_MINUS)]
     raise ValueError(f"gate kind {kind!r} has no parameter-shift rule")
 
 
@@ -765,8 +759,12 @@ def parameter_shift_grad(template: CircuitTemplate, params, inputs) -> np.ndarra
 
     Returns (n_qubits, param_slots) with entry (q, j) equal to
     d<Z_q>/d theta_j for (I,) inputs, or (B, n_qubits, param_slots) for
-    (B, I) inputs: the rows of ``run_shift_rows`` contracted with the
-    shift-rule weights of ``template.shift_plan``.
+    (B, I) inputs: ``run_circuit_batch`` at every row ``params + offsets``
+    of ``template.shift_plan``, contracted with its weights.
     """
-    return np.einsum("...rq,rp->...qp", run_shift_rows(template, params, inputs),
-                     template.shift_plan[1])
+    params, inputs = _check_slots(template, params, inputs)
+    template.blocks  # a template that does not compile raises, even with no rows
+    offsets, weights = template.shift_plan
+    rows = [run_circuit_batch(template, params + offset, inputs) for offset in offsets]
+    shape = (len(offsets),) + inputs.shape[:-1] + (template.n_qubits,)
+    return np.einsum("r...q,rp->...qp", np.reshape(rows, shape), weights)

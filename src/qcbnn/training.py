@@ -49,8 +49,8 @@ from .seeding import stream
 
 
 class DivergenceError(RuntimeError):
-    """Raised when a loss term turns non-finite during training; the
-    message names the term, and each caller up the loop adds where."""
+    """Raised when a loss term or the generator turns non-finite during
+    training; the message names it, and each caller up the loop adds where."""
 
 
 def _check_finite(terms: dict[str, float]):
@@ -388,6 +388,8 @@ def train_step(model: ModelState, images, labels, data_scale: float,
     model.opt_generator.step()
     if images is not None:
         model.opt_classifier.step()
+    if not all(np.isfinite(p.data).all() for p in sampler.parameters()):
+        raise DivergenceError("non-finite generator parameters")
     return breakdown
 
 

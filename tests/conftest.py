@@ -25,20 +25,15 @@ def per_draw_samples(sampler, count, rng):
     return out
 
 
-def shifted_rows_oracle(template, params, inputs) -> np.ndarray:
-    """Oracle of ``run_shift_rows`` on one input vector: the gate-by-gate
-    ``run_circuit`` at every row ``params + offsets`` of the template's
-    shift plan, as (R, n)."""
-    grid = np.asarray(params, dtype=np.float64) + template.shift_plan[0]
-    rows = [run_circuit(template, row, inputs) for row in grid]
-    return np.reshape(rows, (-1, template.n_qubits))
-
-
 def shift_rule_oracle(template, params, inputs) -> np.ndarray:
-    """Oracle of ``parameter_shift_grad`` on one input vector: the rows of
-    ``shifted_rows_oracle`` contracted with the shift-rule weights, (n, P)."""
-    return np.einsum("rq,rp->qp", shifted_rows_oracle(template, params, inputs),
-                     template.shift_plan[1])
+    """Oracle of ``parameter_shift_grad`` and ``adjoint_vjp`` on one input
+    vector, (n, P): the gate-by-gate ``run_circuit`` at every row
+    ``params + offsets`` of the template's shift plan, contracted with the
+    shift-rule weights."""
+    grid = np.asarray(params, dtype=np.float64) + template.shift_plan[0]
+    rows = np.reshape([run_circuit(template, row, inputs) for row in grid],
+                      (-1, template.n_qubits))
+    return np.einsum("rq,rp->qp", rows, template.shift_plan[1])
 
 
 def finite_difference_grad(fn, x0: np.ndarray, h: float = 1e-4) -> np.ndarray:

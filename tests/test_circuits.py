@@ -13,6 +13,7 @@ from qcbnn.circuits import (
 )
 from qcbnn.statevector import (
     CircuitTemplate,
+    adjoint_vjp,
     parameter_shift_grad,
     resolve_angles,
     run_circuit,
@@ -153,16 +154,36 @@ class TestAssembly:
         assert np.abs(grad - fd).max() < 1e-5
 
 
+def assembled_templates(arch):
+    """Every 4-qubit template of ``arch``, with a label: layers 1-3, with
+    and without re-upload, each CR axis and both embedding pair sets."""
+    for layers, reupload, cr_axis, pairs in itertools.product(
+            (1, 2, 3), (False, True), "XYZ", ("adjacent", "all")):
+        template = assemble_pqc(arch, 4, layers, reupload, pairs=pairs, cr_axis=cr_axis)
+        yield template, f"{template.name} CR{cr_axis} {pairs}"
+
+
 class TestCompileContract:
     @pytest.mark.parametrize("arch", list(Architecture))
     def test_every_assembled_template_compiles(self, arch):
         # The compiled executor has no gate-by-gate fallback: every template
         # the package builds must split into fused unitaries and phase maps.
-        for layers, reupload, cr_axis, pairs in itertools.product(
-                (1, 2, 3), (False, True), "XYZ", ("adjacent", "all")):
-            template = assemble_pqc(arch, 4, layers, reupload, pairs=pairs, cr_axis=cr_axis)
+        for template, label in assembled_templates(arch):
             kinds = {type(block) for block in template.blocks}
-            assert kinds <= {_FusedUnitary, _PhasePermutation}, (template.name, cr_axis, pairs)
+            assert kinds <= {_FusedUnitary, _PhasePermutation}, label
+
+    @pytest.mark.parametrize("arch", list(Architecture))
+    def test_adjoint_matches_the_shift_rule(self, arch):
+        """Training's adjoint sweep is the vjp of the shift-rule Jacobian on
+        every template the package builds."""
+        rng = np.random.default_rng(list(Architecture).index(arch))
+        for template, label in assembled_templates(arch):
+            params = rng.uniform(0, 2 * math.pi, template.param_slots)
+            inputs = rng.uniform(0, 2 * math.pi, (5, template.input_slots))
+            grad = rng.normal(size=(5, template.n_qubits))
+            want = np.einsum("bq,bqp->p", grad, parameter_shift_grad(template, params, inputs))
+            np.testing.assert_allclose(adjoint_vjp(template, params, inputs, grad), want,
+                                       rtol=0, atol=1e-12, err_msg=label)
 
 
 class TestArchitectureParsing:

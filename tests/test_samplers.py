@@ -20,7 +20,7 @@ from qcbnn.samplers import (
     prior_sample_block,
     sample_noise_block,
 )
-from qcbnn.statevector import CircuitTemplate, run_circuit_batch, run_shift_rows
+from qcbnn.statevector import CircuitTemplate, run_circuit_batch
 from qcbnn.training import _quantum_theta_grad
 
 import graph_oracle as og
@@ -134,6 +134,9 @@ class TestQuantumSampler:
         for row in range(3):
             reference = shift_rule_oracle(sampler.template, sampler.theta.data, noise[row])
             np.testing.assert_allclose(jac[row], reference, atol=1e-12)
+        upstream = np.random.default_rng(9).normal(size=(3, CHUNK_DIM))
+        np.testing.assert_allclose(sampler.theta_vjp(noise, upstream),
+                                   np.einsum("cq,cqp->p", upstream, jac), rtol=0, atol=1e-12)
 
     def test_noise_width_validated(self):
         template = CircuitTemplate(4, (), 0, 3)
@@ -146,15 +149,16 @@ class TestQuantumSampler:
             QuantumWeightSampler(template, np.zeros(3))
 
 
-# Calls that read a template's fused blocks at a sampler's theta; each is
-# made on the sampler under test and on a sampler over a freshly assembled
-# template, whose blocks have built nothing yet.
+# Calls that read a template's fused blocks (their builds, and with
+# theta_vjp their derivatives) at a sampler's theta; each is made on the
+# sampler under test and on a sampler over a freshly assembled template,
+# whose blocks have built nothing yet.
 _CALLS = {
     "expectations": lambda s, noise: s.expectations(noise),
     "batch": lambda s, noise: run_circuit_batch(s.template, s.theta.data, noise),
     "batch_one_row": lambda s, noise: run_circuit_batch(s.template, s.theta.data, noise[0]),
     "jacobian": lambda s, noise: s.jacobian(noise),
-    "shift_rows_one_row": lambda s, noise: run_shift_rows(s.template, s.theta.data, noise[0]),
+    "theta_vjp": lambda s, noise: s.theta_vjp(noise, np.cos(noise)),
 }
 _MEMO_CELLS = [(Architecture.CIRCUIT_III, 1, False), (Architecture.CIRCUIT_III, 2, True),
                (Architecture.CIRCUIT_IV, 2, False), (Architecture.MATIC_II, 1, True)]
@@ -250,12 +254,18 @@ class TestGeneratorContract:
             assert param.grad is not None and param.grad.shape == param.data.shape
             assert np.any(param.grad)
 
-    def test_theta_gradient_is_the_one_shift_rule_vjp(self):
+    def test_theta_gradient_is_the_shift_rule_jacobian_vjp(self):
+        """Backward gives theta the adjoint sweep's gradient, the vjp of the
+        shift-rule Jacobian to rounding, and the same bits as
+        ``_quantum_theta_grad``."""
         sampler = make_quantum_sampler(4, Architecture.MATIC_II)
         rng = np.random.default_rng(31)
         noise = sample_noise_block(rng, sampler.noise_law, N_CHUNKS)
         upstream = rng.normal(size=(N_CHUNKS, CHUNK_DIM))
         og.summation(og.mul(sampler.forward(noise), upstream)).backward()
+        np.testing.assert_allclose(sampler.theta.grad,
+                                   np.einsum("cq,cqp->p", upstream, sampler.jacobian(noise)),
+                                   rtol=0, atol=1e-12)
         leaf = ad.Tensor(sampler.expectations(noise), requires_grad=True)
         leaf.grad = upstream
         assert np.array_equal(sampler.theta.grad,

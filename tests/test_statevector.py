@@ -12,6 +12,7 @@ from qcbnn.statevector import (
     CircuitTemplate,
     Gate,
     StateVector,
+    adjoint_vjp,
     apply_gate,
     born_probabilities,
     expectation_z,
@@ -20,12 +21,12 @@ from qcbnn.statevector import (
     parameter_shift_grad,
     run_circuit,
     run_circuit_batch,
-    run_shift_rows,
     _DIAGONAL_PHASES,
     _FUSE_MAX_QUBITS,
+    _derivative_rule,
 )
 
-from conftest import finite_difference_grad, shift_rule_oracle, shifted_rows_oracle
+from conftest import finite_difference_grad, shift_rule_oracle
 
 
 def rx_template(n=1):
@@ -364,6 +365,27 @@ _UNCOMPILABLE_MIXED = CircuitTemplate(3, (
 _TOO_WIDE = assemble_pqc(Architecture.CIRCUIT_IV, _FUSE_MAX_QUBITS + 1, 2, True, cr_axis="Y")
 
 
+# A phase block whose permutation is not its own inverse (two CNOTs), between
+# trainable fused blocks.
+_PERMUTED = CircuitTemplate(3, (
+    Gate("H", (0,)), Gate("RY", (1,), (("p", 0),)), Gate("CRX", (0, 2), (("p", 1),)),
+    Gate("RZ", (2,), (("enc1", 0),)), Gate("CNOT", (2, 0)), Gate("CNOT", (0, 1)),
+    Gate("RX", (0,), (("p", 2),)), Gate("CRY", (1, 2), (("p", 3),)),
+), 4, 1)
+
+
+def _adjoint_of_ones(template, params, inputs):
+    """``adjoint_vjp`` with a grad of ones, called like the other entry points."""
+    return adjoint_vjp(template, params, inputs,
+                       np.ones(np.shape(inputs)[:-1] + (template.n_qubits,)))
+
+
+# The compiled executor's entry points, each taking (template, params, inputs).
+_ENTRY_POINTS = {"run_circuit_batch": run_circuit_batch,
+                 "parameter_shift_grad": parameter_shift_grad,
+                 "adjoint_vjp": _adjoint_of_ones}
+
+
 class TestCompiledExecutor:
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(template=random_templates(compilable=True), seed=st.integers(0, 2**32 - 1))
@@ -396,7 +418,7 @@ class TestUncompilableTemplates:
         rng = np.random.default_rng(seed)
         params = rng.uniform(-2 * math.pi, 2 * math.pi, template.param_slots)
         inputs = rng.uniform(0, 2 * math.pi, template.input_slots)
-        for run in (run_circuit_batch, run_shift_rows, parameter_shift_grad):
+        for run in _ENTRY_POINTS.values():
             with pytest.raises(ValueError, match="cannot compile"):
                 run(template, params, inputs)
         z = run_circuit(template, params, inputs)
@@ -419,24 +441,78 @@ class TestShiftRows:
     @example(template=assemble_pqc(Architecture.CIRCUIT_II, 4, 2, True), seed=1)
     @example(template=_MIXED, seed=3)
     def test_matches_grid_of_shifted_params(self, template, seed):
+        """``parameter_shift_grad`` on (B, I) inputs, per input row, and the
+        gate-by-gate grid of shifted params agree."""
         rng = np.random.default_rng(seed)
         params = rng.uniform(-2 * math.pi, 2 * math.pi, template.param_slots)
         inputs = rng.uniform(0, 2 * math.pi, (3, template.input_slots))
-        rows = run_shift_rows(template, params, inputs)
-        assert rows.shape == (3, len(template.shift_plan[0]), template.n_qubits)
+        batched = parameter_shift_grad(template, params, inputs)
+        assert batched.shape == (3, template.n_qubits, template.param_slots)
         for b in range(3):
-            np.testing.assert_allclose(rows[b], shifted_rows_oracle(template, params, inputs[b]),
-                                       rtol=0, atol=1e-12)
-            np.testing.assert_allclose(run_shift_rows(template, params, inputs[b]), rows[b],
-                                       rtol=0, atol=1e-13)
             np.testing.assert_allclose(parameter_shift_grad(template, params, inputs[b]),
-                                       shift_rule_oracle(template, params, inputs[b]),
+                                       batched[b], rtol=0, atol=1e-13)
+            np.testing.assert_allclose(batched[b], shift_rule_oracle(template, params, inputs[b]),
                                        rtol=0, atol=1e-12)
+
+
+class TestAdjointVjp:
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(template=random_templates(compilable=True), rows=st.integers(1, 20),
+           seed=st.integers(0, 2**32 - 1))
+    @example(template=_MIXED, rows=20, seed=0)
+    @example(template=_PERMUTED, rows=3, seed=3)
+    @example(template=assemble_pqc(Architecture.CIRCUIT_II, 4, 2, True, cr_axis="Z"),
+             rows=7, seed=1)
+    @example(template=assemble_pqc(Architecture.NIKOLOSKA, 4, 3, True, pairs="all"),
+             rows=1, seed=2)
+    def test_matches_the_shift_rule_oracle(self, template, rows, seed):
+        rng = np.random.default_rng(seed)
+        params = rng.uniform(-2 * math.pi, 2 * math.pi, template.param_slots)
+        inputs = rng.uniform(0, 2 * math.pi, (rows, template.input_slots))
+        grad = rng.normal(size=(rows, template.n_qubits))
+        oracle = np.array([shift_rule_oracle(template, params, row) for row in inputs])
+        want = np.einsum("bq,bqp->p", grad, oracle)
+        got = adjoint_vjp(template, params, inputs, grad)
+        assert got.shape == (template.param_slots,)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        # 1-D inputs take a 1-D grad
+        np.testing.assert_allclose(adjoint_vjp(template, params, inputs[0], grad[0]),
+                                   np.einsum("q,qp->p", grad[0], oracle[0]), rtol=0, atol=1e-12)
+
+    def test_permutation_is_exercised(self):
+        perm = _PERMUTED.blocks[1].perm
+        assert perm is not None and not np.array_equal(perm[perm], np.arange(len(perm)))
+
+    def test_no_trainable_slot(self):
+        template = CircuitTemplate(3, (Gate("H", (0,)), Gate("RZ", (1,), (("enc1", 0),))), 0, 1)
+        assert adjoint_vjp(template, [], np.zeros((5, 1)), np.ones((5, 3))).shape == (0,)
+        assert adjoint_vjp(template, [], [0.3], np.ones(3)).shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 4), (3, 3)])
+    def test_grad_must_have_the_output_shape(self, shape):
+        template = rx_template(2)
+        with pytest.raises(ValueError, match="output's shape"):
+            adjoint_vjp(template, np.zeros(2), np.zeros((3, 0)), np.ones(shape))
+
+    @pytest.mark.parametrize("kind, angle", [(kind, a) for kind, (_, n) in
+                                             sorted(GATE_SIGNATURES.items()) for a in range(n)])
+    def test_gate_derivative_matches_central_differences(self, kind, angle):
+        """The exact matrix derivative each fused block scatters, for one
+        angle of one kind, against central differences of ``gate_matrix``."""
+        rng = np.random.default_rng(angle)
+        angles = rng.uniform(-2 * math.pi, 2 * math.pi, (5, GATE_SIGNATURES[kind][1]))
+        steps, weights = _derivative_rule(kind)
+        pair = gate_matrix(kind, angles + steps)
+        got = (weights * (pair[:, 0] - pair[:, 1]))[angle]
+        h = 1e-6
+        step = np.zeros(angles.shape[1])
+        step[angle] = h
+        fd = (gate_matrix(kind, angles + step) - gate_matrix(kind, angles - step)) / (2 * h)
+        np.testing.assert_allclose(got, fd, rtol=0, atol=1e-9)
 
 
 class TestInputChecks:
-    @pytest.mark.parametrize("run", [run_circuit_batch, run_shift_rows, parameter_shift_grad],
-                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("run", list(_ENTRY_POINTS.values()), ids=list(_ENTRY_POINTS))
     def test_takes_one_params_vector(self, run):
         template = rx_template(2)
         with pytest.raises(ValueError, match="one params vector"):

@@ -302,6 +302,34 @@ class TestTrainStepAndEpoch:
             tr.train_epoch(model, train.images[:12], train.labels[:12], epoch=5)
         assert str(caught.value) == "seed 14, epoch 5, batch 0: non-finite likelihood term (nan)"
 
+    def test_nan_theta_gradient_names_the_generator(self, tiny_split, monkeypatch):
+        # the losses of the step stay finite; only the descent turns theta NaN
+        train, _ = tiny_split
+        model = quantum_model(seed=15, batch_size=4)
+        theta = model.sampler.theta
+        monkeypatch.setattr(model.sampler, "theta_vjp",
+                            lambda noise, grad: np.full(theta.data.shape, np.nan))
+        with pytest.raises(tr.DivergenceError) as caught:
+            tr.train_epoch(model, train.images[:12], train.labels[:12], epoch=3)
+        assert str(caught.value) == "seed 15, epoch 3, batch 0: non-finite generator parameters"
+        assert np.isnan(theta.data).all()
+
+    def test_nan_mlp_gradient_names_the_generator(self, tiny_split, monkeypatch):
+        train, _ = tiny_split
+        model = tr.build_model(tr.TrainConfig(seed=16, sampler="classical", batch_size=4),
+                               (28, 28))
+        sampler = model.sampler
+        forward = sampler.forward
+
+        def nan_w1_gradient(noise):  # the MLP's chunks; w1 gets a NaN gradient
+            return ad._node(forward(noise).data, (sampler.w1,),
+                            lambda g: (np.full(sampler.w1.data.shape, np.nan),))
+
+        monkeypatch.setattr(sampler, "forward", nan_w1_gradient)
+        with pytest.raises(tr.DivergenceError) as caught:
+            tr.train_epoch(model, train.images[:12], train.labels[:12], epoch=1)
+        assert str(caught.value) == "seed 16, epoch 1, batch 0: non-finite generator parameters"
+
     def test_discriminator_only_phase_increases_objective(self):
         # frozen generator stuck in a corner vs uniform prior
         rng = np.random.default_rng(10)
@@ -736,7 +764,7 @@ class TestClosedFormStep:
     def test_step_builds_each_trainable_block_once(self, tiny_split, cell, n_trainable,
                                                    monkeypatch):
         """The discriminator's chunks, the generator forward and the
-        shift-rule rows of one step share each trainable block's build,
+        adjoint sweep of one step share each trainable block's build,
         and a block with no trainable gate builds at most once in all."""
         train, _ = tiny_split
         model = cell_model(cell)
