@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .statevector import CircuitTemplate, adjoint_vjp, parameter_shift_grad, run_circuit_batch
+from .statevector import (CircuitTemplate, Tape, adjoint_vjp, parameter_shift_grad,
+                          run_circuit_batch)
 
 N_CHUNKS = 16
 CHUNK_DIM = 4
@@ -137,19 +138,24 @@ class QuantumWeightSampler:
         self.theta = ad.Tensor(theta, requires_grad=True)
         self.noise_law = noise_law or NoiseLaw()
 
-    def expectations(self, noise: np.ndarray) -> np.ndarray:
-        """Chunk matrix for given noise rows, shape (rows, 4)."""
-        return run_circuit_batch(self.template, self.theta.data, noise)
+    def expectations(self, noise: np.ndarray, tape: Tape | None = None) -> np.ndarray:
+        """Chunk matrix for given noise rows, shape (rows, 4); ``tape``, if
+        given, records the circuit run for ``theta_vjp``."""
+        return run_circuit_batch(self.template, self.theta.data, noise, tape)
 
     def forward(self, noise: np.ndarray) -> ad.Tensor:
-        """Chunk matrix as a graph node over theta; the adjoint sweep runs
-        only when backward reaches the node."""
-        return ad._node(self.expectations(noise), (self.theta,),
-                        lambda g: (self.theta_vjp(noise, g),))
+        """Chunk matrix as a graph node over theta.  The node keeps the
+        forward's tape, so the adjoint sweep, run only when backward
+        reaches the node, runs no circuit forward of its own."""
+        tape = Tape()
+        return ad._node(self.expectations(noise, tape), (self.theta,),
+                        lambda g: (self.theta_vjp(noise, g, tape),))
 
-    def theta_vjp(self, noise: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """theta's gradient from the (rows, 4) gradient of the chunks."""
-        return adjoint_vjp(self.template, self.theta.data, noise, grad)
+    def theta_vjp(self, noise: np.ndarray, grad: np.ndarray,
+                  tape: Tape | None = None) -> np.ndarray:
+        """theta's gradient from the (rows, 4) gradient of the chunks, from
+        the ``tape`` of the forward at this theta if one is given."""
+        return adjoint_vjp(self.template, self.theta.data, noise, grad, tape)
 
     def jacobian(self, noise: np.ndarray) -> np.ndarray:
         """d(chunk)/d(theta) for every noise row: (rows, 4, param_slots),

@@ -9,9 +9,10 @@ Conventions, fixed across the package:
 * Every operation is pure: states are never mutated in place (the
   executor updates only buffers it allocated itself), identical inputs
   give bit-identical outputs, and no function touches global state.  The
-  one state kept is per fused block: its last build and derivatives,
-  reused while the params' bytes stay the same (or for good, in a block
-  that reads no params), so outputs are the same bits with or without it.
+  one state kept is per fused block: its last build, the stack of prefix
+  products of its factors, reused while the params' bytes stay the same
+  (or for good, in a block that reads no params), so outputs are the same
+  bits with or without it.
 
 Circuit templates carry symbolic angle references that are resolved
 against a trainable-parameter vector and a noise-input vector at run
@@ -42,9 +43,11 @@ blocks once per params vector, whatever the batch size.  <Z> is read as
 ``|psi|^2 @ zsign``.
 
 ``adjoint_vjp``, which training uses, gives the params gradient of
-``sum(grad * <Z>)`` by one forward and one backward sweep over the blocks.
-``parameter_shift_grad``, its reference, contracts ``run_circuit_batch`` at
-every row of the shift plan with the shift-rule weights.
+``sum(grad * <Z>)`` by one backward sweep over the blocks, reading the
+``Tape`` that a ``run_circuit_batch`` forward recorded (or running that
+forward itself).  ``parameter_shift_grad``, its reference, contracts
+``run_circuit_batch`` at every row of the shift plan with the shift-rule
+weights.
 """
 
 from __future__ import annotations
@@ -444,15 +447,30 @@ def run_circuit(template: CircuitTemplate, params, inputs) -> np.ndarray:
     return np.clip((sign * probs).reshape(n, -1).sum(axis=1), -1.0, 1.0)
 
 
-def run_circuit_batch(template: CircuitTemplate, params, inputs) -> np.ndarray:
+@dataclass
+class Tape:
+    """What one ``run_circuit_batch`` forward keeps for ``adjoint_vjp``: the
+    bytes of the params it ran at, each block's saved array in block order
+    (a fused block's (1, B or 1, 2^n) input state, a phase block's (B, 2^n)
+    conjugate phases) and the final (B or 1, 2^n) state."""
+
+    key: bytes | None = None
+    kept: list = field(default_factory=list)
+    psi: np.ndarray | None = None
+
+
+def run_circuit_batch(template: CircuitTemplate, params, inputs,
+                      tape: Tape | None = None) -> np.ndarray:
     """``run_circuit(template, params, inputs[b])`` for every input row.
 
     ``params`` is one (P,) vector and ``inputs`` is (B, I), giving (B, n),
-    or (I,), giving (n,).
+    or (I,), giving (n,).  A ``tape``, if given, records the run for
+    ``adjoint_vjp`` in place of what it held; the outputs are the same bits
+    either way.
     """
     params, inputs = _check_slots(template, params, inputs)
     grid_inputs = np.atleast_2d(inputs)
-    psi = _run_blocks(template, params, grid_inputs)
+    psi = _run_blocks(template, params, grid_inputs, tape)
     probs = psi.real**2
     probs += psi.imag**2
     del psi
@@ -461,46 +479,50 @@ def run_circuit_batch(template: CircuitTemplate, params, inputs) -> np.ndarray:
     return np.ascontiguousarray(z[0] if inputs.ndim == 1 else z)
 
 
-def adjoint_vjp(template: CircuitTemplate, params, inputs, grad) -> np.ndarray:
+def adjoint_vjp(template: CircuitTemplate, params, inputs, grad,
+                tape: Tape | None = None) -> np.ndarray:
     """``sum(grad * d run_circuit_batch(template, params, inputs) / d params)``,
     (P,), for ``grad`` of the output's shape, by one adjoint sweep (Jones &
-    Gacon 2020, arXiv:2009.02823).  A forward keeps each block's input;
-    lam = (grad @ zsign.T) * psi then runs back through the blocks' adjoints,
-    and each fused block adds ``2 Re(D @ (psi_in.T @ conj(lam)).ravel())``
-    to its slots, D being its ``derivatives``."""
+    Gacon 2020, arXiv:2009.02823) over the ``tape`` of that forward, or of
+    one it runs itself; a tape recorded at other params is a ``ValueError``.
+    lam = (grad @ zsign.T) * psi runs back through the blocks' adjoints, and
+    each fused block of matrix M adds ``slot_grads`` at lam_in = lam @ M^H."""
     params, inputs = _check_slots(template, params, inputs)
     shape = inputs.shape[:-1] + (template.n_qubits,)
     if np.shape(grad) != shape:
         raise ValueError(f"grad must have the output's shape {shape}, got {np.shape(grad)}")
-    grid_inputs = np.atleast_2d(inputs)
-    kept: list[np.ndarray] = []
-    psi = _run_blocks(template, params, grid_inputs, kept)[0]
-    lam = (np.atleast_2d(grad) @ template.zsign.T) * psi
+    if tape is None:
+        tape = Tape()
+        _run_blocks(template, params, np.atleast_2d(inputs), tape)
+    elif tape.key != params.tobytes():
+        raise ValueError("the tape was recorded at other params; run the forward again")
+    lam = (np.atleast_2d(grad) @ template.zsign.T) * tape.psi
     out = np.zeros(template.param_slots)
-    for block in reversed(template.blocks):
+    for block, saved in zip(reversed(template.blocks), reversed(tape.kept)):
         if isinstance(block, _PhasePermutation):
-            lam = lam * kept.pop()
+            lam = lam * saved
             lam = lam if block.perm is None else lam[..., np.argsort(block.perm)]
             continue
-        psi_in = np.broadcast_to(kept.pop()[0], lam.shape)
-        if len(block.slots):
-            out[block.slots] = 2.0 * (block.derivatives(params)
-                                      @ (psi_in.T @ lam.conj()).ravel()).real
         lam = lam @ block.matrix(params).conj().T
+        if len(block.slots):
+            out[block.slots] = block.slot_grads(params, saved[0], lam)
     return out
 
 
 def _run_blocks(template: CircuitTemplate, params: np.ndarray, inputs: np.ndarray,
-                kept: list | None = None) -> np.ndarray:
-    """The (1, B or 1, 2^n) state for 2-D ``inputs``; ``kept`` gets each fused
-    block's input state and each phase block's conjugate phases."""
+                tape: Tape | None = None) -> np.ndarray:
+    """The (1, B or 1, 2^n) state for 2-D ``inputs``, recorded on ``tape``."""
     psi = np.zeros((1, 1, 2**template.n_qubits), dtype=np.complex128)
     psi[..., 0] = 1.0
+    if tape is not None:
+        tape.key, tape.kept = params.tobytes(), []
     for block in template.blocks:
         phase = block.phases(inputs) if isinstance(block, _PhasePermutation) else None
-        if kept is not None:
-            kept.append(psi if phase is None else phase.conj())
+        if tape is not None:
+            tape.kept.append(psi if phase is None else phase.conj())
         psi = psi @ block.matrix(params) if phase is None else block.apply(psi, phase)
+    if tape is not None:
+        tape.psi = psi[0]
     return psi
 
 
@@ -583,7 +605,8 @@ class _FusedUnitary:
     The product runs over a fixed factor sequence: each merged run of
     angle-free gates is one constant matrix, and each trainable gate is
     one factor of an (F, 2^n, 2^n) buffer that a build fills with one
-    gather, one ``gate_matrix`` call and one scatter per gate kind.
+    gather, one ``gate_matrix`` call and one scatter per gate kind.  The
+    build keeps the product's prefixes, which the adjoint sweep reads.
     """
 
     def __init__(self, gates: list[Gate], n: int):
@@ -621,8 +644,7 @@ class _FusedUnitary:
             seq.extend(g.seq[members])
         self.slots = np.array(slots, dtype=np.intp)
         self.slot_seq = np.array(seq, dtype=np.intp)
-        self._memo: tuple | None = None  # (params key, factors, matrix) of _build
-        self._derivative_memo: tuple | None = None  # (params key, derivatives)
+        self._memo: tuple | None = None  # (params key, prefix stack) of _build
 
     def _factors(self, params: np.ndarray) -> list[np.ndarray]:
         """The (d, d) factor sequence at one params vector."""
@@ -633,50 +655,45 @@ class _FusedUnitary:
         buf = buf.reshape(self.n_factors, d, d)
         return [f if isinstance(f, np.ndarray) else buf[f] for f in self.sequence]
 
-    def _build(self, params: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        """The factors and their product at ``params``, kept read-only until
-        params change: a step builds once per theta for its forwards and
-        its adjoint sweep.  Keyed on the params' bytes, so an in-place edit of
-        theta builds again, or on ``b""`` for a block that reads no params,
-        which builds once."""
+    def _build(self, params: np.ndarray) -> np.ndarray:
+        """The (F + 1, d, d) prefix stack P of the F factors at ``params``:
+        P[0] = I, P[1] = factor 0, P[s + 1] = P[s] @ factor s, so P[-1] is
+        their product.  Kept read-only until params change: a step builds
+        once per theta for its forward and its adjoint sweep.  Keyed on the
+        params' bytes, so an in-place edit of theta builds again, or on
+        ``b""`` for a block that reads no params, which builds once."""
         key = params.tobytes() if self.groups else b""
         memo = self._memo
         if memo is None or memo[0] != key:
             factors = self._factors(params)
-            matrix = factors[0]
-            for f in factors[1:]:
-                matrix = matrix @ f
-            for a in factors + [matrix]:
-                a.flags.writeable = False
-            memo = self._memo = (key, factors, matrix)
-        return memo[1], memo[2]
+            prefix = np.empty((len(factors) + 1, self.dim, self.dim), dtype=np.complex128)
+            prefix[0] = np.eye(self.dim)
+            prefix[1] = factors[0]
+            for s in range(1, len(factors)):
+                np.matmul(prefix[s], factors[s], out=prefix[s + 1])
+            prefix.flags.writeable = False
+            memo = self._memo = (key, prefix)
+        return memo[1]
 
     def matrix(self, params: np.ndarray) -> np.ndarray:
         """The block's (d, d) transposed unitary at ``params``."""
-        return self._build(params)[1]
+        return self._build(params)[-1]
 
-    def derivatives(self, params: np.ndarray) -> np.ndarray:
-        """(m, d*d): row r is d matrix(params) / d params[slots[r]], from the
-        factors ``_build`` keeps, as prefix @ d factor @ suffix; memoised."""
-        key = params.tobytes()
-        memo = self._derivative_memo
-        if memo is None or memo[0] != key:
-            d = self.dim
-            factors = self._build(params)[0]
-            # prefix[s] is the product of factors[:s], suffix[s] of factors[s + 1:]
-            prefix = np.empty((len(factors), d, d), dtype=np.complex128)
-            suffix = np.empty_like(prefix)
-            prefix[0] = suffix[-1] = np.eye(d)
-            for s in range(1, len(factors)):
-                np.matmul(prefix[s - 1], factors[s - 1], out=prefix[s])
-                np.matmul(factors[-s], suffix[-s], out=suffix[-s - 1])
-            moved = np.zeros(len(self.slots) * d * d, dtype=np.complex128)
-            for g, (steps, weights, dest, src) in zip(self.groups, self.derivative_builds):
-                pair = gate_matrix(g.kind, params[g.params] + steps)  # (angles, 2, g, k, k)
-                moved[dest] = (weights * (pair[:, 0] - pair[:, 1])).ravel()[src]
-            out = prefix[self.slot_seq] @ moved.reshape(-1, d, d) @ suffix[self.slot_seq]
-            memo = self._derivative_memo = (key, out.reshape(-1, d * d))
-        return memo[1]
+    def slot_grads(self, params: np.ndarray, psi_in: np.ndarray,
+                   lam_in: np.ndarray) -> np.ndarray:
+        """(m,) gradient for ``slots`` from the (B or 1, d) input state and
+        the (B, d) cotangent ``lam_in`` = lam_out @ matrix^H: per slot at
+        factor s, ``2 Re sum((psi_in @ P[s] @ dF) * conj(lam_in @ P[s + 1]))``
+        with dF the exact derivative of factor s, scattered as it is built."""
+        d = self.dim
+        moved = np.zeros(len(self.slots) * d * d, dtype=np.complex128)
+        for g, (steps, weights, dest, src) in zip(self.groups, self.derivative_builds):
+            pair = gate_matrix(g.kind, params[g.params] + steps)  # (angles, 2, g, k, k)
+            moved[dest] = (weights * (pair[:, 0] - pair[:, 1])).ravel()[src]
+        prefix = self._build(params)
+        left = (psi_in @ prefix[self.slot_seq]) @ moved.reshape(-1, d, d)
+        right = lam_in @ prefix[self.slot_seq + 1]
+        return 2.0 * (left * right.conj()).real.sum(axis=(1, 2))
 
 
 class _PhasePermutation:

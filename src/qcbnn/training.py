@@ -1,9 +1,9 @@
 """Adversarial variational-inference training and ensemble prediction.
 
 One training step draws stochastic convolution weights from the
-generator, lets the discriminator take a maximization step on its
-cross-entropy objective (generated vs prior chunks), then descends the
-combined loss
+generator in one forward, lets the discriminator take a maximization step
+on its cross-entropy objective (those generated chunks vs prior chunks),
+then descends the combined loss
 
     L = alpha * (-log p(D|w))  +  beta * (logit(d(w)) - log p(D|w)),
 
@@ -20,6 +20,10 @@ of fused nodes with closed-form vjps: the generator, the convolution,
 the classifier head (relu, dense, softmax cross-entropy), the KL term and
 the weighted sum.  The discriminator's logit term has the chunks as its
 only parent, so the descent leaves the discriminator's gradients alone.
+The PQC generator's node keeps its forward's tape, so a quantum step runs
+the circuit once: the adjoint sweep of its backward reads the block input
+states that forward recorded and contracts them against the prefix
+products each fused block kept from its build.
 """
 
 from __future__ import annotations
@@ -365,20 +369,21 @@ def train_step(model: ModelState, images, labels, data_scale: float,
     sampler = model.sampler
 
     noise = sample_noise_block(rng_noise, sampler.noise_law, N_CHUNKS)
+    # the ascent moves no generator tensor and forward draws no random
+    # number, so one forward serves the discriminator and the descent
+    chunks = sampler.forward(noise)
     disc_value = float("nan")
     if not isinstance(sampler, GaussianPosterior):  # the plain-VI KL is analytic
-        chunk_values = sampler.expectations(noise)
         for _ in range(cfg.disc_steps):
             prior_chunks = prior_sample_block(cfg.prior, rng_prior, N_CHUNKS)
-            loss_d = _disc_loss(model.disc, prior_chunks, chunk_values)
+            loss_d = _disc_loss(model.disc, prior_chunks, chunks.data)
             disc_value = -float(loss_d.data)
             _check_finite({"discriminator objective": disc_value})
             model.opt_discriminator.zero_grad()
             loss_d.backward()
             model.opt_discriminator.step()
 
-    combined, breakdown = combined_loss_graph(model, [sampler.forward(noise)], images,
-                                              labels, data_scale)
+    combined, breakdown = combined_loss_graph(model, [chunks], images, labels, data_scale)
     breakdown.discriminator_loss = disc_value
     _check_finite({"likelihood term": breakdown.likelihood_term,
                    "kl term": breakdown.kl_term, "combined loss": breakdown.combined})

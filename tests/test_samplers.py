@@ -138,6 +138,15 @@ class TestQuantumSampler:
         np.testing.assert_allclose(sampler.theta_vjp(noise, upstream),
                                    np.einsum("cq,cqp->p", upstream, jac), rtol=0, atol=1e-12)
 
+    def test_theta_edited_between_forward_and_backward_raises(self):
+        template = assemble_pqc(Architecture.CIRCUIT_III, 4)
+        sampler = QuantumWeightSampler(template, np.linspace(0, 3, template.param_slots))
+        noise = np.random.default_rng(0).uniform(0, 2 * math.pi, (16, CHUNK_DIM))
+        node = sampler.forward(noise)
+        sampler.theta.data[0] += 0.5
+        with pytest.raises(ValueError, match="other params"):
+            node._vjp(np.ones_like(node.data))
+
     def test_noise_width_validated(self):
         template = CircuitTemplate(4, (), 0, 3)
         with pytest.raises(ValueError, match="4 noise inputs"):
@@ -149,16 +158,26 @@ class TestQuantumSampler:
             QuantumWeightSampler(template, np.zeros(3))
 
 
-# Calls that read a template's fused blocks (their builds, and with
-# theta_vjp their derivatives) at a sampler's theta; each is made on the
-# sampler under test and on a sampler over a freshly assembled template,
-# whose blocks have built nothing yet.
+def _forward_then_backward(sampler, noise):
+    """The forward node's chunks and theta's gradient from its vjp, which
+    reads the forward's tape; a run at another theta in between makes the
+    sweep rebuild the blocks the forward built."""
+    node = sampler.forward(noise)
+    run_circuit_batch(sampler.template, sampler.theta.data + 1.0, noise)
+    return np.concatenate([node.data.ravel(), node._vjp(np.cos(noise))[0]])
+
+
+# Calls that read a template's fused blocks (their builds, the prefix
+# products that theta_vjp contracts against) at a sampler's theta; each is
+# made on the sampler under test and on a sampler over a freshly assembled
+# template, whose blocks have built nothing yet.
 _CALLS = {
     "expectations": lambda s, noise: s.expectations(noise),
     "batch": lambda s, noise: run_circuit_batch(s.template, s.theta.data, noise),
     "batch_one_row": lambda s, noise: run_circuit_batch(s.template, s.theta.data, noise[0]),
     "jacobian": lambda s, noise: s.jacobian(noise),
     "theta_vjp": lambda s, noise: s.theta_vjp(noise, np.cos(noise)),
+    "forward_backward": _forward_then_backward,
 }
 _MEMO_CELLS = [(Architecture.CIRCUIT_III, 1, False), (Architecture.CIRCUIT_III, 2, True),
                (Architecture.CIRCUIT_IV, 2, False), (Architecture.MATIC_II, 1, True)]

@@ -12,6 +12,7 @@ from qcbnn.statevector import (
     CircuitTemplate,
     Gate,
     StateVector,
+    Tape,
     adjoint_vjp,
     apply_gate,
     born_probabilities,
@@ -478,6 +479,45 @@ class TestAdjointVjp:
         # 1-D inputs take a 1-D grad
         np.testing.assert_allclose(adjoint_vjp(template, params, inputs[0], grad[0]),
                                    np.einsum("q,qp->p", grad[0], oracle[0]), rtol=0, atol=1e-12)
+
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(template=random_templates(compilable=True), rows=st.integers(1, 6),
+           one_row=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(template=_PERMUTED, rows=3, one_row=False, seed=3)
+    def test_tape_gives_the_same_bits(self, template, rows, one_row, seed):
+        """A forward's tape changes neither its outputs nor the sweep that
+        reads it, against a sweep that runs its own forward."""
+        rng = np.random.default_rng(seed)
+        params = rng.uniform(-2 * math.pi, 2 * math.pi, template.param_slots)
+        inputs = rng.uniform(0, 2 * math.pi, (rows, template.input_slots))
+        grad = rng.normal(size=(rows, template.n_qubits))
+        if one_row:
+            inputs, grad = inputs[0], grad[0]
+        tape = Tape()
+        forward = run_circuit_batch(template, params, inputs, tape)
+        assert np.array_equal(forward, run_circuit_batch(template, params, inputs))
+        assert len(tape.kept) == len(template.blocks)
+        want = adjoint_vjp(template, params, inputs, grad)
+        assert np.array_equal(adjoint_vjp(template, params, inputs, grad, tape), want)
+        # the sweep leaves the tape as it was, so it can be read again
+        assert np.array_equal(adjoint_vjp(template, params, inputs, grad, tape), want)
+
+    def test_stale_tape_raises(self):
+        template = assemble_pqc(Architecture.CIRCUIT_III, 4, 2, True)
+        rng = np.random.default_rng(0)
+        params = rng.uniform(0, 2 * math.pi, template.param_slots)
+        inputs = rng.uniform(0, 2 * math.pi, (5, 4))
+        grad = np.ones((5, 4))
+        tape = Tape()
+        run_circuit_batch(template, params, inputs, tape)
+        params[3] += 0.1  # edited in place after the forward
+        with pytest.raises(ValueError, match="other params"):
+            adjoint_vjp(template, params, inputs, grad, tape)
+        with pytest.raises(ValueError, match="other params"):
+            adjoint_vjp(template, params, inputs, grad, Tape())  # never recorded
+        run_circuit_batch(template, params, inputs, tape)  # a new forward re-records it
+        assert np.array_equal(adjoint_vjp(template, params, inputs, grad, tape),
+                              adjoint_vjp(template, params, inputs, grad))
 
     def test_permutation_is_exercised(self):
         perm = _PERMUTED.blocks[1].perm

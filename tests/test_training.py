@@ -15,6 +15,7 @@ from qcbnn.samplers import (
     Discriminator,
     NoiseLaw,
     PriorSpec,
+    QuantumWeightSampler,
     WeightSample,
     prior_sample_block,
     sample_noise_block,
@@ -308,7 +309,7 @@ class TestTrainStepAndEpoch:
         model = quantum_model(seed=15, batch_size=4)
         theta = model.sampler.theta
         monkeypatch.setattr(model.sampler, "theta_vjp",
-                            lambda noise, grad: np.full(theta.data.shape, np.nan))
+                            lambda noise, grad, tape=None: np.full(theta.data.shape, np.nan))
         with pytest.raises(tr.DivergenceError) as caught:
             tr.train_epoch(model, train.images[:12], train.labels[:12], epoch=3)
         assert str(caught.value) == "seed 15, epoch 3, batch 0: non-finite generator parameters"
@@ -789,6 +790,32 @@ class TestClosedFormStep:
             constant_builds = [n + sum(b is block for b in builds)
                                for n, block in zip(constant_builds, constant)]
         assert max(constant_builds) <= 1
+
+    @pytest.mark.parametrize("cell, disc_steps", [(cell, n) for cell in STEP_CELLS
+                                                  for n in (1, 3)])
+    def test_step_runs_the_generator_forward_once(self, tiny_split, cell, disc_steps,
+                                                  monkeypatch):
+        """One generator forward serves the discriminator's ascent and the
+        descent, and the PQC's adjoint sweep reads the forward's tape, so a
+        quantum step runs the circuit once whatever the ascent steps."""
+        train, _ = tiny_split
+        model = cell_model(cell, disc_steps=disc_steps)
+        if isinstance(model.sampler, QuantumWeightSampler):
+            owner, name = sv, "_run_blocks"
+        else:
+            owner, name = type(model.sampler), "forward"
+        calls = []
+        original = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+        for step in range(2):
+            calls.clear()
+            tr.train_step(model, train.images[:7], train.labels[:7], 4.0, *step_streams(step))
+            assert calls == [name]
 
 
 NODE_SETTINGS = settings(derandomize=True, database=None, max_examples=30, deadline=None)
