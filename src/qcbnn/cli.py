@@ -156,12 +156,11 @@ def main(argv=None) -> int:
 
 
 def _sample_weights(args) -> str:
-    from .experiment import dump_weight_samples, load_run, read_run_config, resolve_dataset
+    from .experiment import dataset_image_shape, dump_weight_samples, load_run, read_run_config
     from .training import build_model
 
     if args.run_dir:
-        shape_probe = resolve_dataset(read_run_config(args.run_dir))
-        model, _ = load_run(args.run_dir, shape_probe.images.shape[1:])
+        model, _ = load_run(args.run_dir, dataset_image_shape(read_run_config(args.run_dir)))
     else:
         config = _build_config(args)
         model = build_model(config.train_config(*config.cells()[0]), (28, 28))

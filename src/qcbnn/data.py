@@ -5,6 +5,11 @@ Images are grayscale H x W grids stored as floats in [0, 1] with an
 underlying 0..255 byte quantization, so the binary container round-trips
 losslessly.  Labels are binary; class 1 is the positive (malignant-like)
 class throughout the package.
+
+The synthetic generator draws its random numbers image by image, in one
+fixed stream order, and does all pixel work as in-place passes over
+blocks of images.  A dataset file's image shape can be read from its
+header without loading the images.
 """
 
 from __future__ import annotations
@@ -41,8 +46,9 @@ class Dataset:
             raise ValueError("image count != label count")
         if not np.isin(self.labels, (0, 1)).all():
             raise ValueError("labels must be 0 or 1")
-        if self.images.size and (self.images.min() < 0.0 or self.images.max() > 1.0):
-            raise ValueError("pixels must lie in [0, 1]")
+        # written so that a NaN, whose comparisons are all false, fails too
+        if self.images.size and not (self.images.min() >= 0.0 and self.images.max() <= 1.0):
+            raise ValueError("pixels must be finite and lie in [0, 1]")
 
     def __len__(self) -> int:
         return len(self.images)
@@ -69,23 +75,47 @@ def save_dataset(path, dataset: Dataset):
         fh.write(pixels.tobytes())
 
 
-def _load_container(path) -> Dataset:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 24:
+def _container_header(fh) -> tuple[int, int, int]:
+    """Image count, height and width from a binary container's header."""
+    head = fh.read(24)
+    if len(head) < 24:
         raise ValueError("truncated container")
-    if blob[:8] != DATASET_MAGIC:
+    if head[:8] != DATASET_MAGIC:
         raise ValueError("bad dataset magic")
-    version, n, h, w = struct.unpack_from("<IIII", blob, 8)
+    version, n, h, w = struct.unpack_from("<IIII", head, 8)
     if version != DATASET_VERSION:
         raise ValueError(f"unsupported dataset version {version}")
-    need = 24 + n + n * h * w
-    if len(blob) < need:
+    return n, h, w
+
+
+def _csv_header(reader) -> int:
+    """Side of the square images named by the CSV header row."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError("truncated container") from None
+    if not header or header[0] != "label":
+        raise ValueError("header mismatch at column 'label'")
+    n_pix = len(header) - 1
+    for i, name in enumerate(header[1:]):
+        if name != f"p{i}":
+            raise ValueError(f"header mismatch at column {name!r}")
+    side = math.isqrt(n_pix)
+    if side * side != n_pix:
+        raise ValueError(f"pixel count {n_pix} is not a square image")
+    return side
+
+
+def _load_container(path) -> Dataset:
+    with open(path, "rb") as fh:
+        n, h, w = _container_header(fh)
+        body = fh.read()
+    if len(body) < n + n * h * w:
         raise ValueError("truncated container")
-    labels = np.frombuffer(blob, dtype=np.uint8, count=n, offset=24)
+    labels = np.frombuffer(body, dtype=np.uint8, count=n)
     if labels.size and labels.max() > 1:
         raise ValueError("label outside {0, 1}")
-    pixels = np.frombuffer(blob, dtype=np.uint8, count=n * h * w, offset=24 + n)
+    pixels = np.frombuffer(body, dtype=np.uint8, count=n * h * w, offset=n)
     images = pixels.reshape(n, h, w).astype(np.float64) / 255.0
     return Dataset(images, labels.astype(np.int64))
 
@@ -93,19 +123,8 @@ def _load_container(path) -> Dataset:
 def _load_csv(path) -> Dataset:
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("truncated container") from None
-        if not header or header[0] != "label":
-            raise ValueError("header mismatch at column 'label'")
-        n_pix = len(header) - 1
-        for i, name in enumerate(header[1:]):
-            if name != f"p{i}":
-                raise ValueError(f"header mismatch at column {name!r}")
-        side = int(math.isqrt(n_pix))
-        if side * side != n_pix:
-            raise ValueError(f"pixel count {n_pix} is not a square image")
+        side = _csv_header(reader)
+        n_pix = side * side
         labels, rows = [], []
         for line_no, row in enumerate(reader, start=2):
             if len(row) != n_pix + 1:
@@ -125,6 +144,18 @@ def load_dataset(path, format: str = "binary") -> Dataset:
         return _load_container(path)
     if format == "csv":
         return _load_csv(path)
+    raise ValueError(f"unknown dataset format {format!r}")
+
+
+def read_image_shape(path, format: str = "binary") -> tuple[int, int]:
+    """Image (H, W) of a dataset file, read from its header alone."""
+    if format == "binary":
+        with open(path, "rb") as fh:
+            return _container_header(fh)[1:]
+    if format == "csv":
+        with open(path, "r", newline="") as fh:
+            side = _csv_header(csv.reader(fh))
+        return side, side
     raise ValueError(f"unknown dataset format {format!r}")
 
 
@@ -174,35 +205,83 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0):
+            raise ValueError(
+                f"synthetic noise_scale must be finite and >= 0, got {self.noise_scale}")
+        if not math.isfinite(self.imbalance):
+            raise ValueError(f"synthetic imbalance must be finite, got {self.imbalance}")
         n_pos = int(round(self.n_samples * self.imbalance))
         if self.n_samples < 2 or n_pos < 1 or n_pos >= self.n_samples:
             raise ValueError("degenerate synthetic spec: need both classes present")
 
 
+SYNTH_BLOCK = 32  # images per in-place pixel pass of ``synth_generate``
+
+
+def _uniform(unit, low, high):
+    """``Generator.uniform(low, high)`` of a unit draw: low + (high - low) * u."""
+    return low + (high - low) * unit
+
+
 def synth_generate(spec: SynthSpec) -> Dataset:
-    """Deterministic synthetic dataset; pixels quantized to 0..255 levels."""
+    """Deterministic synthetic dataset; pixels quantized to 0..255 levels.
+
+    Only the random draws run per image, in stream order: five unit
+    uniforms (blob width, blob amplitude, stripe period, stripe phase,
+    stripe amplitude), then ``H * W`` standard normals written straight
+    into the output array.  They are scaled afterwards with the
+    arithmetic of ``Generator.uniform`` and ``Generator.normal``.  The
+    pixel work (blob ``exp``, stripes, noise, clip, 0..255 quantization)
+    runs in place over blocks of ``SYNTH_BLOCK`` images, and the stripe
+    sine, which depends on ``y + x`` only, is taken once per diagonal.
+    Each pixel gets the same floating-point operations on the same
+    operands as when every image was built by its own ``rng.uniform``
+    and ``rng.normal`` calls, so the images are bit-identical to that
+    loop whatever the block size.
+    """
     rng = stream(spec.seed, "synth")
-    n_pos = int(round(spec.n_samples * spec.imbalance))
-    labels = np.zeros(spec.n_samples, dtype=np.int64)
+    n, h, w = spec.n_samples, spec.height, spec.width
+    n_pos = int(round(n * spec.imbalance))
+    labels = np.zeros(n, dtype=np.int64)
     labels[:n_pos] = 1
     rng.shuffle(labels)
 
-    yy, xx = np.mgrid[0 : spec.height, 0 : spec.width]
-    cy, cx = (spec.height - 1) / 2.0, (spec.width - 1) / 2.0
-    images = np.empty((spec.n_samples, spec.height, spec.width))
-    for i, label in enumerate(labels):
-        sigma = rng.uniform(0.16, 0.26) * spec.height
-        blob = rng.uniform(*spec.blob_amp) * np.exp(
-            -((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * sigma**2)
-        )
-        period = rng.uniform(3.5, 6.0)
-        phase = rng.uniform(0, 2 * math.pi)
-        stripes = np.sin(2 * math.pi * (yy + xx) / period + phase) / 2.0
-        amp_range = spec.stripe_amp if label == 1 else spec.texture_amp
-        img = blob + rng.uniform(*amp_range) * stripes
-        img = img + rng.normal(0.0, spec.noise_scale, size=img.shape)
-        images[i] = np.clip(img, 0.0, 1.0)
-    images = np.rint(images * 255.0) / 255.0
+    unit = np.empty((n, 5))
+    images = np.empty((n, h, w))
+    for i in range(n):
+        rng.random(out=unit[i])
+        rng.standard_normal(out=images[i])
+    sigma = _uniform(unit[:, 0], 0.16, 0.26) * h
+    spread = 2 * sigma**2
+    blob_amp = _uniform(unit[:, 1], *spec.blob_amp)
+    period = _uniform(unit[:, 2], 3.5, 6.0)
+    phase = _uniform(unit[:, 3], 0.0, 2 * math.pi)
+    stripe_amp = np.where(labels == 1, _uniform(unit[:, 4], *spec.stripe_amp),
+                          _uniform(unit[:, 4], *spec.texture_amp))
+
+    yy, xx = np.mgrid[0:h, 0:w]
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    neg_d2 = -((yy - cy) ** 2 + (xx - cx) ** 2)
+    diagonals = 2 * math.pi * np.arange(h + w - 1)
+    stripes = stripe_amp[:, None] * (np.sin(diagonals / period[:, None] + phase[:, None]) / 2.0)
+    # a read-only (N, H, W) view whose [i, y, x] is stripes[i, y + x]
+    stripes = np.lib.stride_tricks.sliding_window_view(stripes, w, axis=1)
+    blob = np.empty((min(n, SYNTH_BLOCK), h, w))
+    for start in range(0, n, SYNTH_BLOCK):
+        block = slice(start, start + SYNTH_BLOCK)
+        out = images[block]
+        buf = blob[: len(out)]
+        np.divide(neg_d2, spread[block, None, None], out=buf)
+        np.exp(buf, out=buf)
+        np.multiply(blob_amp[block, None, None], buf, out=buf)
+        buf += stripes[block]
+        out *= spec.noise_scale
+        out += 0.0  # Generator.normal(0, s) is 0 + s * z, which makes -0.0 into 0.0
+        np.add(buf, out, out=out)
+        np.clip(out, 0.0, 1.0, out=out)
+        out *= 255.0
+        np.rint(out, out=out)
+        out /= 255.0
     return Dataset(images, labels)
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from . import svg
 from .autodiff import load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, format_config, parse_config
-from .data import Dataset, SynthSpec, load_dataset, split, synth_generate
+from .data import Dataset, SynthSpec, load_dataset, read_image_shape, split, synth_generate
 from .metrics import EvalReport, build_eval_report, kde_density, report_rows
 from .samplers import N_CHUNKS
 from .seeding import stream
@@ -91,6 +91,15 @@ def resolve_dataset(config: RunConfig) -> Dataset:
     else:
         dataset = load_dataset(config.dataset, config.dataset_format)
     return split(dataset, config.split_fractions, config.split_seed)
+
+
+def dataset_image_shape(config: RunConfig) -> tuple[int, int]:
+    """Image (H, W) of the configured dataset, without building or loading
+    it: synthetic images have the ``SynthSpec`` size, and a dataset file
+    gives it in its header."""
+    if config.dataset == "synth":
+        return SynthSpec.height, SynthSpec.width
+    return read_image_shape(config.dataset, config.dataset_format)
 
 
 def cell_label(config: RunConfig, arch, layers: int, reupload: bool) -> str:

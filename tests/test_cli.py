@@ -6,12 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcbnn import cli
+from qcbnn import cli, experiment
 from qcbnn.circuits import Architecture
 from qcbnn.config import ConfigError, RunConfig, apply_settings, format_config, parse_config
+from qcbnn.data import SynthSpec, save_dataset, synth_generate
 from qcbnn.experiment import (
     _write_csv,
     dump_weight_samples,
+    load_run,
+    read_run_config,
+    resolve_dataset,
     run_evaluate,
     run_report,
     run_toy_adversarial,
@@ -261,6 +265,9 @@ class TestTrainCommand:
         (["--set", "subset_reference=bogus"], "subset_reference"),
         (["--set", "split_fractions=0.5,0.6"], "fractions must sum to 1"),
         (["--set", "synth_imbalance=0"], "need both classes"),
+        (["--set", "synth_imbalance=nan"], "imbalance must be finite, got nan"),
+        (["--set", "synth_noise=nan"], "noise_scale must be finite and >= 0, got nan"),
+        (["--set", "synth_noise=-0.1"], "noise_scale must be finite and >= 0, got -0.1"),
         (["--set", "dataset=/nonexistent.qbnn"], "No such file"),
         # removed keys are unknown like any other
         (["--set", "svg=false"], "unknown config key 'svg'"),
@@ -284,6 +291,7 @@ class TestTrainCommand:
         (["--set", "lr_classifier=inf"], "lr_classifier must be finite"),
     ], ids=["epochs-0", "sampler-bogus", "calibration-bins-1", "calibration-bins-101",
             "subset-reference-bogus", "split-fractions-sum", "synth-imbalance-0",
+            "synth-imbalance-nan", "synth-noise-nan", "synth-noise-negative",
             "dataset-missing", "removed-svg", "removed-noise-dim",
             "removed-samples-per-step", "removed-scale-likelihood", "out-hash",
             "dataset-hash", "split-fraction-negative", "noise-sigma-negative",
@@ -391,6 +399,50 @@ class TestSampleWeightsCommand:
         code = cli.main(["sample-weights", "--run-dir", run_dir, "--draws", "2",
                          "--out-csv", str(out_csv)])
         assert code == 0 and out_csv.exists()
+
+    @staticmethod
+    def _container_run(tmp_path):
+        """A one-epoch classical run on a 20 x 24 binary container; returns
+        the run directory and the container path."""
+        data_path = tmp_path / "rect.qbnn"
+        save_dataset(data_path, synth_generate(SynthSpec(n_samples=30, height=20, width=24)))
+        out = tmp_path / "runs"
+        code = cli.main(["train", "--sampler", "classical", "--seed", "0", "--epochs", "1",
+                         "--set", f"dataset={data_path}", "--set", "split_fractions=0.7,0.3",
+                         "--set", "n_ensemble=4", "--set", "eval_ensemble=2",
+                         "--out", str(out), "--quiet"])
+        assert code == cli.EXIT_OK
+        return os.path.join(out, "classical", "seed0"), data_path
+
+    @pytest.mark.parametrize("source", ["synth", "container"])
+    def test_run_dir_takes_the_shape_without_the_images(self, source, tiny_run, tmp_path,
+                                                        monkeypatch):
+        if source == "synth":
+            run_dir = os.path.join(tiny_run, "classical", "seed1")
+        else:
+            run_dir, _ = self._container_run(tmp_path)
+        # the dump at the image shape of the whole resolved dataset
+        model, _ = load_run(run_dir, resolve_dataset(read_run_config(run_dir)).images.shape[1:])
+        dump_weight_samples(model, 2, tmp_path / "want.csv")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sample-weights built or loaded the dataset")
+
+        monkeypatch.setattr(experiment, "synth_generate", refuse)
+        monkeypatch.setattr(experiment, "load_dataset", refuse)
+        code = cli.main(["sample-weights", "--run-dir", run_dir, "--draws", "2",
+                         "--out-csv", str(tmp_path / "got.csv")])
+        assert code == cli.EXIT_OK
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_run_dir_with_truncated_container_header(self, tmp_path, capsys):
+        run_dir, data_path = self._container_run(tmp_path)
+        data_path.write_bytes(data_path.read_bytes()[:20])
+        out_csv = tmp_path / "ws.csv"
+        code = cli.main(["sample-weights", "--run-dir", run_dir, "--out-csv", str(out_csv)])
+        assert code == cli.EXIT_CONFIG
+        assert "truncated container" in capsys.readouterr().err
+        assert not out_csv.exists()
 
 
     @pytest.mark.parametrize("draws", ["0", "-2"])

@@ -1,8 +1,12 @@
 import csv
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qcbnn import autodiff as ad
 from qcbnn import data as dio
@@ -87,6 +91,35 @@ def reference_classifier_accuracy(dataset, epochs=50, seed=0, lr=0.05):
     return float((logits.argmax(axis=1) == labels).mean())
 
 
+def per_image_synth(spec):
+    """The synthetic generator one image at a time, each by its own scalar
+    ``rng.uniform`` calls and one ``rng.normal`` noise draw: the oracle of
+    ``synth_generate``'s whole-array passes."""
+    rng = stream(spec.seed, "synth")
+    n_pos = int(round(spec.n_samples * spec.imbalance))
+    labels = np.zeros(spec.n_samples, dtype=np.int64)
+    labels[:n_pos] = 1
+    rng.shuffle(labels)
+
+    yy, xx = np.mgrid[0 : spec.height, 0 : spec.width]
+    cy, cx = (spec.height - 1) / 2.0, (spec.width - 1) / 2.0
+    images = np.empty((spec.n_samples, spec.height, spec.width))
+    for i, label in enumerate(labels):
+        sigma = rng.uniform(0.16, 0.26) * spec.height
+        blob = rng.uniform(*spec.blob_amp) * np.exp(
+            -((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * sigma**2)
+        )
+        period = rng.uniform(3.5, 6.0)
+        phase = rng.uniform(0, 2 * math.pi)
+        stripes = np.sin(2 * math.pi * (yy + xx) / period + phase) / 2.0
+        amp_range = spec.stripe_amp if label == 1 else spec.texture_amp
+        img = blob + rng.uniform(*amp_range) * stripes
+        img = img + rng.normal(0.0, spec.noise_scale, size=img.shape)
+        images[i] = np.clip(img, 0.0, 1.0)
+    images = np.rint(images * 255.0) / 255.0
+    return dio.Dataset(images, labels)
+
+
 def small_dataset(seed=0, n=12):
     return dio.synth_generate(dio.SynthSpec(n_samples=n, imbalance=0.3, seed=seed))
 
@@ -122,6 +155,21 @@ class TestContainer:
         with pytest.raises(ValueError, match="truncated container"):
             dio.load_dataset(path)
 
+    def test_image_shape_from_header(self, tmp_path):
+        path = tmp_path / "rect.qbnn"
+        dio.save_dataset(path, dio.synth_generate(dio.SynthSpec(n_samples=4, imbalance=0.5,
+                                                                height=5, width=9)))
+        assert dio.read_image_shape(path) == (5, 9)
+        path.write_bytes(path.read_bytes()[:23])
+        with pytest.raises(ValueError, match="truncated container"):
+            dio.read_image_shape(path)
+
+    def test_nan_pixels_rejected(self):
+        images = np.full((2, 3, 3), 0.5)
+        images[1, 2, 0] = np.nan
+        with pytest.raises(ValueError, match="pixels must be finite"):
+            dio.Dataset(images, np.array([0, 1]))
+
     def test_label_outside_binary(self, tmp_path):
         path = tmp_path / "label.qbnn"
         dio.save_dataset(path, small_dataset(n=4))
@@ -150,6 +198,16 @@ class TestCsv:
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="format"):
             dio.load_dataset("whatever", format="json")
+        with pytest.raises(ValueError, match="format"):
+            dio.read_image_shape("whatever", format="json")
+
+    def test_image_shape_from_header(self, tmp_path):
+        path = tmp_path / "data.csv"
+        save_dataset_csv(path, small_dataset(n=3))
+        assert dio.read_image_shape(path, format="csv") == (28, 28)
+        path.write_text("label,p0,p1,p2\n")
+        with pytest.raises(ValueError, match="not a square image"):
+            dio.read_image_shape(path, format="csv")
 
 
 class TestNormalize:
@@ -196,6 +254,45 @@ class TestSynth:
     def test_degenerate_spec_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             dio.SynthSpec(n_samples=10, imbalance=0.0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("noise_scale", math.nan, "noise_scale must be finite and >= 0, got nan"),
+        ("noise_scale", math.inf, "noise_scale must be finite and >= 0, got inf"),
+        ("noise_scale", -0.1, "noise_scale must be finite and >= 0, got -0.1"),
+        ("imbalance", math.nan, "imbalance must be finite, got nan"),
+        ("imbalance", -math.inf, "imbalance must be finite, got -inf"),
+    ])
+    def test_non_finite_or_negative_setting_named(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            dio.SynthSpec(**{field: value})
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           n_samples=st.sampled_from([2, dio.SYNTH_BLOCK - 5, dio.SYNTH_BLOCK,
+                                      2 * dio.SYNTH_BLOCK + 7]),
+           height=st.integers(1, 30), width=st.integers(1, 30),
+           imbalance=st.floats(0.0, 1.0),
+           noise_scale=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    def test_matches_per_image_oracle(self, seed, n_samples, height, width, imbalance,
+                                      noise_scale):
+        try:
+            spec = dio.SynthSpec(n_samples=n_samples, height=height, width=width,
+                                 imbalance=imbalance, noise_scale=noise_scale, seed=seed)
+        except ValueError:
+            assume(False)  # one class would be empty
+        got, want = dio.synth_generate(spec), per_image_synth(spec)
+        assert np.array_equal(got.images, want.images)
+        assert got.images.tobytes() == want.images.tobytes()  # signed zeros too
+        assert np.array_equal(got.labels, want.labels)
+
+    def test_peak_memory_within_twice_the_images(self):
+        tracemalloc.start()
+        try:
+            dataset = dio.synth_generate(dio.SynthSpec())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * dataset.images.nbytes
 
 
 class TestSplit:

@@ -2,8 +2,10 @@
 
 The sweep is circuit_iii at L1 and L2re, then the classical and the
 plain-VI sampler, each at seed 0 for 2 epochs on the default synthetic
-split.  ``golden/manifest.json`` holds the sha256 of every hashed CSV it
-writes (``summary.csv``, ``epochs.csv``, ``eval_test.csv`` and
+split.  ``golden/manifest.json`` holds the sha256 of that split's images,
+labels and tags, checked first so that a change of the data is reported
+as such and not as drift in every CSV, and the sha256 of every hashed CSV
+the sweep writes (``summary.csv``, ``epochs.csv``, ``eval_test.csv`` and
 ``weight_samples.csv``).  The small ones are committed under ``golden/``
 too, so a mismatch names each file with its largest absolute and relative
 drift; ``weight_samples.csv`` is checked by digest only.
@@ -31,7 +33,7 @@ import numpy as np
 import pytest
 
 from qcbnn.config import RunConfig, apply_settings
-from qcbnn.experiment import run_train
+from qcbnn.experiment import resolve_dataset, run_train
 
 GOLDEN = Path(__file__).parent / "golden"
 SWEEP = {
@@ -77,6 +79,14 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def dataset_digests() -> dict[str, str]:
+    """sha256 of the default split's images, labels and tags."""
+    tagged = resolve_dataset(RunConfig())
+    blobs = {"images": tagged.images.tobytes(), "labels": tagged.labels.tobytes(),
+             "tags": "\n".join(tagged.tags).encode()}
+    return {name: hashlib.sha256(blob).hexdigest() for name, blob in blobs.items()}
+
+
 def drift(want: Path, got: Path) -> str:
     """The largest absolute and relative change over the numeric cells of
     two CSVs, or the first change that is not numeric."""
@@ -108,6 +118,9 @@ def test_sweep_matches_the_golden_manifest(tmp_path):
     for rel, digest in digests.items():
         if Path(rel).name in COMMITTED:
             assert sha256(GOLDEN / rel) == digest, f"committed {rel} does not match the manifest"
+    got = dataset_digests()
+    moved = [name for name, digest in manifest["dataset"].items() if got[name] != digest]
+    assert not moved, f"the default split's {', '.join(moved)} moved, so every CSV would"
     files = run_sweep(tmp_path)
     assert sorted(files) == sorted(digests)
     drifted = [f"{rel}: " + (drift(GOLDEN / rel, path) if path.name in COMMITTED
@@ -125,7 +138,7 @@ if __name__ == "__main__":
             if path.name in COMMITTED:
                 (GOLDEN / rel).parent.mkdir(parents=True, exist_ok=True)
                 shutil.copyfile(path, GOLDEN / rel)
-        manifest = {"environment": environment(),
+        manifest = {"environment": environment(), "dataset": dataset_digests(),
                     "sha256": {rel: sha256(path) for rel, path in files.items()}}
     (GOLDEN / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
     print(f"wrote {GOLDEN / 'manifest.json'} over {len(files)} files")
