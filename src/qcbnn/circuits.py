@@ -27,8 +27,13 @@ The controlled-rotation axis defaults to X and is configurable.
 from __future__ import annotations
 
 import enum
+import itertools
 
-from .statevector import CircuitTemplate, Gate
+from .statevector import GATE_SIGNATURES, CircuitTemplate, Gate
+
+# Accepted controlled-rotation axes and embedding pair topologies.
+CR_AXES = ("X", "Y", "Z")
+EMBEDDING_PAIRS = ("adjacent", "all")
 
 
 class Architecture(enum.Enum):
@@ -52,6 +57,22 @@ class Architecture(enum.Enum):
             raise ValueError(f"unknown architecture {text!r}; valid: {valid}") from None
 
 
+# Per architecture, the table above: the rotation kinds laid on every wire
+# in turn, the entangling gate ("CR" is the trainable controlled rotation on
+# the configured axis) and its topology on n wires ("chain" couples
+# (i, i+1), "ring" adds (n-1, 0), "chain+ends" adds (0, n-1)).
+_CALCULATION_LAYERS = {
+    Architecture.MATIC_I: (("RX",), "CNOT", "ring"),
+    Architecture.MATIC_II: (("U3",), "CNOT", "ring"),
+    Architecture.NIKOLOSKA: (("RX", "PHASE"), "CNOT", "chain"),
+    Architecture.ROMERO: (("RY",), "CNOT", "chain"),
+    Architecture.CIRCUIT_I: (("U3",), "CNOT", "chain"),
+    Architecture.CIRCUIT_II: (("U3",), "CR", "chain"),
+    Architecture.CIRCUIT_III: (("RY",), "CR", "chain"),
+    Architecture.CIRCUIT_IV: (("RY",), "CR", "chain+ends"),
+}
+
+
 def build_embedding(n_qubits: int, pairs: str = "adjacent") -> tuple[Gate, ...]:
     """Higher-order noise embedding: H + RZ(2 z_i) + pairwise interactions.
 
@@ -63,12 +84,10 @@ def build_embedding(n_qubits: int, pairs: str = "adjacent") -> tuple[Gate, ...]:
     """
     if n_qubits < 2:
         raise ValueError("embedding needs at least 2 qubits")
-    if pairs == "all":
-        pair_list = [(i, j) for i in range(n_qubits) for j in range(i + 1, n_qubits)]
-    elif pairs == "adjacent":
-        pair_list = [(i, i + 1) for i in range(n_qubits - 1)]
-    else:
+    if pairs not in EMBEDDING_PAIRS:
         raise ValueError(f"unknown pair topology {pairs!r}")
+    pair_list = [(i, j) for i in range(n_qubits) for j in range(i + 1, n_qubits)
+                 if pairs == "all" or j == i + 1]
     gates = [Gate("H", (q,)) for q in range(n_qubits)]
     gates += [Gate("RZ", (q,), (("enc1", q),)) for q in range(n_qubits)]
     for i, j in pair_list:
@@ -76,24 +95,6 @@ def build_embedding(n_qubits: int, pairs: str = "adjacent") -> tuple[Gate, ...]:
         gates.append(Gate("RZ", (j,), (("enc2", i, j),)))
         gates.append(Gate("CNOT", (i, j)))
     return tuple(gates)
-
-
-def _ring(n: int) -> list[tuple[int, int]]:
-    return [(i, (i + 1) % n) for i in range(n)]
-
-
-def _chain(n: int) -> list[tuple[int, int]]:
-    return [(i, i + 1) for i in range(n - 1)]
-
-
-def _rot_layer(kind: str, n: int, offset: int) -> tuple[list[Gate], int]:
-    """One rotation per wire; returns gates and the number of slots used."""
-    per = 3 if kind == "U3" else 1
-    gates = [
-        Gate(kind, (q,), tuple(("p", offset + per * q + a) for a in range(per)))
-        for q in range(n)
-    ]
-    return gates, per * n
 
 
 def build_calculation_layer(
@@ -106,45 +107,22 @@ def build_calculation_layer(
     """
     if n_qubits < 2:
         raise ValueError("calculation layer needs at least 2 qubits")
-    cr = "CR" + cr_axis.upper()
-    if cr not in ("CRX", "CRY", "CRZ"):
+    if cr_axis.upper() not in CR_AXES:
         raise ValueError(f"unsupported controlled-rotation axis {cr_axis!r}")
-    k = param_offset
-    if arch is Architecture.MATIC_I:
-        gates, used = _rot_layer("RX", n_qubits, k)
-        gates += [Gate("CNOT", pair) for pair in _ring(n_qubits)]
-    elif arch is Architecture.MATIC_II:
-        gates, used = _rot_layer("U3", n_qubits, k)
-        gates += [Gate("CNOT", pair) for pair in _ring(n_qubits)]
-    elif arch is Architecture.NIKOLOSKA:
-        rx, used_rx = _rot_layer("RX", n_qubits, k)
-        ph, used_ph = _rot_layer("PHASE", n_qubits, k + used_rx)
-        gates, used = rx + ph, used_rx + used_ph
-        gates += [Gate("CNOT", pair) for pair in _chain(n_qubits)]
-    elif arch is Architecture.ROMERO:
-        gates, used = _rot_layer("RY", n_qubits, k)
-        gates += [Gate("CNOT", pair) for pair in _chain(n_qubits)]
-    elif arch is Architecture.CIRCUIT_I:
-        gates, used = _rot_layer("U3", n_qubits, k)
-        gates += [Gate("CNOT", pair) for pair in _chain(n_qubits)]
-    elif arch is Architecture.CIRCUIT_II:
-        gates, used = _rot_layer("U3", n_qubits, k)
-        for pair in _chain(n_qubits):
-            gates.append(Gate(cr, pair, (("p", k + used),)))
-            used += 1
-    elif arch is Architecture.CIRCUIT_III:
-        gates, used = _rot_layer("RY", n_qubits, k)
-        for pair in _chain(n_qubits):
-            gates.append(Gate(cr, pair, (("p", k + used),)))
-            used += 1
-    elif arch is Architecture.CIRCUIT_IV:
-        gates, used = _rot_layer("RY", n_qubits, k)
-        for pair in _chain(n_qubits) + [(0, n_qubits - 1)]:
-            gates.append(Gate(cr, pair, (("p", k + used),)))
-            used += 1
-    else:
-        raise ValueError(f"unknown architecture {arch!r}")
-    return tuple(gates), used
+    rotations, entangler, topology = _CALCULATION_LAYERS[arch]
+    if entangler == "CR":
+        entangler += cr_axis.upper()
+    chain = [(i, i + 1) for i in range(n_qubits - 1)]
+    pairs = chain + {"chain": [], "ring": [(n_qubits - 1, 0)],
+                     "chain+ends": [(0, n_qubits - 1)]}[topology]
+    slots = itertools.count(param_offset)
+
+    def angles(kind: str) -> tuple:
+        return tuple(("p", next(slots)) for _ in range(GATE_SIGNATURES[kind][1]))
+
+    gates = [Gate(kind, (q,), angles(kind)) for kind in rotations for q in range(n_qubits)]
+    gates += [Gate(entangler, pair, angles(entangler)) for pair in pairs]
+    return tuple(gates), next(slots) - param_offset
 
 
 def assemble_pqc(
@@ -178,8 +156,6 @@ def assemble_pqc(
         gates=tuple(gates),
         param_slots=offset,
         input_slots=n_qubits,
-        layers=layers,
-        reupload=reupload,
         name=tag,
     )
 

@@ -8,11 +8,12 @@ Conventions, fixed across the package:
   demand double precision).
 * Every operation is pure: states are never mutated in place (the
   executor updates only buffers it allocated itself), identical inputs
-  give bit-identical outputs, and no function touches global state.  The
-  one state kept is per fused block: its last build, the stack of prefix
-  products of its factors, reused while the params' bytes stay the same
-  (or for good, in a block that reads no params), so outputs are the same
-  bits with or without it.
+  give bit-identical outputs, and no function touches global state.  A
+  compiled block keeps no state: running a template changes none of its
+  blocks.  What a forward builds at one params vector rides on its
+  ``Tape``; a block that reads no params is built once, when compiled.
+* The executor's states are plain (B or 1, 2^n) arrays: one row per input
+  row once an input-reading block has run, one shared row before that.
 
 Circuit templates carry symbolic angle references that are resolved
 against a trainable-parameter vector and a noise-input vector at run
@@ -29,8 +30,8 @@ of input rows, ``result[b] = run_circuit(template, params, inputs[b])``,
 from the template's compiled ``blocks``, computed once per template:
 
 * a run of gates that read no input (constant and trainable gates, H
-  included) becomes one 2^n x 2^n unitary, built once per params vector,
-  or once per template when no gate of the run reads params;
+  included) becomes one 2^n x 2^n unitary, built once per forward, or
+  once when compiled if no gate of the run reads params;
 * a run of input-reading diagonal gates and angle-free permutations (every
   embedding gate: RZ(enc1) and CNOT.RZ(enc2).CNOT) becomes one fixed index
   permutation and one coefficient matrix A, applied per input row as
@@ -44,10 +45,10 @@ blocks once per params vector, whatever the batch size.  <Z> is read as
 
 ``adjoint_vjp``, which training uses, gives the params gradient of
 ``sum(grad * <Z>)`` by one backward sweep over the blocks, reading the
-``Tape`` that a ``run_circuit_batch`` forward recorded (or running that
-forward itself).  ``parameter_shift_grad``, its reference, contracts
-``run_circuit_batch`` at every row of the shift plan with the shift-rule
-weights.
+states and builds on the ``Tape`` that a ``run_circuit_batch`` forward
+recorded (or running that forward itself).  ``parameter_shift_grad``, its
+reference, contracts ``run_circuit_batch`` at every row of the shift plan
+with the shift-rule weights.
 """
 
 from __future__ import annotations
@@ -120,8 +121,6 @@ class CircuitTemplate:
     gates: tuple[Gate, ...]
     param_slots: int
     input_slots: int
-    layers: int = 1
-    reupload: bool = False
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
@@ -450,9 +449,11 @@ def run_circuit(template: CircuitTemplate, params, inputs) -> np.ndarray:
 @dataclass
 class Tape:
     """What one ``run_circuit_batch`` forward keeps for ``adjoint_vjp``: the
-    bytes of the params it ran at, each block's saved array in block order
-    (a fused block's (1, B or 1, 2^n) input state, a phase block's (B, 2^n)
-    conjugate phases) and the final (B or 1, 2^n) state."""
+    bytes of the params it ran at, one record per block in block order (a
+    fused block's (B or 1, 2^n) input state and its prefix stack, whose last
+    entry is its matrix; a phase block's (B, 2^n) conjugate phases) and the
+    final (B or 1, 2^n) state.  A forward's builds live here and nowhere
+    else, so the sweep reads the very matrices the forward multiplied by."""
 
     key: bytes | None = None
     kept: list = field(default_factory=list)
@@ -475,7 +476,7 @@ def run_circuit_batch(template: CircuitTemplate, params, inputs,
     probs += psi.imag**2
     del psi
     z = np.clip(probs @ template.zsign, -1.0, 1.0)
-    z = np.broadcast_to(z, (1, len(grid_inputs), template.n_qubits))[0]
+    z = np.broadcast_to(z, (len(grid_inputs), template.n_qubits))
     return np.ascontiguousarray(z[0] if inputs.ndim == 1 else z)
 
 
@@ -501,28 +502,36 @@ def adjoint_vjp(template: CircuitTemplate, params, inputs, grad,
     for block, saved in zip(reversed(template.blocks), reversed(tape.kept)):
         if isinstance(block, _PhasePermutation):
             lam = lam * saved
-            lam = lam if block.perm is None else lam[..., np.argsort(block.perm)]
+            lam = lam if block.perm is None else lam[:, np.argsort(block.perm)]
             continue
-        lam = lam @ block.matrix(params).conj().T
+        psi_in, prefix = saved
+        lam = lam @ prefix[-1].conj().T
         if len(block.slots):
-            out[block.slots] = block.slot_grads(params, saved[0], lam)
+            out[block.slots] = block.slot_grads(params, psi_in, prefix, lam)
     return out
 
 
 def _run_blocks(template: CircuitTemplate, params: np.ndarray, inputs: np.ndarray,
                 tape: Tape | None = None) -> np.ndarray:
-    """The (1, B or 1, 2^n) state for 2-D ``inputs``, recorded on ``tape``."""
-    psi = np.zeros((1, 1, 2**template.n_qubits), dtype=np.complex128)
-    psi[..., 0] = 1.0
+    """The (B or 1, 2^n) state for 2-D ``inputs``, recorded on ``tape``."""
+    psi = np.zeros((1, 2**template.n_qubits), dtype=np.complex128)
+    psi[0, 0] = 1.0
     if tape is not None:
         tape.key, tape.kept = params.tobytes(), []
     for block in template.blocks:
-        phase = block.phases(inputs) if isinstance(block, _PhasePermutation) else None
-        if tape is not None:
-            tape.kept.append(psi if phase is None else phase.conj())
-        psi = psi @ block.matrix(params) if phase is None else block.apply(psi, phase)
+        if isinstance(block, _PhasePermutation):
+            phase = block.phases(inputs)
+            if tape is not None:
+                tape.kept.append(phase.conj())
+            psi = block.apply(psi, phase)
+            del phase  # or the applied phases stay alive through the next product
+        else:
+            prefix = block.build(params)
+            if tape is not None:
+                tape.kept.append((psi, prefix))
+            psi = psi @ prefix[-1]
     if tape is not None:
-        tape.psi = psi[0]
+        tape.psi = psi
     return psi
 
 
@@ -600,13 +609,15 @@ class _KindGroup:
 
 class _FusedUnitary:
     """Consecutive gates that read no input, multiplied into one transposed
-    unitary (``psi @ matrix(params)``).
+    unitary (``psi @ build(params)[-1]``).
 
     The product runs over a fixed factor sequence: each merged run of
     angle-free gates is one constant matrix, and each trainable gate is
     one factor of an (F, 2^n, 2^n) buffer that a build fills with one
-    gather, one ``gate_matrix`` call and one scatter per gate kind.  The
-    build keeps the product's prefixes, which the adjoint sweep reads.
+    gather, one ``gate_matrix`` call and one scatter per gate kind.  A
+    build is the product's prefix stack, which a forward's tape keeps for
+    the adjoint sweep.  A block that reads no params is built here, once;
+    nothing of a block changes after it is compiled.
     """
 
     def __init__(self, gates: list[Gate], n: int):
@@ -644,7 +655,9 @@ class _FusedUnitary:
             seq.extend(g.seq[members])
         self.slots = np.array(slots, dtype=np.intp)
         self.slot_seq = np.array(seq, dtype=np.intp)
-        self._memo: tuple | None = None  # (params key, prefix stack) of _build
+        self.fixed = None  # the build of a block that reads no params
+        if not self.groups:
+            self.fixed = self.build(np.zeros(0))
 
     def _factors(self, params: np.ndarray) -> list[np.ndarray]:
         """The (d, d) factor sequence at one params vector."""
@@ -655,42 +668,33 @@ class _FusedUnitary:
         buf = buf.reshape(self.n_factors, d, d)
         return [f if isinstance(f, np.ndarray) else buf[f] for f in self.sequence]
 
-    def _build(self, params: np.ndarray) -> np.ndarray:
-        """The (F + 1, d, d) prefix stack P of the F factors at ``params``:
-        P[0] = I, P[1] = factor 0, P[s + 1] = P[s] @ factor s, so P[-1] is
-        their product.  Kept read-only until params change: a step builds
-        once per theta for its forward and its adjoint sweep.  Keyed on the
-        params' bytes, so an in-place edit of theta builds again, or on
-        ``b""`` for a block that reads no params, which builds once."""
-        key = params.tobytes() if self.groups else b""
-        memo = self._memo
-        if memo is None or memo[0] != key:
-            factors = self._factors(params)
-            prefix = np.empty((len(factors) + 1, self.dim, self.dim), dtype=np.complex128)
-            prefix[0] = np.eye(self.dim)
-            prefix[1] = factors[0]
-            for s in range(1, len(factors)):
-                np.matmul(prefix[s], factors[s], out=prefix[s + 1])
-            prefix.flags.writeable = False
-            memo = self._memo = (key, prefix)
-        return memo[1]
+    def build(self, params: np.ndarray) -> np.ndarray:
+        """The read-only (F + 1, d, d) prefix stack P of the F factors at
+        ``params``: P[0] = I, P[1] = factor 0, P[s + 1] = P[s] @ factor s, so
+        P[-1] is their product, the block's transposed unitary."""
+        if self.fixed is not None:
+            return self.fixed
+        factors = self._factors(params)
+        prefix = np.empty((len(factors) + 1, self.dim, self.dim), dtype=np.complex128)
+        prefix[0] = np.eye(self.dim)
+        prefix[1] = factors[0]
+        for s in range(1, len(factors)):
+            np.matmul(prefix[s], factors[s], out=prefix[s + 1])
+        prefix.flags.writeable = False
+        return prefix
 
-    def matrix(self, params: np.ndarray) -> np.ndarray:
-        """The block's (d, d) transposed unitary at ``params``."""
-        return self._build(params)[-1]
-
-    def slot_grads(self, params: np.ndarray, psi_in: np.ndarray,
+    def slot_grads(self, params: np.ndarray, psi_in: np.ndarray, prefix: np.ndarray,
                    lam_in: np.ndarray) -> np.ndarray:
-        """(m,) gradient for ``slots`` from the (B or 1, d) input state and
-        the (B, d) cotangent ``lam_in`` = lam_out @ matrix^H: per slot at
-        factor s, ``2 Re sum((psi_in @ P[s] @ dF) * conj(lam_in @ P[s + 1]))``
-        with dF the exact derivative of factor s, scattered as it is built."""
+        """(m,) gradient for ``slots`` from the (B or 1, d) input state, the
+        block's ``build(params)`` P and the (B, d) cotangent ``lam_in`` =
+        lam_out @ P[-1]^H: per slot at factor s,
+        ``2 Re sum((psi_in @ P[s] @ dF) * conj(lam_in @ P[s + 1]))`` with dF
+        the exact derivative of factor s, scattered as it is built."""
         d = self.dim
         moved = np.zeros(len(self.slots) * d * d, dtype=np.complex128)
         for g, (steps, weights, dest, src) in zip(self.groups, self.derivative_builds):
             pair = gate_matrix(g.kind, params[g.params] + steps)  # (angles, 2, g, k, k)
             moved[dest] = (weights * (pair[:, 0] - pair[:, 1])).ravel()[src]
-        prefix = self._build(params)
         left = (psi_in @ prefix[self.slot_seq]) @ moved.reshape(-1, d, d)
         right = lam_in @ prefix[self.slot_seq + 1]
         return 2.0 * (left * right.conj()).real.sum(axis=(1, 2))
@@ -733,21 +737,19 @@ class _PhasePermutation:
         return phase
 
     def apply(self, psi: np.ndarray, phase: np.ndarray) -> np.ndarray:
-        """``psi[..., perm] * phase``, for ``phase`` from ``phases``."""
+        """``psi[:, perm] * phase`` for a (B or 1, 2^n) ``psi`` and a (B, 2^n)
+        ``phase`` from ``phases``."""
         if self.perm is not None:
-            psi = psi[..., self.perm]
-        phase = phase[None]
-        # Multiply into whichever operand already has the result's shape:
-        # every psi a block receives was allocated by the current run, so the
-        # update is invisible to callers and keeps the peak near two states.
-        shape = np.broadcast_shapes(psi.shape, phase.shape)
-        if psi.shape == shape:
+            psi = psi[:, self.perm]
+        # Multiply into whichever operand already has the (B, 2^n) result's
+        # shape: every psi a block receives was allocated by the current run
+        # and no tape holds it, so the update is invisible to callers and
+        # keeps the peak near two states.
+        if psi.shape == phase.shape:
             psi *= phase
             return psi
-        if phase.shape == shape:
-            phase *= psi
-            return phase
-        return psi * phase
+        phase *= psi
+        return phase
 
 
 # --- parameter-shift gradients ----------------------------------------------

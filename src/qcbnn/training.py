@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import autodiff as ad
-from .circuits import Architecture, assemble_pqc
+from .circuits import CR_AXES, EMBEDDING_PAIRS, Architecture, assemble_pqc
 from .samplers import (
     CHUNK_DIM,
     KERNEL_SHAPE,
@@ -108,6 +108,12 @@ class TrainSettings:
                 raise ValueError(f"{f.name} must be finite, got {value}")
         if self.sampler not in ("quantum", "classical", "vi"):
             raise ValueError(f"unknown sampler {self.sampler!r}")
+        if self.embedding_pairs not in EMBEDDING_PAIRS:
+            raise ValueError(f"embedding_pairs must be one of {', '.join(EMBEDDING_PAIRS)}, "
+                             f"got {self.embedding_pairs!r}")
+        if self.cr_axis.upper() not in CR_AXES:
+            raise ValueError(f"cr_axis must be one of {', '.join(CR_AXES)}, "
+                             f"got {self.cr_axis!r}")
 
 
 @dataclass
@@ -221,17 +227,13 @@ def forward_probs_np(model: ModelState, images: np.ndarray, kernels: np.ndarray)
     """Softmax probabilities of the classifier (conv -> relu -> dense) for
     fixed kernels, computed without an autodiff graph.
 
-    One (F, kh, kw) kernel set gives (B, 2); a stacked (M, F, kh, kw)
-    array gives (M, B, 2), one row per member.  The patch matrix of
-    ``ad.conv_patches`` is built once, as in ``ad.conv2d``; per cache-sized
-    image block and member, ``K_m @ patches`` is the (b, F, H'*W')
-    activation that training computes, so relu runs in place and the
-    dense layer reads it without a copy.
+    A stacked (M, F, kh, kw) kernel array gives (M, B, 2), one row per
+    member.  The patch matrix of ``ad.conv_patches`` is built once, as in
+    ``ad.conv2d``; per cache-sized image block and member, ``K_m @ patches``
+    is the (b, F, H'*W') activation that training computes, so relu runs in
+    place and the dense layer reads it without a copy.
     """
     stack = np.asarray(kernels, dtype=np.float64)
-    single = stack.ndim == 3
-    if single:
-        stack = stack[None]
     m, f, kh, kw = stack.shape
     patches, (hp, wp) = ad.conv_patches(images, (kh, kw), model.config.conv_stride)
     b = len(patches)
@@ -246,8 +248,7 @@ def forward_probs_np(model: ModelState, images: np.ndarray, kernels: np.ndarray)
             np.maximum(z, 0.0, out=z)
             logits[i, start : start + block] = z.reshape(len(z), -1) @ dense_wt
     logits += model.dense_b.data
-    probs = ad.softmax_np(logits)
-    return probs[0] if single else probs
+    return ad.softmax_np(logits)
 
 
 # --- loss surfaces ---------------------------------------------------------------

@@ -196,7 +196,7 @@ class TestArchitectureParsing:
             Architecture.parse("circuit_v")
 
 
-GOLDEN_MATIC_I_ADJACENT = """\
+GOLDEN_EMBEDDING_ADJACENT = """\
 H 0
 H 1
 H 2
@@ -214,6 +214,12 @@ CNOT 1 2
 CNOT 2 3
 RZ 3 zz(2,3)
 CNOT 2 3
+"""
+
+# One calculation layer of every architecture on 4 wires, as format_template
+# prints it; {axis} is the controlled-rotation axis.
+GOLDEN_CALC = {
+    Architecture.MATIC_I: """\
 RX 0 t0
 RX 1 t1
 RX 2 t2
@@ -222,17 +228,81 @@ CNOT 0 1
 CNOT 1 2
 CNOT 2 3
 CNOT 3 0
-"""
-
-GOLDEN_CIRCUIT_III_CALC = """\
+""",
+    Architecture.MATIC_II: """\
+U3 0 t0 t1 t2
+U3 1 t3 t4 t5
+U3 2 t6 t7 t8
+U3 3 t9 t10 t11
+CNOT 0 1
+CNOT 1 2
+CNOT 2 3
+CNOT 3 0
+""",
+    Architecture.NIKOLOSKA: """\
+RX 0 t0
+RX 1 t1
+RX 2 t2
+RX 3 t3
+PHASE 0 t4
+PHASE 1 t5
+PHASE 2 t6
+PHASE 3 t7
+CNOT 0 1
+CNOT 1 2
+CNOT 2 3
+""",
+    Architecture.ROMERO: """\
 RY 0 t0
 RY 1 t1
 RY 2 t2
 RY 3 t3
-CRX 0 1 t4
-CRX 1 2 t5
-CRX 2 3 t6
-"""
+CNOT 0 1
+CNOT 1 2
+CNOT 2 3
+""",
+    Architecture.CIRCUIT_I: """\
+U3 0 t0 t1 t2
+U3 1 t3 t4 t5
+U3 2 t6 t7 t8
+U3 3 t9 t10 t11
+CNOT 0 1
+CNOT 1 2
+CNOT 2 3
+""",
+    Architecture.CIRCUIT_II: """\
+U3 0 t0 t1 t2
+U3 1 t3 t4 t5
+U3 2 t6 t7 t8
+U3 3 t9 t10 t11
+CR{axis} 0 1 t12
+CR{axis} 1 2 t13
+CR{axis} 2 3 t14
+""",
+    Architecture.CIRCUIT_III: """\
+RY 0 t0
+RY 1 t1
+RY 2 t2
+RY 3 t3
+CR{axis} 0 1 t4
+CR{axis} 1 2 t5
+CR{axis} 2 3 t6
+""",
+    Architecture.CIRCUIT_IV: """\
+RY 0 t0
+RY 1 t1
+RY 2 t2
+RY 3 t3
+CR{axis} 0 1 t4
+CR{axis} 1 2 t5
+CR{axis} 2 3 t6
+CR{axis} 0 3 t7
+""",
+}
+
+GOLDEN_MATIC_I_ADJACENT = GOLDEN_EMBEDDING_ADJACENT + GOLDEN_CALC[Architecture.MATIC_I]
+
+GOLDEN_CIRCUIT_III_CALC = GOLDEN_CALC[Architecture.CIRCUIT_III].format(axis="X")
 
 
 class TestTextDump:
@@ -244,3 +314,11 @@ class TestTextDump:
         gates, used = build_calculation_layer(Architecture.CIRCUIT_III, 4)
         template = CircuitTemplate(4, tuple(gates), used, 0)
         assert format_template(template) == GOLDEN_CIRCUIT_III_CALC
+
+    @pytest.mark.parametrize("arch, axis", list(itertools.product(Architecture, "XYZ")))
+    def test_every_architecture_golden(self, arch, axis):
+        calc = GOLDEN_CALC[arch].format(axis=axis)
+        gates, used = build_calculation_layer(arch, 4, cr_axis=axis)
+        assert format_template(CircuitTemplate(4, gates, used, 0)) == calc
+        template = assemble_pqc(arch, 4, cr_axis=axis)
+        assert format_template(template) == GOLDEN_EMBEDDING_ADJACENT + calc

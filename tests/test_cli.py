@@ -289,6 +289,10 @@ class TestTrainCommand:
         (["--set", "alpha=nan"], "alpha must be finite"),
         (["--set", "beta=inf"], "beta must be finite"),
         (["--set", "lr_classifier=inf"], "lr_classifier must be finite"),
+        # circuit settings, rejected with the rest of the config
+        (["--sampler", "quantum", "--set", "cr_axis=W"], "cr_axis must be one of X, Y, Z"),
+        (["--sampler", "quantum", "--set", "embedding_pairs=ring"],
+         "embedding_pairs must be one of adjacent, all"),
     ], ids=["epochs-0", "sampler-bogus", "calibration-bins-1", "calibration-bins-101",
             "subset-reference-bogus", "split-fractions-sum", "synth-imbalance-0",
             "synth-imbalance-nan", "synth-noise-nan", "synth-noise-negative",
@@ -296,7 +300,7 @@ class TestTrainCommand:
             "removed-samples-per-step", "removed-scale-likelihood", "out-hash",
             "dataset-hash", "split-fraction-negative", "noise-sigma-negative",
             "noise-mu-inf", "prior-sigma-negative", "prior-mu-nan", "alpha-nan",
-            "beta-inf", "lr-classifier-inf"])
+            "beta-inf", "lr-classifier-inf", "cr-axis-w", "embedding-pairs-ring"])
     def test_invalid_training_value_writes_nothing(self, flags, message, tmp_path,
                                                    capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)  # a relative --out lands here

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -407,6 +409,61 @@ class TestCompiledExecutor:
                 # 1-D inputs drop the batch axis
                 np.testing.assert_allclose(run_circuit_batch(template, row, inputs[b]),
                                            batch[b], rtol=0, atol=1e-12)
+
+
+def _snapshot(value):
+    """A comparable copy of an object's attributes, arrays by dtype, shape
+    and bytes, through lists, tuples and nested objects."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return tuple(_snapshot(v) for v in value)
+    if hasattr(value, "__dict__"):
+        return {name: _snapshot(v) for name, v in vars(value).items()}
+    return value
+
+
+class TestCompiledTemplateIsPure:
+    @pytest.mark.parametrize("template", [
+        _MIXED, _PERMUTED, assemble_pqc(Architecture.CIRCUIT_III, 4, 2, True),
+        assemble_pqc(Architecture.NIKOLOSKA, 4, 1, False, pairs="all"),
+    ], ids=["mixed", "permuted", "circuit_iii_L2re", "nikoloska_all"])
+    def test_running_changes_no_block(self, template):
+        """A taped forward, its adjoint sweep and the shift rule, at two
+        params vectors, leave every compiled block as it was compiled."""
+        template = dataclasses.replace(template)  # compiled afresh
+        before = _snapshot(template.blocks)
+        rng = np.random.default_rng(0)
+        inputs = rng.uniform(0, 2 * math.pi, (3, template.input_slots))
+        grad = rng.normal(size=(3, template.n_qubits))
+        for _ in range(2):
+            params = rng.uniform(-2 * math.pi, 2 * math.pi, template.param_slots)
+            tape = Tape()
+            run_circuit_batch(template, params, inputs, tape)
+            adjoint_vjp(template, params, inputs, grad, tape)
+            parameter_shift_grad(template, params, inputs)
+        assert _snapshot(template.blocks) == before
+
+
+class TestExecutorMemory:
+    def test_peak_stays_near_three_states(self):
+        """A phase block's phases, a state's worth, are dropped once applied:
+        a run peaks at about three (B, 2^n) states, inside ``phases`` (the
+        state, the phases and their real angles), and near four if the
+        phases outlive their block into the next matrix product."""
+        template = assemble_pqc(Architecture.CIRCUIT_III, 4, 2, True)
+        rng = np.random.default_rng(0)
+        params = rng.uniform(0, 2 * math.pi, template.param_slots)
+        inputs = rng.uniform(0, 2 * math.pi, (2048, 4))
+        run_circuit_batch(template, params, inputs)  # compile outside the trace
+        state_bytes = len(inputs) * 2**template.n_qubits * 16
+        tracemalloc.start()
+        try:
+            run_circuit_batch(template, params, inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * state_bytes, f"peak {peak / state_bytes:.2f} states"
 
 
 class TestUncompilableTemplates:

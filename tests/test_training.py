@@ -109,7 +109,7 @@ def generator_loss(model, weight_samples, images, labels, data_scale=1.0):
         logit_mean = float(np.mean(np.log(d) - np.log(1.0 - d)))
         log_p = 0.0
         if images is not None:
-            probs = tr.forward_probs_np(model, images, ws.kernels)
+            probs = tr.forward_probs_np(model, images, ws.kernels[None])[0]
             log_p = data_scale * float(
                 np.sum(np.log(probs[np.arange(len(labels)), labels]))
             )
@@ -170,7 +170,7 @@ class TestGeneratorLoss:
         ws = per_draw_samples(model.sampler, 1, np.random.default_rng(0))[0]
         images, labels = train.images[:4], train.labels[:4]
         value = generator_loss(model, [ws], images, labels, data_scale=1.0)
-        probs = tr.forward_probs_np(model, images, ws.kernels)
+        probs = tr.forward_probs_np(model, images, ws.kernels[None])[0]
         expected = -float(np.sum(np.log(probs[np.arange(4), labels])))
         assert value == pytest.approx(expected, rel=1e-12)
 
@@ -182,7 +182,7 @@ class TestGeneratorLoss:
         value = generator_loss(model, [ws], image, label, data_scale=2.5)
         d = _np_disc_forward(model.disc, ws.chunks)
         logit_mean = float(np.mean(np.log(d) - np.log(1 - d)))
-        probs = tr.forward_probs_np(model, image, ws.kernels)
+        probs = tr.forward_probs_np(model, image, ws.kernels[None])[0]
         expected = logit_mean - 2.5 * math.log(probs[0, label[0]])
         assert value == pytest.approx(expected, rel=1e-10)
 
@@ -408,7 +408,7 @@ class TestForwardProbs:
                                               conv_stride=stride), (28, 28))
         kernels = np.random.default_rng(stride).normal(size=(16, 2, 2))
         images = train.images[:12]
-        np.testing.assert_allclose(tr.forward_probs_np(model, images, kernels),
+        np.testing.assert_allclose(tr.forward_probs_np(model, images, kernels[None])[0],
                                    einsum_forward_probs(model, images, kernels),
                                    rtol=0, atol=1e-15)
 
@@ -459,7 +459,7 @@ class TestMemberBlockedForward:
         images = train.images[:images_per_block(stride) + 3]
         stacked = tr.forward_probs_np(model, images, kernels)
         for k, member in zip(kernels, stacked):
-            single = tr.forward_probs_np(model, images, k)
+            single = tr.forward_probs_np(model, images, k[None])[0]
             assert single.shape == (len(images), 2)
             np.testing.assert_array_equal(single, member)
 
@@ -550,7 +550,7 @@ class TestEnsemblePrediction:
         image = train.images[0]
         pred = predict_ensemble(model, image, 1, stream_tag=("check",))
         ws = tr.draw_weight_samples(model, 1, stream(model.config.seed, "check"))[0]
-        member = tr.forward_probs_np(model, image[None], ws.kernels)[0]
+        member = tr.forward_probs_np(model, image[None], ws.kernels[None])[0, 0]
         np.testing.assert_allclose(pred.class_probabilities, member, atol=1e-15)
         assert pred.member_votes.shape == (1,)
 
@@ -569,7 +569,7 @@ class TestEnsemblePrediction:
                                            stream_tag=("replay", 0))
         samples = tr.draw_weight_samples(model, 9, stream(model.config.seed, "replay", 0))
         members = np.stack([
-            tr.forward_probs_np(model, train.images[:5], ws.kernels) for ws in samples
+            tr.forward_probs_np(model, train.images[:5], ws.kernels[None])[0] for ws in samples
         ])
         np.testing.assert_allclose(probs, members.mean(axis=0), atol=1e-15)
         np.testing.assert_array_equal(votes, members.argmax(axis=2))
@@ -967,7 +967,7 @@ class TestForwardProbsOracle:
         images, labels = random_batch(rng, batch, (height, width))
         kernels = rng.normal(size=(16, 2, 2))
         conv = ad.conv2d(images, ad.Tensor(kernels), stride)
-        probs = tr.forward_probs_np(model, images, kernels)
+        probs = tr.forward_probs_np(model, images, kernels[None])[0]
         np.testing.assert_allclose(tr._nll(model, conv, labels, 1.0).item(),
                                    -np.log(probs[np.arange(batch), labels]).sum(),
                                    rtol=1e-12)
