@@ -142,33 +142,52 @@ class DensityEstimate:
     location: float | None = None
 
 
-def scott_bandwidth(samples: np.ndarray) -> float:
-    """Rule-of-thumb bandwidth: sample standard deviation times n^(-1/5)."""
-    samples = np.asarray(samples, dtype=np.float64)
-    return float(samples.std(ddof=1) * len(samples) ** (-1 / 5))
+# Grid rows per block of the kernel sum are chosen so that the block's
+# (rows, N) kernel values hold about this many floats (512 kB).
+KDE_BLOCK_FLOATS = 1 << 16
 
 
 def kde_density(samples, grid=None, bandwidth: float | None = None) -> DensityEstimate:
     """Gaussian-kernel density of 1-D samples on ``grid``.
 
-    The default grid spans the samples plus three bandwidths of margin.
-    Zero-variance inputs cannot be smoothed and come back flagged as a
-    point mass at their common value, with an all-zero density.
+    The bandwidth defaults to Scott's rule, the sample standard deviation
+    times n^(-1/5), and the default grid spans the samples plus three
+    bandwidths of margin.  Zero-variance inputs cannot be smoothed and
+    come back flagged as a point mass at their common value, with an
+    all-zero density.
+
+    The kernel sum runs over blocks of grid rows in one reused buffer, so
+    memory is linear in the sample count; each row gets the same
+    elementwise steps and the same pairwise sum as the whole
+    (grid, samples) matrix would.
     """
     samples = np.asarray(samples, dtype=np.float64).reshape(-1)
-    if len(samples) < 2:
+    n = len(samples)
+    if n < 2:
         raise ValueError("need at least 2 samples")
-    if samples.std(ddof=1) == 0.0:
+    std = samples.std(ddof=1)
+    if std == 0.0:
         location = float(samples[0])
         grid = np.asarray(grid) if grid is not None else np.array([location])
         return DensityEstimate(grid, np.zeros_like(grid, dtype=np.float64), 0.0,
                                point_mass=True, location=location)
-    bw = bandwidth if bandwidth is not None else scott_bandwidth(samples)
+    bw = bandwidth if bandwidth is not None else float(std * n ** (-1 / 5))
     if grid is None:
         grid = np.linspace(samples.min() - 3 * bw, samples.max() + 3 * bw, 256)
     grid = np.asarray(grid, dtype=np.float64)
-    z = (grid[:, None] - samples[None, :]) / bw
-    density = np.exp(-0.5 * z**2).sum(axis=1) / (len(samples) * bw * np.sqrt(2 * np.pi))
+    density = np.empty(len(grid))
+    rows = max(1, KDE_BLOCK_FLOATS // n)
+    buf = np.empty((min(rows, len(grid)), n))
+    for start in range(0, len(grid), rows):
+        grid_blk = grid[start : start + rows]
+        z = buf[: len(grid_blk)]
+        np.subtract(grid_blk[:, None], samples, out=z)
+        z /= bw
+        np.square(z, out=z)
+        z *= -0.5
+        np.exp(z, out=z)
+        z.sum(axis=1, out=density[start : start + rows])
+    density /= n * bw * np.sqrt(2 * np.pi)
     return DensityEstimate(grid, density, bw)
 
 

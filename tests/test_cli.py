@@ -480,9 +480,13 @@ class TestToyAdversarialCommand:
 
 
 class TestReportCommand:
-    def test_full_report(self, tiny_run):
-        assert cli.main(["report", tiny_run]) == 0
-        fig_dir = os.path.join(tiny_run, "figures")
+    def test_full_report(self, tiny_run, tmp_path):
+        import shutil
+
+        run = tmp_path / "run"
+        shutil.copytree(tiny_run, run)
+        assert cli.main(["report", str(run)]) == 0
+        fig_dir = run / "figures"
         for name in ("train_curves.csv", "test_scores.csv", "weight_kde.csv",
                      "difference_scatter.csv", "calibration.csv",
                      "confidence_error_density.csv"):
@@ -496,7 +500,6 @@ class TestReportCommand:
 
         partial = tmp_path / "partial"
         shutil.copytree(tiny_run, partial)
-        shutil.rmtree(partial / "figures", ignore_errors=True)
         for seed in (0, 1):
             os.remove(partial / "classical" / f"seed{seed}" / "eval_test.csv")
         assert cli.main(["report", str(partial)]) == 0
@@ -516,11 +519,11 @@ class TestReportCommand:
     def test_report_is_pure_function_of_results(self, tiny_run, tmp_path):
         import shutil
 
-        copy_a = tmp_path / "a"
-        shutil.copytree(tiny_run, copy_a)
-        shutil.rmtree(copy_a / "figures")
-        assert cli.main(["report", str(copy_a)]) == 0
+        copy_a, copy_b = tmp_path / "a", tmp_path / "b"
+        for copy in (copy_a, copy_b):
+            shutil.copytree(tiny_run, copy)
+            assert cli.main(["report", str(copy)]) == 0
         for name in ("train_curves.csv", "weight_kde.csv", "test_scores.csv"):
-            a = open(os.path.join(tiny_run, "figures", name), "rb").read()
-            b = open(copy_a / "figures" / name, "rb").read()
+            a = open(copy_a / "figures" / name, "rb").read()
+            b = open(copy_b / "figures" / name, "rb").read()
             assert a == b

@@ -1,5 +1,10 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from qcbnn import metrics as mt
@@ -182,7 +187,53 @@ class TestKde:
         rng = np.random.default_rng(6)
         samples = rng.normal(size=1000)
         expected = samples.std(ddof=1) * 1000 ** (-0.2)
-        assert mt.scott_bandwidth(samples) == pytest.approx(expected)
+        assert mt.kde_density(samples).bandwidth == pytest.approx(expected)
+
+    # The block boundaries are drawn at two budgets: the module's own, and
+    # one that puts a single grid row in each block of 256 samples.
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(budget=st.sampled_from([mt.KDE_BLOCK_FLOATS, 256]),
+           n=st.sampled_from([2, 255, 256, 257, 25_600]),
+           grid_len=st.sampled_from([1, 241, 257, None]),
+           bandwidth=st.one_of(st.none(), st.floats(0.01, 2.0)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_blocked_sum_matches_one_shot_oracle(self, budget, n, grid_len, bandwidth, seed):
+        rng = np.random.default_rng(seed)
+        samples = rng.normal(rng.uniform(-0.5, 0.5), rng.uniform(0.01, 1.0), n)
+        grid = None if grid_len is None else np.linspace(-1.2, 1.2, grid_len)
+        want_grid, want_density, want_bw = kde_oracle(samples, grid, bandwidth)
+        with mock.patch.object(mt, "KDE_BLOCK_FLOATS", budget):
+            est = mt.kde_density(samples, grid, bandwidth)
+        assert np.array_equal(est.grid, want_grid)
+        assert np.array_equal(est.density, want_density)
+        assert est.bandwidth == want_bw
+
+    def test_memory_is_linear_in_samples(self):
+        """The report's pooled weight density: at 25,600 samples on its
+        241-point grid the one-shot sum peaked at 141 MB."""
+        samples = np.random.default_rng(7).normal(0.0, 0.3, 25_600)
+        grid = np.linspace(-1.2, 1.2, 241)
+        tracemalloc.start()
+        try:
+            mt.kde_density(samples, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def kde_oracle(samples, grid=None, bandwidth=None):
+    """The Gaussian KDE as one (grid, samples) matrix expression, with
+    Scott's bandwidth; returns (grid, density, bandwidth)."""
+    samples = np.asarray(samples, dtype=np.float64).reshape(-1)
+    if bandwidth is None:
+        bandwidth = float(samples.std(ddof=1) * len(samples) ** (-1 / 5))
+    if grid is None:
+        grid = np.linspace(samples.min() - 3 * bandwidth, samples.max() + 3 * bandwidth, 256)
+    grid = np.asarray(grid, dtype=np.float64)
+    z = (grid[:, None] - samples[None, :]) / bandwidth
+    density = np.exp(-0.5 * z**2).sum(axis=1) / (len(samples) * bandwidth * np.sqrt(2 * np.pi))
+    return grid, density, bandwidth
 
 
 def synthetic_outputs(seed=0, m=40, n=25):
