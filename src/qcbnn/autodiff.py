@@ -160,8 +160,13 @@ def softmax_np(logits: np.ndarray) -> np.ndarray:
 class Adam:
     """Standard Adam with bias correction over a list of parameter tensors.
 
-    The moments of all parameters live in one flat buffer each, so a step
-    is one set of elementwise operations over the concatenated gradient.
+    The optimizer owns its tensors' values: they are copied into one flat
+    ``values`` buffer, and each tensor's ``data`` becomes a reshaped view
+    of its part.  The moments live in one flat buffer each, so a step is
+    one set of elementwise operations over the concatenated gradient,
+    ending in one in-place ``values -= update``.  A tensor whose ``data``
+    is rebound to another array is detached: the optimizer no longer
+    moves it.  Write restored values in place (``data[...] = x``).
     """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3,
@@ -169,10 +174,12 @@ class Adam:
         self.params = list(params)
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.step_count = 0
-        ends = np.cumsum([p.data.size for p in self.params]).tolist()
-        self._slices = [slice(end - p.data.size, end) for p, end in zip(self.params, ends)]
-        self.m = np.zeros(ends[-1] if ends else 0)
-        self.v = np.zeros_like(self.m)
+        self.values = np.concatenate([np.ravel(p.data) for p in self.params])
+        ends = np.cumsum([p.data.size for p in self.params])
+        for p, part in zip(self.params, np.split(self.values, ends[:-1])):
+            p.data = part.reshape(p.data.shape)
+        self.m = np.zeros_like(self.values)
+        self.v = np.zeros_like(self.values)
 
     def zero_grad(self):
         for p in self.params:
@@ -198,8 +205,7 @@ class Adam:
         np.sqrt(denom, out=denom)
         denom += self.eps
         update /= denom
-        for p, part in zip(self.params, self._slices):
-            p.data = p.data - update[part].reshape(p.data.shape)
+        self.values -= update
 
 
 # -- checkpoint container ------------------------------------------------------

@@ -150,14 +150,19 @@ def assemble_pqc(
         calc, used = build_calculation_layer(arch, n_qubits, offset, cr_axis)
         gates.extend(calc)
         offset += used
-    tag = f"{arch.value}_L{layers}" + ("re" if reupload else "")
     return CircuitTemplate(
         n_qubits=n_qubits,
         gates=tuple(gates),
         param_slots=offset,
         input_slots=n_qubits,
-        name=tag,
+        name=pqc_label(arch, layers, reupload),
     )
+
+
+def pqc_label(arch: Architecture, layers: int, reupload: bool) -> str:
+    """Name of a sampler circuit, and of its sweep cell: ``circuit_iii_L2re``
+    is circuit_iii with two calculation layers and re-uploading."""
+    return f"{arch.value}_L{layers}" + ("re" if reupload else "")
 
 
 def _format_ref(ref: tuple) -> str:

@@ -58,13 +58,21 @@ class RunConfig(TrainSettings):
             if isinstance(value, str) and any(c in value for c in "#\n\r"):
                 raise ConfigError(f"{f.name} must not contain '#' or a line break, "
                                   f"which config.cfg cannot echo: {value!r}")
-        if not self.archs or not self.seeds:
-            raise ConfigError("need at least one architecture and one seed")
         if len(self.layers_list) != len(self.reupload_list):
             raise ConfigError(
                 "conflicting sweep lengths: layers_list and reupload_list "
                 f"have {len(self.layers_list)} and {len(self.reupload_list)} entries"
             )
+        # each sweep axis needs a value, and a repeated one would train a
+        # cell twice into one directory and count it twice in the summary
+        depths = list(zip(self.layers_list, self.reupload_list))
+        for what, values in (("seed", self.seeds), ("architecture", [a.value for a in self.archs]),
+                             ("(layers, reupload) pair", depths)):
+            if not values:
+                raise ConfigError(f"need at least one {what}")
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ConfigError(f"sweep lists {what} {repeated[0]} more than once")
         if not 2 <= self.calibration_bins <= MAX_CALIBRATION_BINS:
             raise ConfigError(f"calibration_bins must be in [2, {MAX_CALIBRATION_BINS}], "
                               f"got {self.calibration_bins}")

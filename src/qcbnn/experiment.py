@@ -30,6 +30,7 @@ import numpy as np
 
 from . import svg
 from .autodiff import load_checkpoint, save_checkpoint
+from .circuits import pqc_label
 from .config import ConfigError, RunConfig, format_config, parse_config
 from .data import Dataset, SynthSpec, load_dataset, read_image_shape, split, synth_generate
 from .metrics import EvalReport, build_eval_report, kde_density, report_rows
@@ -105,7 +106,7 @@ def dataset_image_shape(config: RunConfig) -> tuple[int, int]:
 def cell_label(config: RunConfig, arch, layers: int, reupload: bool) -> str:
     if config.sampler != "quantum":
         return config.sampler
-    return f"{arch.value}_L{layers}" + ("re" if reupload else "")
+    return pqc_label(arch, layers, reupload)
 
 
 def _run_cells(config: RunConfig):

@@ -221,9 +221,9 @@ def build_eval_report(class_probs, votes, labels, n_bins: int = 10,
                       subset_reference: str = "overall") -> EvalReport:
     """Assemble the report from ensemble outputs.
 
-    ``class_probs`` is (M, C) averaged member probabilities, ``votes``
-    (N, M) per-member argmax classes, ``labels`` (M,).  The per-subset
-    confidence error subtracts overall accuracy by default;
+    ``class_probs`` is (N, C) probabilities of N images averaged over M
+    members, ``votes`` (M, N) per-member argmax classes, ``labels`` (N,).
+    The per-subset confidence error subtracts overall accuracy by default;
     ``subset_reference="indicator"`` subtracts 1 on the correct subset
     and 0 on the incorrect one instead.
     """
@@ -232,11 +232,11 @@ def build_eval_report(class_probs, votes, labels, n_bins: int = 10,
     labels = np.asarray(labels, dtype=np.int64)
     if subset_reference not in ("overall", "indicator"):
         raise ValueError("subset_reference must be 'overall' or 'indicator'")
-    m = len(labels)
-    if class_probs.shape[0] != m or votes.shape[1] != m:
+    n = len(labels)
+    if class_probs.shape[0] != n or votes.shape[1] != n:
         raise ValueError("prediction, vote and label counts disagree")
     predicted = class_probs.argmax(axis=1)
-    confidence = class_probs[np.arange(m), predicted]
+    confidence = class_probs[np.arange(n), predicted]
     correct = predicted == labels
     fractions = (votes == predicted[None, :]).mean(axis=0)
 
@@ -257,7 +257,7 @@ def build_eval_report(class_probs, votes, labels, n_bins: int = 10,
 
     no_incorrect = conf_i is None
     return EvalReport(
-        n_samples=m,
+        n_samples=n,
         n_members=votes.shape[0],
         accuracy=accuracy,
         precision=scores.precision,

@@ -5,8 +5,12 @@ each forward pass draws them from a generator.  Three generators share
 one contract: ``noise_law`` says what to draw, ``N_CHUNKS`` rows per
 draw, ``expectations(noise)`` maps (rows, dim) noise to (rows, 4) chunk values,
 ``forward(noise)`` is the same map as an autodiff node whose backward
-reaches every tensor of ``parameters()``, and ``named_tensors()`` names
-the trainable state.
+reaches every tensor of ``named_tensors()``, which lists the trainable
+state once, by checkpoint name.  The discriminator lists its tensors the
+same way.  The model's optimizers train exactly those tensors: each
+tensor's ``data`` is then a view of its optimizer's flat ``values``
+buffer, so it changes in place at every step, and rebinding ``data`` to
+a new array detaches the tensor from its optimizer.
 
 * ``QuantumWeightSampler`` feeds each noise vector into a parametrized
   circuit and reads the per-qubit expectations; an adjoint sweep trains it;
@@ -163,9 +167,6 @@ class QuantumWeightSampler:
         ``theta_vjp``, which training uses instead."""
         return parameter_shift_grad(self.template, self.theta.data, noise)
 
-    def parameters(self) -> list[ad.Tensor]:
-        return [self.theta]
-
     def named_tensors(self) -> dict[str, ad.Tensor]:
         return {"theta": self.theta}
 
@@ -206,9 +207,6 @@ class ClassicalWeightSampler:
 
     def expectations(self, noise: np.ndarray) -> np.ndarray:
         return self.forward(noise).data
-
-    def parameters(self) -> list[ad.Tensor]:
-        return [self.w1, self.b1, self.w2, self.b2]
 
     def named_tensors(self) -> dict[str, ad.Tensor]:
         return {"gen_w1": self.w1, "gen_b1": self.b1,
@@ -258,9 +256,6 @@ class GaussianPosterior:
 
         return ad._node(per_element.sum(), (self.mu, self.mu, self.log_sigma, self.log_sigma),
                         vjp)
-
-    def parameters(self) -> list[ad.Tensor]:
-        return [self.mu, self.log_sigma]
 
     def named_tensors(self) -> dict[str, ad.Tensor]:
         return {"vi_mu": self.mu, "vi_log_sigma": self.log_sigma}
@@ -313,9 +308,6 @@ class Discriminator:
             return pre_activation_grads(g)[1] @ w1
 
         return np.clip(sigmoid, SIGMOID_EPS, 1.0 - SIGMOID_EPS), weights_vjp, chunks_vjp
-
-    def parameters(self) -> list[ad.Tensor]:
-        return [self.w1, self.b1, self.w2, self.b2]
 
     def named_tensors(self) -> dict[str, ad.Tensor]:
         return {"disc_w1": self.w1, "disc_b1": self.b1,

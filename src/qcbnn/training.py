@@ -151,18 +151,20 @@ class ModelState:
     config: TrainConfig
 
     def named_tensors(self) -> dict[str, ad.Tensor]:
-        out = dict(self.sampler.named_tensors())
-        out["dense_w"] = self.dense_w
-        out["dense_b"] = self.dense_b
-        out.update(self.disc.named_tensors())
-        return out
+        """Every trainable tensor by checkpoint name: the generator's, the
+        classifier head's and the discriminator's, in that order."""
+        return {**self.sampler.named_tensors(), "dense_w": self.dense_w,
+                "dense_b": self.dense_b, **self.disc.named_tensors()}
 
     def named_arrays(self) -> dict[str, np.ndarray]:
+        """Each tensor's values by name: views that the next step moves."""
         return {name: t.data for name, t in self.named_tensors().items()}
 
     def load_arrays(self, arrays: dict[str, np.ndarray]):
         """Restore parameters from a checkpoint dictionary; it must hold
-        exactly this model's tensors, with matching shapes."""
+        exactly this model's tensors, with matching shapes.  Every array is
+        checked before any is written, and each is written in place into
+        its tensor's view of the optimizer's buffer."""
         named = self.named_tensors()
         unknown = sorted(set(arrays) - set(named))
         if unknown:
@@ -174,7 +176,8 @@ class ModelState:
             if arrays[name].shape != tensor.data.shape:
                 raise ValueError(f"checkpoint tensor {name!r} has shape "
                                  f"{arrays[name].shape}, expected {tensor.data.shape}")
-            tensor.data = arrays[name].astype(np.float64).copy()
+        for name, tensor in named.items():
+            tensor.data[...] = arrays[name]
 
 
 def conv_output_shape(image_shape: tuple[int, int], stride: int) -> tuple[int, int]:
@@ -208,9 +211,9 @@ def build_model(config: TrainConfig, image_shape: tuple[int, int]) -> ModelState
         dense_w=dense_w,
         dense_b=dense_b,
         disc=disc,
-        opt_generator=ad.Adam(sampler.parameters(), lr=config.lr_generator),
+        opt_generator=ad.Adam(sampler.named_tensors().values(), lr=config.lr_generator),
         opt_classifier=ad.Adam([dense_w, dense_b], lr=config.lr_classifier),
-        opt_discriminator=ad.Adam(disc.parameters(), lr=config.lr_discriminator),
+        opt_discriminator=ad.Adam(disc.named_tensors().values(), lr=config.lr_discriminator),
         config=config,
     )
 
@@ -268,7 +271,7 @@ def _disc_loss(disc: Discriminator, prior_chunks: np.ndarray,
         return tuple(a + b for a, b in zip(gen_vjp(-g * gen_scale / d_gen),
                                            prior_vjp(g * prior_scale / one_minus_prior)))
 
-    return ad._node(-objective, tuple(disc.parameters()), vjp)
+    return ad._node(-objective, tuple(disc.named_tensors().values()), vjp)
 
 
 def _logit_mean(disc: Discriminator, chunks: ad.Tensor) -> ad.Tensor:
@@ -394,7 +397,7 @@ def train_step(model: ModelState, images, labels, data_scale: float,
     model.opt_generator.step()
     if images is not None:
         model.opt_classifier.step()
-    if not all(np.isfinite(p.data).all() for p in sampler.parameters()):
+    if not np.isfinite(model.opt_generator.values).all():
         raise DivergenceError("non-finite generator parameters")
     return breakdown
 

@@ -50,8 +50,9 @@ _FIELD_STRATEGIES = {
     "embedding_pairs": st.sampled_from(["adjacent", "all"]),
     "cr_axis": st.sampled_from(["X", "Y", "Z"]),
     "conv_stride": _POSITIVE,
-    "archs": st.lists(st.sampled_from(list(Architecture)), min_size=1, max_size=3),
-    "seeds": st.lists(st.integers(0, 2**31), min_size=1, max_size=3),
+    "archs": st.lists(st.sampled_from(list(Architecture)), min_size=1, max_size=3,
+                      unique=True),
+    "seeds": st.lists(st.integers(0, 2**31), min_size=1, max_size=3, unique=True),
     "noise_law": st.sampled_from(["uniform", "gaussian"]),
     "noise_mu": _FINITE, "noise_sigma": _SCALE,
     "prior_law": st.sampled_from(["uniform", "clipped-gaussian"]),
@@ -69,10 +70,11 @@ _FIELD_STRATEGIES = {
 
 @st.composite
 def valid_run_configs(draw):
-    """RunConfigs with every field drawn; the depth lists share one length."""
+    """RunConfigs with every field drawn; the depth lists share one length,
+    and no sweep list repeats a cell."""
     values = {name: draw(strategy) for name, strategy in _FIELD_STRATEGIES.items()}
     depths = draw(st.lists(st.tuples(st.integers(1, 4), st.booleans()),
-                           min_size=1, max_size=3))
+                           min_size=1, max_size=3, unique=True))
     values["layers_list"] = [layers for layers, _ in depths]
     values["reupload_list"] = [reupload for _, reupload in depths]
     return RunConfig(**values)
@@ -293,6 +295,12 @@ class TestTrainCommand:
         (["--sampler", "quantum", "--set", "cr_axis=W"], "cr_axis must be one of X, Y, Z"),
         (["--sampler", "quantum", "--set", "embedding_pairs=ring"],
          "embedding_pairs must be one of adjacent, all"),
+        # a repeated sweep cell would train twice into one directory
+        (["--seed", "0,0"], "sweep lists seed 0 more than once"),
+        (["--arch", "circuit_iii,circuit_iii"],
+         "sweep lists architecture circuit_iii more than once"),
+        (["--layers", "1,1", "--reupload", "false,false"],
+         "sweep lists (layers, reupload) pair (1, False) more than once"),
     ], ids=["epochs-0", "sampler-bogus", "calibration-bins-1", "calibration-bins-101",
             "subset-reference-bogus", "split-fractions-sum", "synth-imbalance-0",
             "synth-imbalance-nan", "synth-noise-nan", "synth-noise-negative",
@@ -300,7 +308,8 @@ class TestTrainCommand:
             "removed-samples-per-step", "removed-scale-likelihood", "out-hash",
             "dataset-hash", "split-fraction-negative", "noise-sigma-negative",
             "noise-mu-inf", "prior-sigma-negative", "prior-mu-nan", "alpha-nan",
-            "beta-inf", "lr-classifier-inf", "cr-axis-w", "embedding-pairs-ring"])
+            "beta-inf", "lr-classifier-inf", "cr-axis-w", "embedding-pairs-ring",
+            "seed-repeated", "arch-repeated", "depth-repeated"])
     def test_invalid_training_value_writes_nothing(self, flags, message, tmp_path,
                                                    capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)  # a relative --out lands here

@@ -199,9 +199,9 @@ class TestBlockBuildMemo:
                     for _ in range(2)]
         for op, which in ops:
             sampler = samplers[which]
-            if op == "fresh":  # as Adam does: a new array
+            if op == "fresh":  # data rebound to a new array
                 sampler.theta.data = rng.uniform(0, 2 * math.pi, slots)
-            elif op == "edit":  # the same array, one value moved
+            elif op == "edit":  # the same array, one value moved, as Adam moves it
                 sampler.theta.data[rng.integers(slots)] += rng.normal()
             else:
                 noise = rng.uniform(0, 2 * math.pi, (int(rng.integers(1, 5)), CHUNK_DIM))
@@ -214,7 +214,7 @@ class TestBlockBuildMemo:
 class TestClassicalSampler:
     def test_zero_weights_give_zero_outputs(self):
         sampler = ClassicalWeightSampler(np.random.default_rng(0))
-        for p in sampler.parameters():
+        for p in sampler.named_tensors().values():
             p.data = np.zeros_like(p.data)
         ws = one_draw(sampler, np.random.default_rng(1))
         np.testing.assert_array_equal(ws.chunks, np.zeros((N_CHUNKS, CHUNK_DIM)))
@@ -269,7 +269,7 @@ class TestGeneratorContract:
         noise = sample_noise_block(rng, sampler.noise_law, N_CHUNKS)
         upstream = rng.normal(size=(N_CHUNKS, CHUNK_DIM))
         og.summation(og.mul(sampler.forward(noise), upstream)).backward()
-        for param in sampler.parameters():
+        for param in sampler.named_tensors().values():
             assert param.grad is not None and param.grad.shape == param.data.shape
             assert np.any(param.grad)
 
@@ -294,7 +294,7 @@ class TestGeneratorContract:
 class TestDiscriminator:
     def test_zero_weights_output_half(self):
         disc = Discriminator(np.random.default_rng(0))
-        for p in disc.parameters():
+        for p in disc.named_tensors().values():
             p.data = np.zeros_like(p.data)
         assert disc.forward(np.array([[0.3, -0.1, 0.9, 0.0]]))[0][0, 0] == pytest.approx(0.5)
 

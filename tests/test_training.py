@@ -8,9 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcbnn import autodiff as ad
+from qcbnn import experiment
 from qcbnn import statevector as sv
 from qcbnn import training as tr
 from qcbnn.circuits import Architecture
+from qcbnn.config import RunConfig, format_config
 from qcbnn.samplers import (
     Discriminator,
     NoiseLaw,
@@ -28,7 +30,7 @@ from conftest import finite_difference_grad, per_draw_samples
 
 def zero_discriminator():
     disc = Discriminator(np.random.default_rng(0))
-    for p in disc.parameters():
+    for p in disc.named_tensors().values():
         p.data = np.zeros_like(p.data)
     return disc
 
@@ -236,7 +238,7 @@ class TestLogitTermSanity:
     def test_matched_distributions_after_brief_training(self):
         rng = np.random.default_rng(6)
         disc = Discriminator(rng)
-        opt = ad.Adam(disc.parameters(), lr=0.005)
+        opt = ad.Adam(disc.named_tensors().values(), lr=0.005)
         spec = PriorSpec()
         for _ in range(100):
             a = prior_sample_block(spec, rng, 64)
@@ -335,7 +337,7 @@ class TestTrainStepAndEpoch:
         # frozen generator stuck in a corner vs uniform prior
         rng = np.random.default_rng(10)
         disc = Discriminator(rng)
-        opt = ad.Adam(disc.parameters(), lr=0.01)
+        opt = ad.Adam(disc.named_tensors().values(), lr=0.01)
         gen_eval = 0.75 + 0.05 * np.random.default_rng(11).uniform(-1, 1, (256, 4))
         prior_eval = prior_sample_block(PriorSpec(), np.random.default_rng(12), 256)
         values = [discriminator_loss(disc, prior_eval, gen_eval)]
@@ -543,6 +545,78 @@ class TestCheckpointArrays:
                 model.load_arrays(prefix)
 
 
+OPTIMIZERS = ("opt_generator", "opt_classifier", "opt_discriminator")
+
+
+def assert_one_home(model):
+    """Every named tensor is a view into exactly one optimizer's ``values``,
+    and the views tile each buffer: the buffers hold exactly those tensors."""
+    buffers = [getattr(model, name).values for name in OPTIMIZERS]
+    tensors = model.named_tensors()
+    for name, tensor in tensors.items():
+        assert [np.shares_memory(tensor.data, b) for b in buffers].count(True) == 1, name
+    for values in buffers:
+        base = values.__array_interface__["data"][0]
+        spans = sorted((t.data.__array_interface__["data"][0] - base, t.data.nbytes)
+                       for t in tensors.values() if np.shares_memory(t.data, values))
+        ends = [start + size for start, size in spans]
+        assert [start for start, _ in spans] == [0] + ends[:-1]
+        assert ends[-1] == values.nbytes
+
+
+def array_bytes(model) -> dict:
+    return {name: value.tobytes() for name, value in model.named_arrays().items()}
+
+
+class TestOneHome:
+    """Each optimizer owns its group's values in one flat buffer; the
+    model's tensors are views of it from build to checkpoint load."""
+
+    @pytest.mark.parametrize("sampler", ["quantum", "classical", "vi"])
+    def test_tensors_are_views_of_the_optimizers(self, tiny_split, tmp_path, sampler):
+        train, _ = tiny_split
+        config = RunConfig(sampler=sampler, seeds=[21], batch_size=7)
+        model = tr.build_model(config.train_config(*config.cells()[0]),
+                               train.images.shape[1:])
+        assert_one_home(model)
+        tr.train_epoch(model, train.images, train.labels, 0)
+        assert_one_home(model)
+        ad.save_checkpoint(tmp_path / "checkpoint.qckpt", model.named_arrays())
+        (tmp_path / "config.cfg").write_text(format_config(config))
+        loaded, _ = experiment.load_run(str(tmp_path), train.images.shape[1:])
+        assert_one_home(loaded)
+        assert array_bytes(loaded) == array_bytes(model)
+
+    @pytest.mark.parametrize("fault", ["missing", "mis-shaped"])
+    @pytest.mark.parametrize("sampler", ["quantum", "classical", "vi"])
+    def test_failed_load_writes_nothing(self, sampler, fault):
+        model = tr.build_model(tr.TrainConfig(seed=22, sampler=sampler), (28, 28))
+        arrays = tr.build_model(tr.TrainConfig(seed=23, sampler=sampler), (28, 28)).named_arrays()
+        last = list(arrays)[-1]  # every other tensor passes its checks first
+        if fault == "missing":
+            del arrays[last]
+        else:
+            arrays[last] = np.zeros(arrays[last].size + 1)
+        before = array_bytes(model)
+        with pytest.raises(ValueError, match=repr(last)):
+            model.load_arrays(arrays)
+        assert array_bytes(model) == before
+
+    @pytest.mark.parametrize("sampler", ["quantum", "classical", "vi"])
+    def test_step_after_load_moves_the_loaded_values(self, tiny_split, sampler):
+        train, _ = tiny_split
+        shape = train.images.shape[1:]
+        model = tr.build_model(tr.TrainConfig(seed=24, sampler=sampler), shape)
+        other = tr.build_model(tr.TrainConfig(seed=25, sampler=sampler), shape)
+        loaded = {name: value.copy() for name, value in other.named_arrays().items()}
+        model.load_arrays(loaded)
+        tr.train_step(model, train.images[:7], train.labels[:7], 4.0, *step_streams(0))
+        unmoved = [name for name, tensor in model.named_tensors().items()
+                   if np.array_equal(tensor.data, loaded[name])]
+        # the plain-VI step runs no discriminator ascent
+        assert unmoved == (list(model.disc.named_tensors()) if sampler == "vi" else [])
+
+
 class TestEnsemblePrediction:
     def test_single_member_equals_its_softmax(self, tiny_split):
         train, _ = tiny_split
@@ -742,8 +816,8 @@ class TestClosedFormStep:
         combined, _ = tr.combined_loss_graph(model, [model.sampler.forward(noise)],
                                              train.images[:5], train.labels[:5], 2.0)
         combined.backward()
-        assert all(p.grad is not None for p in model.sampler.parameters())
-        assert [p.grad for p in model.disc.parameters()] == [None] * 4
+        assert all(p.grad is not None for p in model.sampler.named_tensors().values())
+        assert [p.grad for p in model.disc.named_tensors().values()] == [None] * 4
 
     @pytest.mark.parametrize("cell", list(STEP_CELLS))
     def test_step_graph_stays_small(self, tiny_split, cell, monkeypatch):
@@ -867,18 +941,18 @@ class TestFusedNodeVjps:
     def test_disc_loss_matches_oracle_graph(self, n_gen, n_prior, weight_scale, seed):
         rng = np.random.default_rng(seed)
         disc = Discriminator(rng)
-        for p in disc.parameters():
+        for p in disc.named_tensors().values():
             p.data = p.data * weight_scale + rng.normal(0.0, 0.1, p.data.shape)
         gen, prior = rng.uniform(-1, 1, (n_gen, 4)), rng.uniform(-1, 1, (n_prior, 4))
         loss = tr._disc_loss(disc, prior, gen)
         loss.backward()
-        got = [p.grad for p in disc.parameters()]
-        for p in disc.parameters():
+        got = [p.grad for p in disc.named_tensors().values()]
+        for p in disc.named_tensors().values():
             p.grad = None
         oracle = og.mul(og.disc_objective(disc, prior, gen), -1.0)
         oracle.backward()
         assert loss.data.tobytes() == oracle.data.tobytes()
-        for a, p in zip(got, disc.parameters()):
+        for a, p in zip(got, disc.named_tensors().values()):
             assert np.array_equal(a, p.grad)
 
     @NODE_SETTINGS
@@ -892,8 +966,8 @@ class TestFusedNodeVjps:
         loss = tr._disc_loss(disc, prior, gen)
         loss.backward()
         assert_matches_central_differences(
-            lambda: tr._disc_loss(disc, prior, gen).item(), disc.parameters(),
-            [p.grad for p in disc.parameters()])
+            lambda: tr._disc_loss(disc, prior, gen).item(), disc.named_tensors().values(),
+            [p.grad for p in disc.named_tensors().values()])
         chunks = ad.Tensor(gen, requires_grad=True)
         tr._logit_mean(disc, chunks).backward()
         assert_matches_central_differences(lambda: tr._logit_mean(disc, chunks).item(),
@@ -937,7 +1011,7 @@ class TestFusedNodeVjps:
         if cell == "vi":
             loss = og.add(loss, sampler.kl_to_standard_normal())
         loss.backward()
-        params = sampler.parameters()
+        params = sampler.named_tensors().values()
         assert_matches_central_differences(value, params, [p.grad for p in params])
 
 
