@@ -160,6 +160,12 @@ def _sample_weights(args) -> str:
     from .training import build_model
 
     if args.run_dir:
+        given = [f"--{flag}" for flag in ("config", *_CONFIG_FLAGS)
+                 if getattr(args, flag) is not None]
+        if args.set:
+            given.append("--set")
+        if given:
+            raise ConfigError(f"--run-dir reads the run's own config; drop {', '.join(given)}")
         model, _ = load_run(args.run_dir, dataset_image_shape(read_run_config(args.run_dir)))
     else:
         config = _build_config(args)

@@ -23,6 +23,14 @@ time.  Supported reference forms::
     ("enc1", i)      2 * inputs[i]                single-feature encoding
     ("enc2", i, j)   2 * (pi - z_i) * (pi - z_j)  pairwise feature encoding
 
+Each gate kind is one row of a private table: its target-wire count, one
+family per angle and its matrix.  A family says how its angle enters the
+matrix (as e^(+-ia/2), as e^(ia), or as a half angle beside an identity
+block), and fixes both that angle's shift rule and its exact matrix
+derivative.  A diagonal kind's matrix is its phase row, exp(i * angle *
+phases), the same row that a compiled phase block multiplies; CNOT's row is
+its permutation.  ``GATE_SIGNATURES`` is the table's (wires, angles) view.
+
 Two executors share the gate matrices.  ``run_circuit`` applies one gate
 at a time to a ``StateVector``; it is the reference path that tests
 compare against.  ``run_circuit_batch`` runs one params vector on a batch
@@ -55,27 +63,13 @@ from __future__ import annotations
 
 import math
 import string
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 MAX_QUBITS = 12
-
-# kind -> (number of target wires, number of angles)
-GATE_SIGNATURES = {
-    "H": (1, 0),
-    "RX": (1, 1),
-    "RY": (1, 1),
-    "RZ": (1, 1),
-    "PHASE": (1, 1),
-    "U3": (1, 3),
-    "CNOT": (2, 0),
-    "CRX": (2, 1),
-    "CRY": (2, 1),
-    "CRZ": (2, 1),
-    "ZZ": (2, 1),
-}
 
 _ANGLE_REF_TAGS = {"p": 1, "enc1": 1, "enc2": 2}
 
@@ -149,14 +143,14 @@ class CircuitTemplate:
     def shift_plan(self) -> tuple[np.ndarray, np.ndarray]:
         """Parameter-shift offsets and weights, both (R, param_slots).
 
-        Row r shifts one trainable slot by the shift rule of the gate that
-        holds it, so that for every output f,
+        Row r shifts one trainable slot by the shift rule of its angle's
+        family, so that for every output f,
         df/dtheta = sum_r weights[r] * f(theta + offsets[r]).
         """
-        slot_kind = {ref[1]: gate.kind for gate in self.gates
-                     for ref in gate.angles if ref[0] == "p"}
+        slot_family = {ref[1]: _KINDS[gate.kind].families[a] for gate in self.gates
+                       for a, ref in enumerate(gate.angles) if ref[0] == "p"}
         terms = [(j, shift, weight) for j in range(self.param_slots)
-                 for shift, weight in _shift_terms(slot_kind[j])]
+                 for shift, weight in slot_family[j].shifts]
         offsets = np.zeros((len(terms), self.param_slots))
         weights = np.zeros((len(terms), self.param_slots))
         for r, (j, shift, weight) in enumerate(terms):
@@ -174,10 +168,11 @@ class CircuitTemplate:
         runs: list[tuple[type, list[Gate]]] = []
         for gate in self.gates:
             reads_input = any(ref[0] != "p" for ref in gate.angles)
-            if reads_input and gate.kind not in _DIAGONAL_PHASES:
+            if reads_input and _KINDS[gate.kind].phases is None:
+                diagonal = sorted(k for k, row in _KINDS.items() if row.phases is not None)
                 raise ValueError(f"cannot compile {gate.kind} on {gate.targets} reading "
-                                 f"{gate.angles}: only {sorted(_DIAGONAL_PHASES)} read inputs")
-            if reads_input or (gate.kind in _PERMUTATIONS and runs
+                                 f"{gate.angles}: only {diagonal} read inputs")
+            if reads_input or (_KINDS[gate.kind].perm is not None and runs
                                and runs[-1][0] is _PhasePermutation):
                 kind = _PhasePermutation
             else:
@@ -226,17 +221,63 @@ def init_state(n_qubits: int) -> StateVector:
     return StateVector(int(n_qubits), amps)
 
 
-# --- gate matrices (batched over a leading axis of angle values) -----------
-
-_H_MATRIX = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
-_CNOT_MATRIX = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.complex128
-)
+# --- gate kinds (matrices batched over a leading axis of angle values) --------
 
 
-def _rx(theta: np.ndarray) -> np.ndarray:
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    m = np.zeros(theta.shape + (2, 2), dtype=np.complex128)
+@dataclass(frozen=True)
+class _Family:
+    """How one angle a enters its gate's matrix, read off the spectrum of its
+    generator (Wierichs et al. 2022, arXiv:2107.12390).  ``steps`` and
+    ``weight`` give the exact matrix derivative,
+    dG/da = weight * (G(a + steps[0]) - G(a + steps[1])), which the +-pi/2
+    shift rule is not; ``shifts`` holds the (shift, weight) terms of the
+    shift rule for expectations, df/da = sum_k w_k f(a + s_k)."""
+
+    steps: tuple[float, float]
+    weight: complex
+    shifts: tuple[tuple[float, float], ...]
+
+
+_TWO_TERMS = ((math.pi / 2, 0.5), (-math.pi / 2, -0.5))
+_C_PLUS = (math.sqrt(2) + 1) / (4 * math.sqrt(2))
+_C_MINUS = (math.sqrt(2) - 1) / (4 * math.sqrt(2))
+# e^(+-ia/2), period 4pi: every entry is u e^(ia/2) + v e^(-ia/2), so
+# G' = (G(a + pi) - G(a - pi)) / 4
+_HALF = _Family((math.pi, -math.pi), 0.25, _TWO_TERMS)
+# e^(ia), period 2pi: every entry is c + u e^(ia), so G' = i (G(a) - G(a + pi)) / 2
+_FULL = _Family((0.0, math.pi), 0.5j, _TWO_TERMS)
+# a half angle beside an identity block: generator eigenvalues {0, +-1/2},
+# so the matrix derivative of _HALF and a four-term shift rule
+_CONTROLLED = _Family((math.pi, -math.pi), 0.25,
+                      ((math.pi / 2, _C_PLUS), (-math.pi / 2, -_C_PLUS),
+                       (3 * math.pi / 2, -_C_MINUS), (-3 * math.pi / 2, _C_MINUS)))
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One gate kind: its target-wire count, one family per angle, and its
+    matrix.  A diagonal kind declares ``phases``, the phase of each diagonal
+    entry per unit angle, and its matrix is diag(exp(i * angle * phases)); an
+    angle-free permutation declares ``perm``, the column holding the 1 of
+    each matrix row; any other kind declares its matrix ``build``, from a
+    (..., n_angles) angle array.  Basis order is (control, target)."""
+
+    wires: int
+    families: tuple[_Family, ...] = ()
+    build: Callable[[np.ndarray], np.ndarray] | None = None
+    phases: np.ndarray | None = None
+    perm: np.ndarray | None = None
+
+    @cached_property
+    def fixed(self) -> np.ndarray:
+        """The matrix of a permutation kind."""
+        return np.eye(len(self.perm), dtype=np.complex128)[self.perm]
+
+
+def _rx(angles: np.ndarray) -> np.ndarray:
+    half = angles[..., 0] / 2
+    c, s = np.cos(half), np.sin(half)
+    m = np.zeros(half.shape + (2, 2), dtype=np.complex128)
     m[..., 0, 0] = c
     m[..., 0, 1] = -1j * s
     m[..., 1, 0] = -1j * s
@@ -244,9 +285,10 @@ def _rx(theta: np.ndarray) -> np.ndarray:
     return m
 
 
-def _ry(theta: np.ndarray) -> np.ndarray:
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    m = np.zeros(theta.shape + (2, 2), dtype=np.complex128)
+def _ry(angles: np.ndarray) -> np.ndarray:
+    half = angles[..., 0] / 2
+    c, s = np.cos(half), np.sin(half)
+    m = np.zeros(half.shape + (2, 2), dtype=np.complex128)
     m[..., 0, 0] = c
     m[..., 0, 1] = -s
     m[..., 1, 0] = s
@@ -254,21 +296,8 @@ def _ry(theta: np.ndarray) -> np.ndarray:
     return m
 
 
-def _rz(theta: np.ndarray) -> np.ndarray:
-    m = np.zeros(theta.shape + (2, 2), dtype=np.complex128)
-    m[..., 0, 0] = np.exp(-1j * theta / 2)
-    m[..., 1, 1] = np.exp(1j * theta / 2)
-    return m
-
-
-def _phase(theta: np.ndarray) -> np.ndarray:
-    m = np.zeros(theta.shape + (2, 2), dtype=np.complex128)
-    m[..., 0, 0] = 1.0
-    m[..., 1, 1] = np.exp(1j * theta)
-    return m
-
-
-def _u3(theta: np.ndarray, phi: np.ndarray, lam: np.ndarray) -> np.ndarray:
+def _u3(angles: np.ndarray) -> np.ndarray:
+    theta, phi, lam = angles[..., 0], angles[..., 1], angles[..., 2]
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     m = np.zeros(theta.shape + (2, 2), dtype=np.complex128)
     m[..., 0, 0] = c
@@ -287,14 +316,24 @@ def _controlled(sub: np.ndarray) -> np.ndarray:
     return m
 
 
-def _zz(theta: np.ndarray) -> np.ndarray:
-    m = np.zeros(theta.shape + (4, 4), dtype=np.complex128)
-    minus, plus = np.exp(-1j * theta / 2), np.exp(1j * theta / 2)
-    m[..., 0, 0] = minus
-    m[..., 1, 1] = plus
-    m[..., 2, 2] = plus
-    m[..., 3, 3] = minus
-    return m
+_H_MATRIX = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
+
+_KINDS = {
+    "H": _Kind(1, build=lambda angles: np.broadcast_to(_H_MATRIX, angles.shape[:-1] + (2, 2))),
+    "RX": _Kind(1, (_HALF,), build=_rx),
+    "RY": _Kind(1, (_HALF,), build=_ry),
+    "RZ": _Kind(1, (_HALF,), phases=np.array([-0.5, 0.5])),
+    "PHASE": _Kind(1, (_FULL,), phases=np.array([0.0, 1.0])),
+    "U3": _Kind(1, (_HALF, _FULL, _FULL), build=_u3),
+    "CNOT": _Kind(2, perm=np.array([0, 1, 3, 2])),
+    "CRX": _Kind(2, (_CONTROLLED,), build=lambda angles: _controlled(_rx(angles))),
+    "CRY": _Kind(2, (_CONTROLLED,), build=lambda angles: _controlled(_ry(angles))),
+    "CRZ": _Kind(2, (_CONTROLLED,), phases=np.array([0.0, 0.0, -0.5, 0.5])),
+    "ZZ": _Kind(2, (_HALF,), phases=np.array([-0.5, 0.5, 0.5, -0.5])),
+}
+
+# kind -> (number of target wires, number of angles)
+GATE_SIGNATURES = {kind: (row.wires, len(row.families)) for kind, row in _KINDS.items()}
 
 
 def gate_matrix(kind: str, angles: np.ndarray) -> np.ndarray:
@@ -303,45 +342,29 @@ def gate_matrix(kind: str, angles: np.ndarray) -> np.ndarray:
     ``angles`` has shape (..., n_angles); d is 2 for single-qubit kinds and
     4 for two-qubit kinds with basis order (control, target).
     """
+    row = _KINDS.get(kind)
+    if row is None:
+        raise ValueError(f"unknown gate kind {kind!r}")
     angles = np.asarray(angles, dtype=np.float64)
-    if kind == "H":
-        return np.broadcast_to(_H_MATRIX, angles.shape[:-1] + (2, 2))
-    if kind == "CNOT":
-        return np.broadcast_to(_CNOT_MATRIX, angles.shape[:-1] + (4, 4))
-    if kind == "RX":
-        return _rx(angles[..., 0])
-    if kind == "RY":
-        return _ry(angles[..., 0])
-    if kind == "RZ":
-        return _rz(angles[..., 0])
-    if kind == "PHASE":
-        return _phase(angles[..., 0])
-    if kind == "U3":
-        return _u3(angles[..., 0], angles[..., 1], angles[..., 2])
-    if kind == "CRX":
-        return _controlled(_rx(angles[..., 0]))
-    if kind == "CRY":
-        return _controlled(_ry(angles[..., 0]))
-    if kind == "CRZ":
-        return _controlled(_rz(angles[..., 0]))
-    if kind == "ZZ":
-        return _zz(angles[..., 0])
-    raise ValueError(f"unknown gate kind {kind!r}")
+    if row.phases is not None:
+        d = len(row.phases)
+        m = np.zeros(angles.shape[:-1] + (d * d,), dtype=np.complex128)
+        m[..., :: d + 1] = np.exp(1j * (angles[..., :1] * row.phases))
+        return m.reshape(angles.shape[:-1] + (d, d))
+    if row.perm is not None:
+        return np.broadcast_to(row.fixed, angles.shape[:-1] + row.fixed.shape)
+    return row.build(angles)
 
 
 def _derivative_rule(kind: str) -> tuple[np.ndarray, np.ndarray]:
     """Angle steps (n_angles, 2, 1, n_angles) and weights (n_angles, 1, 1, 1)
-    with dG/da = weights[a] * (G(angles + steps[a, 0]) - G(angles + steps[a, 1])).
-
-    A period-4pi angle enters every entry as c + u e^(ia/2) + v e^(-ia/2), so
-    G' = (G(a + pi) - G(a - pi)) / 4; a period-2pi one (PHASE's, U3's phi and
-    lambda) as c + u e^(ia), so G' = i (G(a) - G(a + pi)) / 2.  Both are exact
-    for matrices, which the +-pi/2 shift rule is not."""
-    full = np.array([(kind, a) in {("PHASE", 0), ("U3", 1), ("U3", 2)}
-                     for a in range(GATE_SIGNATURES[kind][1])])
-    shifts = np.where(full[:, None], [0.0, math.pi], [math.pi, -math.pi])
-    steps = shifts[:, :, None, None] * np.eye(len(full))[:, None, None, :]
-    return steps, np.where(full, 0.5j, 0.25).reshape(-1, 1, 1, 1)
+    with dG/da = weights[a] * (G(angles + steps[a, 0]) - G(angles + steps[a, 1])),
+    from the family of each angle."""
+    families = _KINDS[kind].families
+    shifts = np.array([family.steps for family in families]).reshape(-1, 2)
+    steps = shifts[:, :, None, None] * np.eye(len(families))[:, None, None, :]
+    weights = np.array([family.weight for family in families], dtype=np.complex128)
+    return steps, weights.reshape(-1, 1, 1, 1)
 
 
 # --- state updates ----------------------------------------------------------
@@ -502,7 +525,7 @@ def adjoint_vjp(template: CircuitTemplate, params, inputs, grad,
     for block, saved in zip(reversed(template.blocks), reversed(tape.kept)):
         if isinstance(block, _PhasePermutation):
             lam = lam * saved
-            lam = lam if block.perm is None else lam[:, np.argsort(block.perm)]
+            lam = lam if block.perm is None else lam[:, block.inverse]
             continue
         psi_in, prefix = saved
         lam = lam @ prefix[-1].conj().T
@@ -540,17 +563,6 @@ def _run_blocks(template: CircuitTemplate, params: np.ndarray, inputs: np.ndarra
 # Fused unitaries are dense 2^n x 2^n matrices per params row, so their cost
 # grows as 4^n; past this width a template does not compile.
 _FUSE_MAX_QUBITS = 5
-
-# Diagonal kinds: phase of each diagonal entry per unit angle, in the basis
-# order of gate_matrix.
-_DIAGONAL_PHASES = {
-    "RZ": np.array([-0.5, 0.5]),
-    "PHASE": np.array([0.0, 1.0]),
-    "CRZ": np.array([0.0, 0.0, -0.5, 0.5]),
-    "ZZ": np.array([-0.5, 0.5, 0.5, -0.5]),
-}
-# Angle-free permutation kinds: the column holding the 1 of each matrix row.
-_PERMUTATIONS = {"CNOT": np.argmax(_CNOT_MATRIX.real, axis=1)}
 
 
 def _split_index(n: int, targets: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -602,7 +614,7 @@ class _KindGroup:
         """Flat (dest, src) indices placing the matrices of gates ``members``,
         stacked as (m, k, k), into factors ``targets`` of a flat buffer of
         d2-entry factors."""
-        k2 = 4 ** GATE_SIGNATURES[self.kind][0]
+        k2 = 4 ** _KINDS[self.kind].wires
         return ((targets[:, None] * d2 + self.dest[members]).ravel(),
                 (np.arange(len(members))[:, None] * k2 + self.src[members]).ravel())
 
@@ -702,7 +714,8 @@ class _FusedUnitary:
 
 class _PhasePermutation:
     """Input-reading diagonal gates and angle-free permutations, fused into
-    ``amps[..., perm] * exp(i * angles @ coeffs)``."""
+    ``amps[..., perm] * exp(i * angles @ coeffs)``; the adjoint sweep gathers
+    by ``inverse``, the inverse of ``perm``."""
 
     def __init__(self, gates: list[Gate], n: int):
         perm = np.arange(2**n)
@@ -710,14 +723,16 @@ class _PhasePermutation:
         refs: list[tuple] = []
         for gate in gates:
             local, rest = _split_index(n, gate.targets)
-            if gate.kind in _PERMUTATIONS:
-                source = rest | _spread(n, gate.targets, _PERMUTATIONS[gate.kind][local])
+            kind = _KINDS[gate.kind]
+            if kind.perm is not None:
+                source = rest | _spread(n, gate.targets, kind.perm[local])
                 perm = perm[source]
                 rows = [row[source] for row in rows]
             else:
-                rows.append(_DIAGONAL_PHASES[gate.kind][local])
+                rows.append(kind.phases[local])
                 refs.append(gate.angles[0])
         self.perm = None if np.array_equal(perm, np.arange(2**n)) else perm
+        self.inverse = None if self.perm is None else np.argsort(self.perm)
         self.coeffs = np.array(rows)  # (angles, 2^n)
         # (angle column, input index...) of each encoding form, as index rows
         self.enc1 = np.array([(c, ref[1]) for c, ref in enumerate(refs) if ref[0] == "enc1"],
@@ -753,25 +768,6 @@ class _PhasePermutation:
 
 
 # --- parameter-shift gradients ----------------------------------------------
-
-# Two-term kinds: generator eigenvalues +-1/2, shift pi/2, coefficient 1/2.
-_TWO_TERM_KINDS = {"RX", "RY", "RZ", "PHASE", "U3", "ZZ"}
-# Four-term kinds: generator eigenvalues {0, +-1/2}.
-_FOUR_TERM_KINDS = {"CRX", "CRY", "CRZ"}
-
-_C_PLUS = (math.sqrt(2) + 1) / (4 * math.sqrt(2))
-_C_MINUS = (math.sqrt(2) - 1) / (4 * math.sqrt(2))
-
-
-def _shift_terms(kind: str) -> list[tuple[float, float]]:
-    """(shift, weight) pairs such that df/dt = sum_k w_k f(t + s_k)."""
-    if kind in _TWO_TERM_KINDS:
-        return [(math.pi / 2, 0.5), (-math.pi / 2, -0.5)]
-    if kind in _FOUR_TERM_KINDS:
-        return [(math.pi / 2, _C_PLUS), (-math.pi / 2, -_C_PLUS),
-                (3 * math.pi / 2, -_C_MINUS), (-3 * math.pi / 2, _C_MINUS)]
-    raise ValueError(f"gate kind {kind!r} has no parameter-shift rule")
-
 
 def parameter_shift_grad(template: CircuitTemplate, params, inputs) -> np.ndarray:
     """Analytic gradient of every <Z_q> w.r.t. every trainable angle.

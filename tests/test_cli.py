@@ -448,6 +448,21 @@ class TestSampleWeightsCommand:
         assert code == cli.EXIT_OK
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--seed", "5"], "--seed"),
+        (["--sampler", "vi"], "--sampler"),
+        (["--set", "epochs=3"], "--set"),
+        (["--seed", "5", "--sampler", "vi"], "--seed, --sampler"),
+    ])
+    def test_run_dir_refuses_config_flags(self, tiny_run, tmp_path, capsys, flags, named):
+        run_dir = os.path.join(tiny_run, "classical", "seed1")
+        out_csv = tmp_path / "ws.csv"
+        code = cli.main(["sample-weights", "--run-dir", run_dir, "--draws", "2", *flags,
+                         "--out-csv", str(out_csv)])
+        assert code == cli.EXIT_CONFIG
+        assert f"drop {named}" in capsys.readouterr().err
+        assert not out_csv.exists()
+
     def test_run_dir_with_truncated_container_header(self, tmp_path, capsys):
         run_dir, data_path = self._container_run(tmp_path)
         data_path.write_bytes(data_path.read_bytes()[:20])

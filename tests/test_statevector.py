@@ -24,8 +24,8 @@ from qcbnn.statevector import (
     parameter_shift_grad,
     run_circuit,
     run_circuit_batch,
-    _DIAGONAL_PHASES,
     _FUSE_MAX_QUBITS,
+    _KINDS,
     _derivative_rule,
 )
 
@@ -149,7 +149,67 @@ def angle_batches(draw):
     return kind, draw(hnp.arrays(np.float64, shape, elements=st.floats(-100.0, 100.0)))
 
 
+_I2 = np.eye(2)
+_X = np.array([[0, 1], [1, 0]])
+_Y = np.array([[0, -1j], [1j, 0]])
+_Z = np.diag([1, -1])
+
+
+def _rotation(pauli, a):
+    """exp(-i a P / 2) = cos(a/2) I - i sin(a/2) P for a Pauli matrix P."""
+    return math.cos(a / 2) * _I2 - 1j * math.sin(a / 2) * pauli
+
+
+def _block_diagonal(upper, lower):
+    out = np.zeros((4, 4), dtype=np.complex128)
+    out[:2, :2], out[2:, 2:] = upper, lower
+    return out
+
+
+def _rz_closed(a):
+    return np.diag([np.exp(-1j * a / 2), np.exp(1j * a / 2)])
+
+
+# Independent closed forms of every kind's matrix, one angle row at a time,
+# basis order (control, target); none of them calls the package.
+_CLOSED_FORMS = {
+    "H": lambda: np.array([[1, 1], [1, -1]]) / math.sqrt(2),
+    "RX": lambda a: _rotation(_X, a),
+    "RY": lambda a: _rotation(_Y, a),
+    "RZ": _rz_closed,
+    "PHASE": lambda a: np.diag([1, np.exp(1j * a)]),
+    # U3(t, p, l) = e^{i(p+l)/2} RZ(p) RY(t) RZ(l)
+    "U3": lambda t, p, l: np.exp(1j * (p + l) / 2) * _rz_closed(p) @ _rotation(_Y, t)
+                          @ _rz_closed(l),
+    "CNOT": lambda: _block_diagonal(_I2, _X),
+    "CRX": lambda a: _block_diagonal(_I2, _rotation(_X, a)),
+    "CRY": lambda a: _block_diagonal(_I2, _rotation(_Y, a)),
+    "CRZ": lambda a: _block_diagonal(_I2, _rz_closed(a)),
+    # exp(-i a Z(x)Z / 2)
+    "ZZ": lambda a: math.cos(a / 2) * np.eye(4) - 1j * math.sin(a / 2) * np.kron(_Z, _Z),
+}
+
+
 class TestGateMatrix:
+    def test_signatures(self):
+        assert GATE_SIGNATURES == {
+            "H": (1, 0), "RX": (1, 1), "RY": (1, 1), "RZ": (1, 1), "PHASE": (1, 1),
+            "U3": (1, 3), "CNOT": (2, 0), "CRX": (2, 1), "CRY": (2, 1), "CRZ": (2, 1),
+            "ZZ": (2, 1),
+        }
+
+    @pytest.mark.parametrize("kind", sorted(_CLOSED_FORMS))
+    def test_matches_closed_form(self, kind):
+        rng = np.random.default_rng(sorted(_CLOSED_FORMS).index(kind))
+        angles = rng.uniform(-4 * math.pi, 4 * math.pi, (20, GATE_SIGNATURES[kind][1]))
+        want = np.array([_CLOSED_FORMS[kind](*row) for row in angles])
+        np.testing.assert_allclose(gate_matrix(kind, angles), want, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(gate_matrix(kind, angles[0]), want[0], rtol=0, atol=1e-14)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown gate kind 'SWAP'"):
+            gate_matrix("SWAP", np.zeros(0))
+
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(batch=angle_batches())
     def test_unitary_for_every_kind(self, batch):
@@ -318,7 +378,7 @@ def random_templates(draw, compilable=False):
         kind = draw(st.sampled_from(kinds))
         n_targets, n_angles = GATE_SIGNATURES[kind]
         targets = tuple(draw(st.permutations(range(n)))[:n_targets])
-        reads_input = input_slots and (kind in _DIAGONAL_PHASES or not compilable)
+        reads_input = input_slots and (_KINDS[kind].phases is not None or not compilable)
         tags = ["p", "enc1", "enc2"] if reads_input else ["p"]
         refs = []
         for _ in range(n_angles):
@@ -338,7 +398,7 @@ def _compiles(template):
     """The compiled executor's contract, restated: at most
     ``_FUSE_MAX_QUBITS`` wires, and only diagonal gates read inputs."""
     return template.n_qubits <= _FUSE_MAX_QUBITS and all(
-        gate.kind in _DIAGONAL_PHASES for gate in template.gates
+        _KINDS[gate.kind].phases is not None for gate in template.gates
         if any(ref[0] != "p" for ref in gate.angles))
 
 
