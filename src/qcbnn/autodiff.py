@@ -147,13 +147,6 @@ def conv2d(images: np.ndarray, kernels: Tensor, stride: int = 2) -> Tensor:
     return _node(out, (kernels,), vjp)
 
 
-def softmax_np(logits: np.ndarray) -> np.ndarray:
-    """Plain softmax over the last axis (no graph); sums to 1 per row."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 # -- optimizer -----------------------------------------------------------------
 
 

@@ -99,7 +99,8 @@ def calibration_curve(confidences, correctness, n_bins: int = 10) -> list[Calibr
         raise ValueError("need at least 2 bins")
     if n_bins > MAX_CALIBRATION_BINS:
         raise ValueError(f"at most {MAX_CALIBRATION_BINS} bins, got {n_bins}")
-    if confidences.size and (confidences.min() < 0 or confidences.max() > 1):
+    # written so that a NaN, whose comparisons are all false, fails too
+    if confidences.size and not (confidences.min() >= 0 and confidences.max() <= 1):
         raise ValueError("confidences must lie in [0, 1]")
     idx = np.minimum((confidences * n_bins).astype(np.int64), n_bins - 1)
     bins = []

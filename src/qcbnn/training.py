@@ -162,9 +162,9 @@ class ModelState:
 
     def load_arrays(self, arrays: dict[str, np.ndarray]):
         """Restore parameters from a checkpoint dictionary; it must hold
-        exactly this model's tensors, with matching shapes.  Every array is
-        checked before any is written, and each is written in place into
-        its tensor's view of the optimizer's buffer."""
+        exactly this model's tensors, with matching shapes and finite
+        values.  Every array is checked before any is written, and each is
+        written in place into its tensor's view of the optimizer's buffer."""
         named = self.named_tensors()
         unknown = sorted(set(arrays) - set(named))
         if unknown:
@@ -176,6 +176,8 @@ class ModelState:
             if arrays[name].shape != tensor.data.shape:
                 raise ValueError(f"checkpoint tensor {name!r} has shape "
                                  f"{arrays[name].shape}, expected {tensor.data.shape}")
+            if not np.isfinite(arrays[name]).all():
+                raise ValueError(f"checkpoint tensor {name!r} has a non-finite value")
         for name, tensor in named.items():
             tensor.data[...] = arrays[name]
 
@@ -223,6 +225,9 @@ def build_model(config: TrainConfig, image_shape: tuple[int, int]) -> ModelState
 
 # Images per block of the graph-free forward are chosen so that one
 # member's (b, F, H'*W') activation holds about this many floats (512 kB).
+# The evaluation bytes depend on it: the dense GEMM's result can change in
+# its last bits with the number of images it is given, so another value
+# moves the hashed eval CSVs.
 EVAL_BLOCK_FLOATS = 1 << 16
 
 
@@ -233,25 +238,42 @@ def forward_probs_np(model: ModelState, images: np.ndarray, kernels: np.ndarray)
     A stacked (M, F, kh, kw) kernel array gives (M, B, 2), one row per
     member.  The patch matrix of ``ad.conv_patches`` is built once, as in
     ``ad.conv2d``; per cache-sized image block and member, ``K_m @ patches``
-    is the (b, F, H'*W') activation that training computes, so relu runs in
-    place and the dense layer reads it without a copy.
+    is the (b, F, H'*W') activation that training computes, written into one
+    workspace, so the dense layer reads it without a copy.
+
+    Every loop runs on contiguous operands of one shape.  Relu takes its
+    maximum against a zero array of the workspace's shape: numpy's loop
+    against a broadcast scalar 0.0 is about half again as slow.  The logits
+    are kept as (C, M, B) class planes, so the softmax over the two classes
+    is a few whole-plane passes in place instead of reductions over a
+    trailing axis of length 2.  The last pass, the division, writes a
+    C-contiguous (M, B, C) array: a reduction over members of a transposed
+    view would add in another order (pairwise, for one image).
     """
     stack = np.asarray(kernels, dtype=np.float64)
     m, f, kh, kw = stack.shape
     patches, (hp, wp) = ad.conv_patches(images, (kh, kw), model.config.conv_stride)
     b = len(patches)
     flat_kernels = stack.reshape(m, f, kh * kw)
-    dense_wt = model.dense_w.data.T
-    logits = np.empty((m, b, dense_wt.shape[1]))
+    dense_w = model.dense_w.data
+    planes = np.empty((dense_w.shape[0], m, b))
     block = max(1, EVAL_BLOCK_FLOATS // (f * hp * wp))
+    work = np.empty((min(block, b), f, hp * wp))
+    zero = np.zeros_like(work)
     for start in range(0, b, block):
-        patches_blk = patches[start : start + block]
+        stop = min(start + block, b)
+        z, z0 = work[: stop - start], zero[: stop - start]
+        flat_t = z.reshape(len(z), -1).T
         for i in range(m):
-            z = flat_kernels[i] @ patches_blk  # (block, F, H'*W')
-            np.maximum(z, 0.0, out=z)
-            logits[i, start : start + block] = z.reshape(len(z), -1) @ dense_wt
-    logits += model.dense_b.data
-    return ad.softmax_np(logits)
+            np.matmul(flat_kernels[i], patches[start:stop], out=z)
+            np.maximum(z, z0, out=z)
+            np.matmul(dense_w, flat_t, out=planes[:, i, start:stop])
+    planes += model.dense_b.data[:, None, None]
+    planes -= planes.max(axis=0)
+    np.exp(planes, out=planes)
+    probs = np.empty((m, b, len(planes)))
+    np.divide(planes, planes.sum(axis=0), out=probs.transpose(2, 0, 1))
+    return probs
 
 
 # --- loss surfaces ---------------------------------------------------------------

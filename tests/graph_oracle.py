@@ -7,7 +7,9 @@ replaced, and rebuilds every loss term, generator forward and the whole
 training step from them, in the operation order the fused vjps follow.
 Tests compare the two bit for bit.  It also keeps ``patch_matrix_conv2d``,
 the (b, x, y, f)-layout convolution that ``ad.conv2d`` replaced; the
-rebuilt step calls ``ad.conv2d`` itself.
+rebuilt step calls ``ad.conv2d`` itself.  ``member_loop_probs`` is the
+evaluation forward as it was before ``training.forward_probs_np`` kept its
+logits as class planes, with ``softmax_np``, the row softmax of the oracles.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from qcbnn.samplers import (
     prior_sample_block,
     sample_noise_block,
 )
-from qcbnn.training import LossBreakdown
+from qcbnn.training import EVAL_BLOCK_FLOATS, LossBreakdown
 
 # -- arithmetic, elementwise, dense and loss ops ---------------------------------------------
 
@@ -168,7 +170,36 @@ def patch_matrix_conv2d(images: np.ndarray, kernels: ad.Tensor, stride: int = 2)
     return ad._node(out, (kernels,), vjp)
 
 
+def softmax_np(logits: np.ndarray) -> np.ndarray:
+    """Plain softmax over the last axis (no graph); sums to 1 per row."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 # -- model pieces ------------------------------------------------------------------
+
+
+def member_loop_probs(model, images: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """(M, B, 2) probabilities of a stacked (M, F, kh, kw) ensemble: per
+    image block of ``EVAL_BLOCK_FLOATS`` and member, a fresh ``K_m @
+    patches`` activation, relu against the scalar 0, (b, C) logit rows,
+    then ``softmax_np`` over the trailing class axis."""
+    m, f, kh, kw = kernels.shape
+    patches, (hp, wp) = ad.conv_patches(images, (kh, kw), model.config.conv_stride)
+    b = len(patches)
+    flat_kernels = kernels.reshape(m, f, kh * kw)
+    dense_wt = model.dense_w.data.T
+    logits = np.empty((m, b, dense_wt.shape[1]))
+    block = max(1, EVAL_BLOCK_FLOATS // (f * hp * wp))
+    for start in range(0, b, block):
+        patches_blk = patches[start : start + block]
+        for i in range(m):
+            z = flat_kernels[i] @ patches_blk
+            np.maximum(z, 0.0, out=z)
+            logits[i, start : start + block] = z.reshape(len(z), -1) @ dense_wt
+    logits += model.dense_b.data
+    return softmax_np(logits)
 
 
 def classifier_logits(model, images: np.ndarray, kernels: ad.Tensor) -> ad.Tensor:

@@ -243,7 +243,7 @@ class TestSoftmaxCrossEntropy:
 
     def test_softmax_sums_to_one(self):
         rng = np.random.default_rng(2)
-        probs = ad.softmax_np(rng.normal(scale=10, size=(50, 4)))
+        probs = og.softmax_np(rng.normal(scale=10, size=(50, 4)))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_dense_softmax_ce_gradient(self):

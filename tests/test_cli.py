@@ -1,4 +1,5 @@
 import os
+import shutil
 from dataclasses import fields
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcbnn import cli, experiment
+from qcbnn.autodiff import load_checkpoint, save_checkpoint
 from qcbnn.circuits import Architecture
 from qcbnn.config import ConfigError, RunConfig, apply_settings, format_config, parse_config
 from qcbnn.data import SynthSpec, save_dataset, synth_generate
@@ -396,6 +398,31 @@ class TestEvaluateCommand:
         assert again.read_bytes() == (run_dir / "eval_test.csv").read_bytes()
 
 
+class TestNonFiniteCheckpoint:
+    @pytest.mark.parametrize("command, tensor, bad", [
+        ("evaluate", "dense_w", np.nan),
+        ("evaluate", "gen_b2", np.inf),
+        ("sample-weights", "gen_b2", np.nan),
+        ("sample-weights", "dense_w", -np.inf),
+    ])
+    def test_refused_naming_the_tensor(self, tiny_run, tmp_path, capsys, command, tensor, bad):
+        run_dir = tmp_path / "run"
+        shutil.copytree(os.path.join(tiny_run, "classical", "seed0"), run_dir)
+        ckpt = run_dir / "checkpoint.qckpt"
+        arrays = load_checkpoint(ckpt)
+        arrays[tensor].flat[1] = bad
+        save_checkpoint(ckpt, arrays)
+        out_csv = tmp_path / "out.csv"
+        if command == "evaluate":
+            argv = ["evaluate", str(run_dir), "--out-csv", str(out_csv)]
+        else:
+            argv = ["sample-weights", "--run-dir", str(run_dir), "--draws", "1",
+                    "--out-csv", str(out_csv)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert f"checkpoint tensor {tensor!r} has a non-finite value" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+
 class TestSampleWeightsCommand:
     def test_fresh_model_dump(self, tmp_path):
         out_csv = tmp_path / "ws.csv"
@@ -505,8 +532,6 @@ class TestToyAdversarialCommand:
 
 class TestReportCommand:
     def test_full_report(self, tiny_run, tmp_path):
-        import shutil
-
         run = tmp_path / "run"
         shutil.copytree(tiny_run, run)
         assert cli.main(["report", str(run)]) == 0
@@ -520,8 +545,6 @@ class TestReportCommand:
             assert open(path).readline().startswith("<svg")
 
     def test_missing_inputs_named(self, tiny_run, tmp_path, capsys):
-        import shutil
-
         partial = tmp_path / "partial"
         shutil.copytree(tiny_run, partial)
         for seed in (0, 1):
@@ -541,8 +564,6 @@ class TestReportCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_report_is_pure_function_of_results(self, tiny_run, tmp_path):
-        import shutil
-
         copy_a, copy_b = tmp_path / "a", tmp_path / "b"
         for copy in (copy_a, copy_b):
             shutil.copytree(tiny_run, copy)

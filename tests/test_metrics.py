@@ -120,6 +120,11 @@ class TestCalibrationCurve:
         with pytest.raises(ValueError):
             mt.calibration_curve([0.5], [1.0], n_bins=1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_confidence_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"confidences must lie in \[0, 1\]"):
+            mt.calibration_curve([0.5, bad], [1, 0], n_bins=10)
+
 
 class TestKsStatistic:
     def test_matches_scipy(self):

@@ -70,7 +70,7 @@ def einsum_forward_probs(model, images, kernels):
     feats = np.maximum(np.einsum("bxykl,fkl->bfxy", windows, kernels), 0.0)
     flat = feats.reshape(images.shape[0], -1)
     logits = flat @ model.dense_w.data.T + model.dense_b.data
-    return ad.softmax_np(logits)
+    return og.softmax_np(logits)
 
 
 def discriminator_loss(disc, prior_chunks, generated_chunks) -> float:
@@ -418,7 +418,7 @@ class TestForwardProbs:
 def per_member_probs(model, images, kernel_stack):
     """Oracle: the op-by-op classifier graph, one member at a time."""
     return np.stack([
-        ad.softmax_np(og.classifier_logits(model, images, ad.Tensor(k)).data)
+        og.softmax_np(og.classifier_logits(model, images, ad.Tensor(k)).data)
         for k in kernel_stack
     ])
 
@@ -464,6 +464,22 @@ class TestMemberBlockedForward:
             single = tr.forward_probs_np(model, images, k[None])[0]
             assert single.shape == (len(images), 2)
             np.testing.assert_array_equal(single, member)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_bitwise_equal_to_member_loop(self, stride):
+        """The hashed eval CSVs need bits, not a tolerance.  The calls run
+        back to back with other image and member counts, so a workspace or
+        zero operand kept from an earlier call would show."""
+        model = classical_model_with_bias(10, stride)
+        block = images_per_block(stride)
+        rng = np.random.default_rng(stride)
+        for count in (2 * block + 3, 1, block + 1, block):
+            for n_members in (9, 1):
+                images = rng.random((count, 28, 28))
+                kernels = rng.normal(size=(n_members, 16, 2, 2))
+                got = tr.forward_probs_np(model, images, kernels)
+                assert got.shape == (n_members, count, 2)
+                np.testing.assert_array_equal(got, og.member_loop_probs(model, images, kernels))
 
     def test_repeat_calls_bit_identical(self, tiny_split):
         train, _ = tiny_split
@@ -543,6 +559,18 @@ class TestCheckpointArrays:
             prefix = ad.load_checkpoint(path)
             with pytest.raises(ValueError, match=f"missing tensor {list(arrays)[k]!r}"):
                 model.load_arrays(prefix)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected_before_any_write(self, bad):
+        model = tr.build_model(tr.TrainConfig(seed=16, sampler="classical"), (28, 28))
+        before = {name: a.copy() for name, a in model.named_arrays().items()}
+        arrays = {name: a + 1.0 for name, a in before.items()}
+        last = list(arrays)[-1]  # every other tensor passes its checks first
+        arrays[last][0] = bad
+        with pytest.raises(ValueError, match=f"checkpoint tensor {last!r} has a non-finite value"):
+            model.load_arrays(arrays)
+        for name, a in model.named_arrays().items():
+            np.testing.assert_array_equal(a, before[name])
 
 
 OPTIMIZERS = ("opt_generator", "opt_classifier", "opt_discriminator")
