@@ -63,3 +63,56 @@ def tiny_split():
     dataset = dio.synth_generate(dio.SynthSpec(n_samples=40, imbalance=0.3, seed=3))
     tagged = dio.split(dataset, (0.7, 0.3), seed=3)
     return tagged.subset("train"), tagged.subset("test")
+
+
+def write_report_results(root: pathlib.Path) -> pathlib.Path:
+    """A finished sweep written by hand, no training: labels ``alpha`` and
+    ``beta`` with seeds 0-2, validation rows for ``alpha`` only, a
+    correct-subset confidence error that ``beta`` shares across its seeds
+    (a point mass), an empty calibration bin, and weight dumps."""
+    root.mkdir(parents=True, exist_ok=True)
+    (root / "summary.csv").write_text("label\n")  # a file beside the labels
+    for k, label in enumerate(("alpha", "beta")):
+        for seed in range(3):
+            run = root / label / f"seed{seed}"
+            run.mkdir(parents=True)
+            lines = ["epoch,split,likelihood,kl,disc,combined,accuracy"]
+            for epoch in range(3):
+                acc = 0.5 + 0.1 * epoch + 0.03 * seed - 0.05 * k
+                lines.append(f"{epoch},train,{1.5 - 0.25 * epoch!r},{0.125 * seed!r},"
+                             f"1.375,{2.0 - 0.25 * epoch!r},{acc!r}")
+                if label == "alpha":
+                    lines.append(f"{epoch},validation,,,,,{acc - 0.02 * (seed + 1)!r}")
+            (run / "epochs.csv").write_text("\n".join(lines) + "\n")
+            acc = 0.75 + 0.05 * seed - 0.1 * k
+            err_correct = 0.125 if label == "beta" else 0.1 + 0.02 * seed
+            rows = [
+                ("n_samples", "all", "50"), ("accuracy", "all", repr(acc)),
+                ("f1", "all", "" if label == "beta" else repr(acc - 0.1)),
+                ("confidence_error", "correct", repr(err_correct)),
+                ("confidence_error", "incorrect", repr(0.3 + 0.04 * seed + 0.01 * k)),
+                ("ensemble_fraction", "correct", repr(0.9 - 0.01 * seed)),
+                ("ensemble_fraction", "incorrect", repr(0.6 + 0.05 * seed * seed)),
+                ("difference", "all", repr(0.2 - 0.03 * seed + 0.05 * k)),
+            ]
+            for low, conf, hit in ((0.5, 0.6, 0.55), (0.7, "", ""), (0.9, 0.95, 0.9)):
+                name = f"calibration_bin_{low:.2f}_{low + 0.1:.2f}"
+                shift = 0.01 * seed if conf != "" else 0.0
+                rows += [(name, "count", "0" if conf == "" else "10"),
+                         (name, "confidence", conf if conf == "" else repr(conf + shift)),
+                         (name, "accuracy", hit if hit == "" else repr(hit - shift))]
+            (run / "eval_test.csv").write_text(
+                "metric,subset,value\n" + "".join(f"{m},{s},{v}\n" for m, s, v in rows))
+            values = [((p * 4 + q) * 37 % 101) / 50.0 - 1.0 + 0.01 * seed + 0.1 * k
+                      for p in range(8) for q in range(4)]
+            (run / "weight_samples.csv").write_text(
+                "pass_index,qubit,value\n"
+                + "".join(f"{i // 4},{i % 4},{v!r}\n" for i, v in enumerate(values)))
+    return root
+
+
+@pytest.fixture
+def report_results(tmp_path):
+    """A hand-written results directory for report tests (see
+    ``write_report_results``)."""
+    return write_report_results(tmp_path / "results")
