@@ -12,12 +12,12 @@ subdirectory per seed::
       <label>/seed<k>/weight_samples.csv  (pass_index, qubit, value)
       <label>/seed<k>/config.cfg       per-run effective config
 
-``run_report`` turns a finished sweep directory into one CSV (+ optional
-SVG) file family per figure group: training/validation curves, test
-score box data, confidence-error and ensemble-fraction densities,
-calibration curves, pooled weight densities, and the difference versus
-accuracy scatter.  Every CSV is schema-stable and byte-deterministic for
-a fixed (config, seed).
+``run_report`` reads a finished sweep directory once and writes one CSV
+(+ optional SVG) per row of its figure table: training/validation
+curves, test score box data, confidence-error and ensemble-fraction
+densities, calibration curves, pooled weight densities, and the
+difference versus accuracy scatter.  Every CSV is schema-stable and
+byte-deterministic for a fixed (config, seed).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -309,157 +310,107 @@ def run_toy_adversarial(out_dir: str, steps: int, seed: int, lr_generator: float
 # --- report figures ----------------------------------------------------------------
 
 
-def _discover_runs(results_dir: str) -> dict[str, list[str]]:
-    """Map label -> sorted list of seed run dirs containing epochs.csv."""
-    found: dict[str, list[str]] = {}
+def _read_rows(path, parse) -> list:
+    with open(path, newline="") as fh:
+        return [parse(row) for row in csv.DictReader(fh)]
+
+
+def _read_runs(results_dir: str) -> dict[str, list[tuple]]:
+    """Map label -> [(run dir, epochs.csv rows as (split, epoch, accuracy),
+    {(metric, subset): value} of its non-empty eval_test.csv values)] over
+    the seed dirs holding an epochs.csv, labels and seeds sorted."""
+    found: dict[str, list[tuple]] = {}
     for label in sorted(os.listdir(results_dir)):
         label_dir = os.path.join(results_dir, label)
         if not os.path.isdir(label_dir):
             continue
-        runs = [
-            os.path.join(label_dir, d)
-            for d in sorted(os.listdir(label_dir))
-            if d.startswith("seed")
-            and os.path.exists(os.path.join(label_dir, d, "epochs.csv"))
-        ]
-        if runs:
-            found[label] = runs
+        for name in sorted(os.listdir(label_dir)):
+            run = os.path.join(label_dir, name)
+            if not (name.startswith("seed") and os.path.exists(os.path.join(run, "epochs.csv"))):
+                continue
+            epochs = _read_rows(os.path.join(run, "epochs.csv"), lambda r: (
+                r["split"], int(r["epoch"]), float(r["accuracy"])))
+            path = os.path.join(run, "eval_test.csv")
+            evals = _read_rows(path, lambda r: (
+                (r["metric"], r["subset"]), float(v) if (v := r["value"]) != "" else None,
+            )) if os.path.exists(path) else []
+            found.setdefault(label, []).append(
+                (run, epochs, {key: v for key, v in evals if v is not None}))
     return found
 
 
-def _read_csv(path) -> list[dict]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
-def _read_run(run: str) -> tuple[list[dict], dict]:
-    """A run's epochs.csv rows and its test evaluation as a
-    {(metric, subset): value} dict (empty without ``eval_test.csv``)."""
-    epochs = _read_csv(os.path.join(run, "epochs.csv"))
-    path = os.path.join(run, "eval_test.csv")
-    table = _read_csv(path) if os.path.exists(path) else []
-    return epochs, {(r["metric"], r["subset"]): float(r["value"])
-                    for r in table if r["value"] != ""}
-
-
-def run_report(results_dir: str, emit_svg: bool = True) -> list[str]:
-    """Emit the figure families for a finished sweep; returns the paths.
-
-    Figures whose inputs are missing are skipped with a printed notice
-    naming the missing artifact.
-    """
-    runs_by_label = {label: [(run, *_read_run(run)) for run in runs]
-                     for label, runs in _discover_runs(results_dir).items()}
-    if not runs_by_label:
-        raise FileNotFoundError(f"no run artifacts under {results_dir}")
-    fig_dir = os.path.join(results_dir, "figures")
-    os.makedirs(fig_dir, exist_ok=True)
-    written: list[str] = []
-
-    def emit(name, header, rows, figure=None):
-        path = os.path.join(fig_dir, name + ".csv")
-        _write_csv(path, header, rows)
-        written.append(path)
-        if emit_svg and figure is not None:
-            svg_path = os.path.join(fig_dir, name + ".svg")
-            figure.save(svg_path)
-            written.append(svg_path)
-
-    # training / validation curves
-    for split_name in ("train", "validation"):
-        rows, fig = [], svg.Figure(f"{split_name} accuracy over epochs",
-                                   "epoch", "accuracy")
-        for label, runs in runs_by_label.items():
-            per_epoch: dict[int, list[float]] = {}
-            for _, epoch_rows, _ in runs:
-                for row in epoch_rows:
-                    if row["split"] == split_name:
-                        per_epoch.setdefault(int(row["epoch"]), []).append(
-                            float(row["accuracy"]))
-            if not per_epoch:
-                continue
-            epochs = sorted(per_epoch)
-            means = [float(np.mean(per_epoch[e])) for e in epochs]
-            stds = [float(np.std(per_epoch[e])) for e in epochs]
-            rows += [[label, e, m, s] for e, m, s in zip(epochs, means, stds)]
-            fig.add_line(epochs, means, label=label,
-                         band_low=[m - s for m, s in zip(means, stds)],
-                         band_high=[m + s for m, s in zip(means, stds)])
-        if rows:
-            emit(f"{split_name}_curves", ["label", "epoch", "mean", "std"], rows, fig)
-        else:
-            print(f"notice: no {split_name} rows in epochs.csv, curve figure skipped")
-
-    # final test score box data
+def _curves(split_name, runs_by_label, fig) -> list:
     rows = []
-    fig = svg.Figure("final test accuracy by architecture", "architecture", "accuracy")
-    pos = 0
-    missing = []
     for label, runs in runs_by_label.items():
-        values = [v for _, _, evals in runs
-                  if (v := evals.get(("accuracy", "all"))) is not None]
+        per_epoch: dict[int, list[float]] = {}
+        for _, epoch_rows, _ in runs:
+            for split, epoch, accuracy in epoch_rows:
+                if split == split_name:
+                    per_epoch.setdefault(epoch, []).append(accuracy)
+        if not per_epoch:
+            continue
+        epochs = sorted(per_epoch)
+        means = [float(np.mean(per_epoch[e])) for e in epochs]
+        stds = [float(np.std(per_epoch[e])) for e in epochs]
+        rows += [[label, e, m, s] for e, m, s in zip(epochs, means, stds)]
+        fig.add_line(epochs, means, label=label,
+                     band_low=[m - s for m, s in zip(means, stds)],
+                     band_high=[m + s for m, s in zip(means, stds)])
+    return rows
+
+
+def _test_scores(runs_by_label, fig) -> list:
+    rows, missing = [], []
+    for label, runs in runs_by_label.items():
+        values = [v for _, _, evals in runs if (v := evals.get(("accuracy", "all"))) is not None]
         if not values:
             missing += [os.path.join(run, "eval_test.csv") for run, _, _ in runs]
             continue
         q = np.percentile(values, [0, 25, 50, 75, 100])
+        fig.add_box(len(rows), q, label=label)
         rows.append([label] + [float(v) for v in q])
-        fig.add_box(pos, q, label=label)
-        pos += 1
-    if rows:
-        emit("test_scores", ["label", "min", "q1", "median", "q3", "max"], rows, fig)
     if missing:
         print("notice: missing test evaluations, some box entries skipped: "
               + ", ".join(missing))
+    return rows
 
-    # densities over seeds: confidence error and ensemble fraction
-    for name, metric in (("confidence_error_density", "confidence_error"),
-                         ("ensemble_fraction_density", "ensemble_fraction")):
-        rows = []
-        fig = svg.Figure(name.replace("_", " "), metric, "density")
-        for label, runs in runs_by_label.items():
-            for subset in ("correct", "incorrect"):
-                values = [v for _, _, evals in runs
-                          if (v := evals.get((metric, subset))) is not None]
-                if len(values) < 2:
-                    continue
-                series = f"{label}/{subset}"
-                if np.std(values, ddof=1) == 0.0:
-                    rows.append([series, values[0], ""])
-                    continue
-                est = kde_density(np.array(values))
-                rows += [[series, g, d] for g, d in zip(est.grid, est.density)]
-                fig.add_line(est.grid, est.density, label=series)
-        if rows:
-            emit(name, ["series", "grid", "density"], rows, fig)
-        else:
-            print(f"notice: not enough evaluations for {name}, figure skipped")
 
-    # calibration curves (mean bin stats across seeds)
+def _density(metric, runs_by_label, fig) -> list:
     rows = []
-    fig = svg.Figure("calibration", "mean confidence", "empirical accuracy")
+    for label, runs in runs_by_label.items():
+        for subset in ("correct", "incorrect"):
+            values = [v for _, _, evals in runs if (v := evals.get((metric, subset))) is not None]
+            if len(values) < 2:
+                continue
+            series = f"{label}/{subset}"
+            est = kde_density(np.array(values))
+            if est.point_mass:
+                rows.append([series, est.location, ""])
+                continue
+            rows += [[series, g, d] for g, d in zip(est.grid, est.density)]
+            fig.add_line(est.grid, est.density, label=series)
+    return rows
+
+
+def _calibration(runs_by_label, fig) -> list:
     fig.add_line([0.0, 1.0], [0.0, 1.0], label="ideal")
+    rows = []
     for label, runs in runs_by_label.items():
         bins: dict[str, list[tuple[float, float]]] = {}
         for _, _, evals in runs:
             for (key, subset), conf in evals.items():
                 if subset == "confidence" and (key, "accuracy") in evals:
                     bins.setdefault(key, []).append((conf, evals[key, "accuracy"]))
-        points = sorted(
-            (float(np.mean([c for c, _ in v])), float(np.mean([a for _, a in v])))
-            for v in bins.values()
-        )
+        points = sorted((float(np.mean([c for c, _ in v])), float(np.mean([a for _, a in v])))
+                        for v in bins.values())
         if points:
             rows += [[label, c, a] for c, a in points]
             fig.add_line([c for c, _ in points], [a for _, a in points], label=label)
-    if rows:
-        emit("calibration", ["label", "mean_confidence", "accuracy"], rows, fig)
-    else:
-        print("notice: no test evaluations found, calibration figure skipped")
+    return rows
 
-    # pooled weight-sample densities
+
+def _weight_kde(runs_by_label, fig) -> list:
     rows = []
-    fig = svg.Figure("pooled weight distribution density", "weight value", "density")
-    grid = np.linspace(-1.2, 1.2, 241)
     for label, runs in runs_by_label.items():
         pooled = []
         for run, _, _ in runs:
@@ -471,30 +422,79 @@ def run_report(results_dir: str, emit_svg: bool = True) -> list[str]:
         if len(pooled) < 2:
             print(f"notice: no weight samples for {label}, omitted from weight_kde")
             continue
-        est = kde_density(np.array(pooled), grid)
+        est = kde_density(np.array(pooled), np.linspace(-1.2, 1.2, 241))
         rows += [[label, g, d] for g, d in zip(est.grid, est.density)]
         fig.add_line(est.grid, est.density, label=label)
-    if rows:
-        emit("weight_kde", ["label", "grid", "density"], rows, fig)
+    return rows
 
-    # difference vs accuracy scatter
+
+def _scatter(runs_by_label, fig) -> list:
     rows = []
-    fig = svg.Figure("confidence difference vs test accuracy",
-                     "difference", "accuracy")
     for label, runs in runs_by_label.items():
-        xs, ys = [], []
-        for run, _, evals in runs:
-            d = evals.get(("difference", "all"))
-            a = evals.get(("accuracy", "all"))
-            if d is not None and a is not None:
-                xs.append(d)
-                ys.append(a)
-                rows.append([label, run.rsplit("seed", 1)[-1], d, a])
-        if xs:
-            fig.add_scatter(xs, ys, label=label)
-    if rows:
-        emit("difference_scatter", ["label", "seed", "difference", "accuracy"], rows, fig)
-    else:
-        print("notice: no evaluations found, difference scatter skipped")
+        points = [(run.rsplit("seed", 1)[-1], evals["difference", "all"], evals["accuracy", "all"])
+                  for run, _, evals in runs
+                  if ("difference", "all") in evals and ("accuracy", "all") in evals]
+        if points:
+            rows += [[label, *p] for p in points]
+            fig.add_scatter([d for _, d, _ in points], [a for *_, a in points], label=label)
+    return rows
 
+
+# One row per figure family: name, CSV header, (title, x label, y label),
+# the gather that adds each label's series to the figure and returns the
+# CSV rows, and the notice printed when it returns none.  Densities with
+# one common value over seeds give one row at that value and no line.
+_FIGURES = [
+    ("train_curves", ["label", "epoch", "mean", "std"],
+     ("train accuracy over epochs", "epoch", "accuracy"), partial(_curves, "train"),
+     "no train rows in epochs.csv, curve figure skipped"),
+    ("validation_curves", ["label", "epoch", "mean", "std"],
+     ("validation accuracy over epochs", "epoch", "accuracy"), partial(_curves, "validation"),
+     "no validation rows in epochs.csv, curve figure skipped"),
+    ("test_scores", ["label", "min", "q1", "median", "q3", "max"],
+     ("final test accuracy by architecture", "architecture", "accuracy"), _test_scores, None),
+    ("confidence_error_density", ["series", "grid", "density"],
+     ("confidence error density", "confidence_error", "density"),
+     partial(_density, "confidence_error"),
+     "not enough evaluations for confidence_error_density, figure skipped"),
+    ("ensemble_fraction_density", ["series", "grid", "density"],
+     ("ensemble fraction density", "ensemble_fraction", "density"),
+     partial(_density, "ensemble_fraction"),
+     "not enough evaluations for ensemble_fraction_density, figure skipped"),
+    ("calibration", ["label", "mean_confidence", "accuracy"],
+     ("calibration", "mean confidence", "empirical accuracy"), _calibration,
+     "no test evaluations found, calibration figure skipped"),
+    ("weight_kde", ["label", "grid", "density"],
+     ("pooled weight distribution density", "weight value", "density"), _weight_kde, None),
+    ("difference_scatter", ["label", "seed", "difference", "accuracy"],
+     ("confidence difference vs test accuracy", "difference", "accuracy"), _scatter,
+     "no evaluations found, difference scatter skipped"),
+]
+
+
+def run_report(results_dir: str, emit_svg: bool = True) -> list[str]:
+    """Emit the figure families for a finished sweep; returns the paths.
+
+    Figures whose inputs are missing are skipped with a printed notice
+    naming the missing artifact.
+    """
+    runs_by_label = _read_runs(results_dir)
+    if not runs_by_label:
+        raise FileNotFoundError(f"no run artifacts under {results_dir}")
+    fig_dir = os.path.join(results_dir, "figures")
+    os.makedirs(fig_dir, exist_ok=True)
+    written: list[str] = []
+    for name, header, axes, gather, notice in _FIGURES:
+        fig = svg.Figure(*axes)
+        rows = gather(runs_by_label, fig)
+        if not rows:
+            if notice:
+                print(f"notice: {notice}")
+            continue
+        path = os.path.join(fig_dir, name)
+        _write_csv(path + ".csv", header, rows)
+        written.append(path + ".csv")
+        if emit_svg:
+            fig.save(path + ".svg")
+            written.append(path + ".svg")
     return written

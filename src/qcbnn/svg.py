@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#e377c2", "#17becf"]
 
+_WIDTH, _HEIGHT = 640, 420
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 62, 16, 30, 46
 
 
@@ -43,8 +44,6 @@ class Figure:
     title: str
     x_label: str
     y_label: str
-    width: int = 640
-    height: int = 420
     _series: list = field(default_factory=list)
 
     def add_line(self, xs, ys, label: str = "", band_low=None, band_high=None):
@@ -81,8 +80,8 @@ class Figure:
 
     def render(self) -> str:
         x0, x1, y0, y1 = self._bounds()
-        plot_w = self.width - _MARGIN_L - _MARGIN_R
-        plot_h = self.height - _MARGIN_T - _MARGIN_B
+        plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+        plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
         def px(x):
             return _MARGIN_L + (x - x0) / (x1 - x0) * plot_w
@@ -91,10 +90,10 @@ class Figure:
             return _MARGIN_T + (y1 - y) / (y1 - y0) * plot_h
 
         parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.height}" font-family="sans-serif" font-size="11">',
-            f'<rect width="{self.width}" height="{self.height}" fill="white"/>',
-            f'<text x="{self.width/2:.1f}" y="18" text-anchor="middle" '
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+            f'height="{_HEIGHT}" font-family="sans-serif" font-size="11">',
+            f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+            f'<text x="{_WIDTH/2:.1f}" y="18" text-anchor="middle" '
             f'font-size="13">{self.title}</text>',
             f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" '
             f'height="{plot_h}" fill="none" stroke="#444"/>',
@@ -111,10 +110,10 @@ class Figure:
                              f'x2="{_MARGIN_L}" y2="{py(t):.1f}" stroke="#444"/>')
                 parts.append(f'<text x="{_MARGIN_L-7}" y="{py(t)+3:.1f}" '
                              f'text-anchor="end">{_fmt(t)}</text>')
-        parts.append(f'<text x="{self.width/2:.1f}" y="{self.height-8}" '
+        parts.append(f'<text x="{_WIDTH/2:.1f}" y="{_HEIGHT-8}" '
                      f'text-anchor="middle">{self.x_label}</text>')
-        parts.append(f'<text x="14" y="{self.height/2:.1f}" text-anchor="middle" '
-                     f'transform="rotate(-90 14 {self.height/2:.1f})">{self.y_label}</text>')
+        parts.append(f'<text x="14" y="{_HEIGHT/2:.1f}" text-anchor="middle" '
+                     f'transform="rotate(-90 14 {_HEIGHT/2:.1f})">{self.y_label}</text>')
 
         legend_y = _MARGIN_T + 8
         for i, (kind, sx, sy, label, lo, hi) in enumerate(self._series):
@@ -148,9 +147,9 @@ class Figure:
                              f'x2="{px(pos+half):.1f}" y2="{py(med):.1f}" '
                              f'stroke="{color}" stroke-width="2"/>')
             if label:
-                parts.append(f'<rect x="{self.width-_MARGIN_R-130}" y="{legend_y-8}" '
+                parts.append(f'<rect x="{_WIDTH-_MARGIN_R-130}" y="{legend_y-8}" '
                              f'width="14" height="8" fill="{color}"/>')
-                parts.append(f'<text x="{self.width-_MARGIN_R-112}" y="{legend_y}">'
+                parts.append(f'<text x="{_WIDTH-_MARGIN_R-112}" y="{legend_y}">'
                              f'{label}</text>')
                 legend_y += 15
         parts.append("</svg>")
