@@ -363,8 +363,9 @@ def _test_scores(runs_by_label, fig) -> list:
     rows, missing = [], []
     for label, runs in runs_by_label.items():
         values = [v for _, _, evals in runs if (v := evals.get(("accuracy", "all"))) is not None]
+        missing += [os.path.join(run, "eval_test.csv") for run, _, evals in runs
+                    if ("accuracy", "all") not in evals]
         if not values:
-            missing += [os.path.join(run, "eval_test.csv") for run, _, _ in runs]
             continue
         q = np.percentile(values, [0, 25, 50, 75, 100])
         fig.add_box(len(rows), q, label=label)

@@ -553,6 +553,16 @@ class TestReportCommand:
         out = capsys.readouterr().out
         assert "eval_test.csv" in out and "calibration figure skipped" in out
 
+    def test_every_missing_evaluation_named(self, report_results, capsys):
+        """A label that lost one seed's evaluation still gets its box, from
+        the other seeds, and the notice names the seed it lacks."""
+        missing = report_results / "alpha" / "seed1" / "eval_test.csv"
+        os.remove(missing)
+        assert cli.main(["report", str(report_results)]) == 0
+        assert capsys.readouterr().out == (
+            f"notice: missing test evaluations, some box entries skipped: {missing}\n"
+            "16 report files written\n")
+
     def test_empty_dir_is_config_error(self, tmp_path):
         assert cli.main(["report", str(tmp_path)]) == cli.EXIT_CONFIG
 
