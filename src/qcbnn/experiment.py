@@ -311,8 +311,25 @@ def run_toy_adversarial(out_dir: str, steps: int, seed: int, lr_generator: float
 
 
 def _read_rows(path, parse) -> list:
+    """``parse`` of each row of a run CSV; a row with a missing field, or a
+    value that does not parse, is a ConfigError naming the file (nothing
+    writes atomically yet, so a killed run can leave a half-written row)."""
     with open(path, newline="") as fh:
-        return [parse(row) for row in csv.DictReader(fh)]
+        try:
+            return [parse(row) for row in csv.DictReader(fh)]
+        except (TypeError, ValueError):  # a missing field reads as None
+            raise ConfigError(f"truncated or malformed row in {path}") from None
+
+
+def _read_weights(path) -> list[float]:
+    """The values of a weight dump, a ConfigError naming the file for a
+    row without exactly three fields or with a value that does not parse."""
+    with open(path) as fh:
+        next(fh, None)  # header
+        try:
+            return [float(v) for _, _, v in (line.split(",") for line in fh)]
+        except ValueError:
+            raise ConfigError(f"truncated or malformed row in {path}") from None
 
 
 def _read_runs(results_dir: str) -> dict[str, list[tuple]]:
@@ -416,10 +433,8 @@ def _weight_kde(runs_by_label, fig) -> list:
         pooled = []
         for run, _, _ in runs:
             path = os.path.join(run, "weight_samples.csv")
-            if os.path.exists(path):  # values are the last field of each row
-                with open(path) as fh:
-                    next(fh, None)  # header
-                    pooled += [float(line.rsplit(",", 1)[1]) for line in fh]
+            if os.path.exists(path):
+                pooled += _read_weights(path)
         if len(pooled) < 2:
             print(f"notice: no weight samples for {label}, omitted from weight_kde")
             continue

@@ -563,6 +563,19 @@ class TestReportCommand:
             f"notice: missing test evaluations, some box entries skipped: {missing}\n"
             "16 report files written\n")
 
+    @pytest.mark.parametrize("name", ["epochs.csv", "eval_test.csv", "weight_samples.csv"])
+    def test_truncated_artifact_is_config_error(self, report_results, capsys, name):
+        """A killed run's half-written last row: each CSV cut before the
+        last field of its last row, the weight dump after the first
+        character of its last line."""
+        path = report_results / "beta" / "seed2" / name
+        text = path.read_text()
+        path.write_text(text[: text.rindex("\n", 0, -1) + 2] if name == "weight_samples.csv"
+                        else text[: text.rindex(",")])
+        assert cli.main(["report", str(report_results)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: truncated or malformed row in {path}\n"
+
     def test_empty_dir_is_config_error(self, tmp_path):
         assert cli.main(["report", str(tmp_path)]) == cli.EXIT_CONFIG
 
