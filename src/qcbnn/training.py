@@ -499,7 +499,15 @@ def ensemble_outputs(model: ModelState, images: np.ndarray, n_members: int,
     rng = stream(model.config.seed, *stream_tag)
     samples = draw_weight_samples(model, n_members, rng)
     members = forward_probs_np(model, images, np.stack([ws.kernels for ws in samples]))
-    return members.sum(axis=0) / n_members, members.argmax(axis=2)
+    return members.sum(axis=0) / n_members, _votes(members)
+
+
+def _votes(members: np.ndarray) -> np.ndarray:
+    """``members.argmax(axis=2)`` over the two classes without argmax's
+    generic loop: class 1 where it is larger, or where it alone is NaN
+    (argmax takes the first NaN)."""
+    p0, p1 = members[..., 0], members[..., 1]
+    return ((p1 > p0) | (np.isnan(p1) & ~np.isnan(p0))).astype(np.intp)
 
 
 # --- toy prior-matching run ----------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qcbnn import autodiff as ad
 from qcbnn import experiment
@@ -674,6 +675,14 @@ class TestEnsemblePrediction:
             tr.forward_probs_np(model, train.images[:5], ws.kernels[None])[0] for ws in samples
         ])
         np.testing.assert_allclose(probs, members.mean(axis=0), atol=1e-15)
+        np.testing.assert_array_equal(votes, members.argmax(axis=2))
+
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 6), st.just(2)),
+                      elements=st.sampled_from([0.0, 0.25, 0.5, 1.0, math.nan])))
+    def test_votes_match_argmax(self, members):
+        """Ties, NaNs and NaN pairs included: the drawn values are few."""
+        votes = tr._votes(members)
+        assert votes.dtype == np.intp
         np.testing.assert_array_equal(votes, members.argmax(axis=2))
 
     def test_probabilities_sum_to_one(self, tiny_split):
