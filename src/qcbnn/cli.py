@@ -10,8 +10,8 @@ Subcommands::
 
 Flags mirror config keys; ``--set key=value`` reaches any key that has
 no dedicated flag.  The QBNN_OUT environment variable overrides the
-output root.  Exit codes: 0 ok, 2 configuration error (a missing input
-file included), 3 runtime divergence, 4 any other I/O error.
+output root.  Exit codes: 0 ok, 2 configuration error (a missing or
+truncated input file included), 3 runtime divergence, 4 any other I/O error.
 """
 
 from __future__ import annotations
