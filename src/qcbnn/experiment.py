@@ -379,7 +379,7 @@ def _curves(split_name, runs_by_label, fig) -> list:
 def _test_scores(runs_by_label, fig) -> list:
     rows, missing = [], []
     for label, runs in runs_by_label.items():
-        values = [v for _, _, evals in runs if (v := evals.get(("accuracy", "all"))) is not None]
+        values = [evals["accuracy", "all"] for _, _, evals in runs if ("accuracy", "all") in evals]
         missing += [os.path.join(run, "eval_test.csv") for run, _, evals in runs
                     if ("accuracy", "all") not in evals]
         if not values:
@@ -397,7 +397,7 @@ def _density(metric, runs_by_label, fig) -> list:
     rows = []
     for label, runs in runs_by_label.items():
         for subset in ("correct", "incorrect"):
-            values = [v for _, _, evals in runs if (v := evals.get((metric, subset))) is not None]
+            values = [evals[metric, subset] for _, _, evals in runs if (metric, subset) in evals]
             if len(values) < 2:
                 continue
             series = f"{label}/{subset}"
