@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qcbnn.circuits import Architecture, assemble_pqc
+from qcbnn.samplers import CHUNK_DIM
+from qcbnn.seeding import stream
 from qcbnn.statevector import (
     GATE_SIGNATURES,
     CircuitTemplate,
@@ -26,10 +29,12 @@ from qcbnn.statevector import (
     run_circuit_batch,
     _FUSE_MAX_QUBITS,
     _KINDS,
+    _FusedUnitary,
     _derivative_rule,
 )
 
 from conftest import finite_difference_grad, shift_rule_oracle
+from test_golden_sweep import environment
 
 
 def rx_template(n=1):
@@ -503,6 +508,89 @@ class TestCompiledTemplateIsPure:
             adjoint_vjp(template, params, inputs, grad, tape)
             parameter_shift_grad(template, params, inputs)
         assert _snapshot(template.blocks) == before
+
+
+# sha256 over the fused blocks' builds, in block order, of every
+# architecture at L1, L2 and L2re; see TestPrefixStackBytes.
+PINNED_PREFIX_ENVIRONMENT = {
+    "numpy": "2.4.6",
+    "blas": "OpenBLAS 0.3.31.188.0 USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64",
+}
+PINNED_PREFIXES = {
+    "matic_i_L1":
+        "d80ded7c1ff31ae27a7c662d0f7eddbd26c84fb416c1594998cb5b2e4b73795d",
+    "matic_i_L2":
+        "ce2cfaebd83eed4df2fc8a218dbaa0aff36676c785c241b50450041bec38af99",
+    "matic_i_L2re":
+        "a0fbaa730b064b52d4755199466eb028237359d553fcd86418f7458a3c7b0968",
+    "matic_ii_L1":
+        "9e6219c307e00482f028ddbdd15af211491548133113d68068b050d276f4369f",
+    "matic_ii_L2":
+        "094ff0743e9c49682c602a2b64b11014ebbee644edafedb35b617aab8100f615",
+    "matic_ii_L2re":
+        "ad201a984d7bdc2fef5adf02a468e73ffa1c988f57ce2d6a66ddaf2ae0736d0a",
+    "nikoloska_L1":
+        "6a72be73175b13b17b4cb342688bdec8bbdf6e3361dc01339c9813292e64bf9a",
+    "nikoloska_L2":
+        "20bf3011d4a276678ca248989683ad438a18ff54d80e50c12537c36298b7b5ff",
+    "nikoloska_L2re":
+        "e95adc52145afdfeda9e1e7050901185b606d4338203319b64054cf1165b324f",
+    "romero_L1":
+        "fe5f18ff397b7feaa8021ded63e60ff53fc1c59606aaded3fc27acedef1282a6",
+    "romero_L2":
+        "0c43a591e160363d715132eb592863d59f5059b72a5e7b21cb2da72bb6d6849c",
+    "romero_L2re":
+        "2092d14473c4012635b32564d45e3a9ac3f9568ba46267a408aa5e82f95a7d46",
+    "circuit_i_L1":
+        "129f0a014dc103f14deb57b9bb2d3a800e6cd0559e430ca00bb9bf2ded835398",
+    "circuit_i_L2":
+        "bde37477ddf3de8a5f40c86a159ff1e480a073a2122fcc5a902f7aa18885b59d",
+    "circuit_i_L2re":
+        "8e935cbc7cdaf5e38aaa652a5b476efb478fa0b86b2317af6a057647eefc8b01",
+    "circuit_ii_L1":
+        "3473e009896f4649f2cbcded946516a40328f275cd175d1933032704f6bf44b3",
+    "circuit_ii_L2":
+        "18ab6556b54fde03683387da78af165be73ef8eb18c04ac19f2ba2a5c61694c8",
+    "circuit_ii_L2re":
+        "4a2b424d2e726bd988514209fc6d6dd1f2d59c6bf9895b68247b39929a963725",
+    "circuit_iii_L1":
+        "5a1a4d40279a24df3c841ba11dea670d67b64e2d890d3aebc52560fe2bb5a344",
+    "circuit_iii_L2":
+        "14e75e5825721993e0b847efb40110f6d357fe5eb14d7f7d43ba993394fc4f44",
+    "circuit_iii_L2re":
+        "78848fbb6d551bb4ff54886d04ffa30d754db6af2b6b566d3936a4ead1651a94",
+    "circuit_iv_L1":
+        "59ede1999b8155d613ac1000328f72b1e4c3879714fd63b8c4b53507ffa960ab",
+    "circuit_iv_L2":
+        "63b87bd9380e685ded42d2447b15d9959679d80644006d1f81d5d2a83f418b96",
+    "circuit_iv_L2re":
+        "bebc5abb23066f2affa3263011a26b5d9be9a753fb3f725fae0d98cb989e3162",
+}
+
+
+class TestPrefixStackBytes:
+    @pytest.mark.parametrize("arch", list(Architecture), ids=lambda a: a.value)
+    @pytest.mark.parametrize("layers, reupload", [(1, False), (2, False), (2, True)],
+                             ids=["L1", "L2", "L2re"])
+    def test_builds_are_pinned(self, arch, layers, reupload):
+        """Every fused block's prefix stack, the blocks that read no params
+        included, keeps its bytes at a fixed theta: the forward, the tape
+        and the adjoint sweep all read these matrices.  The matmul bits
+        depend on the numpy and BLAS build, so the test skips under any
+        other environment than the one the digests were made in."""
+        if environment() != PINNED_PREFIX_ENVIRONMENT:
+            pytest.skip(f"digests were made under {PINNED_PREFIX_ENVIRONMENT}, "
+                        f"not {environment()}")
+        template = assemble_pqc(arch, CHUNK_DIM, layers, reupload)
+        theta = stream(0, "prefix-pin", arch.value, layers, int(reupload)).uniform(
+            0, 2 * math.pi, template.param_slots)
+        digest = hashlib.sha256()
+        for block in template.blocks:
+            if isinstance(block, _FusedUnitary):
+                prefix = block.build(theta)
+                digest.update(repr(prefix.shape).encode())
+                digest.update(prefix.tobytes())
+        assert digest.hexdigest() == PINNED_PREFIXES[template.name]
 
 
 class TestExecutorMemory:
