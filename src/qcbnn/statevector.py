@@ -599,12 +599,10 @@ def _scatter_index(n: int, targets: tuple[int, ...]) -> tuple[np.ndarray, np.nda
 @dataclass(frozen=True)
 class _KindGroup:
     """The trainable gates of one kind in a fused block, in block order:
-    their positions in the factor sequence and in the build buffer, their
-    params slots and their scatter indices."""
+    their factor numbers, their params slots and their scatter indices."""
 
     kind: str
     seq: np.ndarray  # (g,)
-    factor: np.ndarray  # (g,)
     params: np.ndarray  # (g, n_angles)
     dest: np.ndarray  # (g, 2^n * k), into one transposed factor
     src: np.ndarray  # (g, 2^n * k), into one k x k matrix
@@ -612,8 +610,8 @@ class _KindGroup:
     def scatter(self, members: np.ndarray, targets: np.ndarray,
                 d2: int) -> tuple[np.ndarray, np.ndarray]:
         """Flat (dest, src) indices placing the matrices of gates ``members``,
-        stacked as (m, k, k), into factors ``targets`` of a flat buffer of
-        d2-entry factors."""
+        stacked as (m, k, k), into matrices ``targets`` of a flat stack of
+        d2-entry matrices."""
         k2 = 4 ** _KINDS[self.kind].wires
         return ((targets[:, None] * d2 + self.dest[members]).ravel(),
                 (np.arange(len(members))[:, None] * k2 + self.src[members]).ravel())
@@ -623,40 +621,40 @@ class _FusedUnitary:
     """Consecutive gates that read no input, multiplied into one transposed
     unitary (``psi @ build(params)[-1]``).
 
-    The product runs over a fixed factor sequence: each merged run of
-    angle-free gates is one constant matrix, and each trainable gate is
-    one factor of an (F, 2^n, 2^n) buffer that a build fills with one
-    gather, one ``gate_matrix`` call and one scatter per gate kind.  A
-    build is the product's prefix stack, which a forward's tape keeps for
-    the adjoint sweep.  A block that reads no params is built here, once;
-    nothing of a block changes after it is compiled.
+    The product runs over F factors: each merged run of angle-free gates is
+    one constant matrix, and each trainable gate one factor.  The compiled
+    read-only (F + 1, 2^n, 2^n) ``template`` holds the identity, then the
+    factors in order, with zeros where a trainable gate goes.  A build
+    copies it, scatters the trainable gates in with one gather, one
+    ``gate_matrix`` call and one scatter per gate kind, and multiplies the
+    copy out in place into the product's prefix stack, which a forward's
+    tape keeps for the adjoint sweep.  A block that reads no params is
+    built here, once; nothing of a block changes after it is compiled.
     """
 
     def __init__(self, gates: list[Gate], n: int):
         d = self.dim = 2**n
-        self.sequence: list = []  # constant (d, d) matrices and buffer factor numbers
-        self.n_factors = 0
+        factors: list[np.ndarray | None] = []  # constant (d, d) matrices, None if trainable
         found: dict[str, list] = {}
         for gate in gates:
             dest, src = _scatter_index(n, gate.targets)
             if gate.angles:
                 found.setdefault(gate.kind, []).append(
-                    (len(self.sequence), [ref[1] for ref in gate.angles], dest, src))
-                self.sequence.append(self.n_factors)
-                self.n_factors += 1
+                    (len(factors), [ref[1] for ref in gate.angles], dest, src))
+                factors.append(None)
                 continue
             const = np.zeros(d * d, dtype=np.complex128)
             const[dest] = gate_matrix(gate.kind, np.zeros(0)).ravel()[src]
             const = const.reshape(d, d)
-            if self.sequence and isinstance(self.sequence[-1], np.ndarray):
-                const = self.sequence.pop() @ const
-            self.sequence.append(const)
-        self.groups: list[_KindGroup] = []
-        for kind, members in found.items():
-            seq, params, dest, src = (np.array(column) for column in zip(*members))
-            factor = np.array([self.sequence[s] for s in seq])
-            self.groups.append(_KindGroup(kind, seq, factor, params, dest, src))
-        self.builds = [g.scatter(np.arange(len(g.seq)), g.factor, d * d) for g in self.groups]
+            if factors and factors[-1] is not None:
+                const = factors.pop() @ const
+            factors.append(const)
+        self.template = np.array([np.eye(d)] + [np.zeros((d, d)) if f is None else f
+                                                for f in factors], dtype=np.complex128)
+        self.template.flags.writeable = False
+        self.groups = [_KindGroup(kind, *(np.array(column) for column in zip(*members)))
+                       for kind, members in found.items()]
+        self.builds = [g.scatter(np.arange(len(g.seq)), g.seq + 1, d * d) for g in self.groups]
         # per trainable angle, angle-major in each kind: slot, position, rule, scatter
         slots, seq, self.derivative_builds = [], [], []
         for g in self.groups:
@@ -671,27 +669,18 @@ class _FusedUnitary:
         if not self.groups:
             self.fixed = self.build(np.zeros(0))
 
-    def _factors(self, params: np.ndarray) -> list[np.ndarray]:
-        """The (d, d) factor sequence at one params vector."""
-        d = self.dim
-        buf = np.zeros(self.n_factors * d * d, dtype=np.complex128)
-        for g, (dest, src) in zip(self.groups, self.builds):
-            buf[dest] = gate_matrix(g.kind, params[g.params]).ravel()[src]
-        buf = buf.reshape(self.n_factors, d, d)
-        return [f if isinstance(f, np.ndarray) else buf[f] for f in self.sequence]
-
     def build(self, params: np.ndarray) -> np.ndarray:
         """The read-only (F + 1, d, d) prefix stack P of the F factors at
         ``params``: P[0] = I, P[1] = factor 0, P[s + 1] = P[s] @ factor s, so
         P[-1] is their product, the block's transposed unitary."""
         if self.fixed is not None:
             return self.fixed
-        factors = self._factors(params)
-        prefix = np.empty((len(factors) + 1, self.dim, self.dim), dtype=np.complex128)
-        prefix[0] = np.eye(self.dim)
-        prefix[1] = factors[0]
-        for s in range(1, len(factors)):
-            np.matmul(prefix[s], factors[s], out=prefix[s + 1])
+        prefix = self.template.copy()
+        flat = prefix.reshape(-1)
+        for g, (dest, src) in zip(self.groups, self.builds):
+            flat[dest] = gate_matrix(g.kind, params[g.params]).ravel()[src]
+        for s in range(2, len(prefix)):
+            np.matmul(prefix[s - 1], prefix[s], out=prefix[s])
         prefix.flags.writeable = False
         return prefix
 

@@ -885,13 +885,15 @@ class TestClosedFormStep:
         constant = [b for b in fused if not b.groups]
         assert len(trainable) == n_trainable and constant
         builds = []
-        factors = sv._FusedUnitary._factors
+        build = sv._FusedUnitary.build
 
-        def counting(block, params):
-            builds.append(block)
-            return factors(block, params)
+        def counting(block, params):  # a call that returns the compiled build builds nothing
+            prefix = build(block, params)
+            if prefix is not block.fixed:
+                builds.append(block)
+            return prefix
 
-        monkeypatch.setattr(sv._FusedUnitary, "_factors", counting)
+        monkeypatch.setattr(sv._FusedUnitary, "build", counting)
         constant_builds = [0] * len(constant)
         for step in range(2):  # theta moves between the steps
             builds.clear()
