@@ -492,13 +492,18 @@ def run_report(results_dir: str, emit_svg: bool = True) -> list[str]:
     """Emit the figure families for a finished sweep; returns the paths.
 
     Figures whose inputs are missing are skipped with a printed notice
-    naming the missing artifact.
+    naming the missing artifact, and an earlier report's files of a skipped
+    figure are removed; other files in ``figures/`` are left alone.
     """
     runs_by_label = _read_runs(results_dir)
     if not runs_by_label:
         raise FileNotFoundError(f"no run artifacts under {results_dir}")
     fig_dir = os.path.join(results_dir, "figures")
     os.makedirs(fig_dir, exist_ok=True)
+    for name, *_ in _FIGURES:  # no figure of an earlier report outlives this one
+        for path in (os.path.join(fig_dir, name + ".csv"), os.path.join(fig_dir, name + ".svg")):
+            if os.path.exists(path):
+                os.remove(path)
     written: list[str] = []
     for name, header, axes, gather, notice in _FIGURES:
         fig = svg.Figure(*axes)

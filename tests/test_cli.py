@@ -563,6 +563,20 @@ class TestReportCommand:
             f"notice: missing test evaluations, some box entries skipped: {missing}\n"
             "16 report files written\n")
 
+    def test_rerun_leaves_no_stale_figures(self, report_results, capsys):
+        """A report run after the evaluations were lost keeps none of the
+        earlier report's figures, and leaves any other file alone."""
+        assert cli.main(["report", str(report_results)]) == 0
+        fig_dir = report_results / "figures"
+        (fig_dir / "notes.txt").write_text("kept\n")
+        for path in report_results.glob("*/seed*/eval_test.csv"):
+            os.remove(path)
+        capsys.readouterr()
+        assert cli.main(["report", "--no-svg", str(report_results)]) == 0
+        assert capsys.readouterr().out.endswith("\n3 report files written\n")
+        assert sorted(os.listdir(fig_dir)) == [
+            "notes.txt", "train_curves.csv", "validation_curves.csv", "weight_kde.csv"]
+
     @pytest.mark.parametrize("name", ["epochs.csv", "eval_test.csv", "weight_samples.csv"])
     def test_truncated_artifact_is_config_error(self, report_results, capsys, name):
         """A killed run's half-written last row: each CSV cut before the
