@@ -97,7 +97,11 @@ class RunConfig(TrainSettings):
         )
 
     def cells(self):
-        """All sweep cells as (arch, layers, reupload, seed) tuples."""
+        """All sweep cells as (arch, layers, reupload, seed) tuples.  The
+        classical and VI samplers run no circuit, so their sweep is one
+        cell per seed, at the first architecture and depth 1."""
+        if self.sampler != "quantum":
+            return [(self.archs[0], 1, False, seed) for seed in self.seeds]
         return [
             (arch, layers, reupload, seed)
             for arch in self.archs

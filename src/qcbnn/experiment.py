@@ -110,13 +110,6 @@ def cell_label(config: RunConfig, arch, layers: int, reupload: bool) -> str:
     return pqc_label(arch, layers, reupload)
 
 
-def _run_cells(config: RunConfig):
-    """Sweep cells with non-quantum samplers reduced to one per seed."""
-    if config.sampler != "quantum":
-        return [(config.archs[0], 1, False, seed) for seed in config.seeds]
-    return config.cells()
-
-
 def train_one_run(config: RunConfig, tagged: Dataset, arch, layers, reupload, seed,
                   run_dir: str, progress: bool = False) -> dict:
     """Train one sweep cell, write its artifacts, return its summary row."""
@@ -201,7 +194,7 @@ def run_train(config: RunConfig, progress: bool = False) -> str:
         fh.write(format_config(config))
 
     finished = []  # (label, layers, reupload, seed, summary row) per cell
-    for arch, layers, reupload, seed in _run_cells(config):
+    for arch, layers, reupload, seed in config.cells():
         label = cell_label(config, arch, layers, reupload)
         run_dir = os.path.join(out, label, f"seed{seed}")
         if progress:

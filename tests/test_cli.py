@@ -351,6 +351,20 @@ class TestSweeps:
         assert "circuit_iii_L1" in curves and "circuit_iii_L2" in curves
 
 
+    def test_classical_sweep_trains_its_config_cells(self, tmp_path):
+        """The cells a non-quantum sweep trains are ``config.cells()``:
+        one per seed, however many architectures and depths it lists."""
+        out = tmp_path / "classical"
+        config = apply_settings(RunConfig(), {
+            "sampler": "classical", "arch": "matic_i,circuit_iii", "layers": "1,2",
+            "reupload": "false,true", "seed": "0,1", "epochs": "1",
+            "synth_samples": "24", "n_ensemble": "4", "eval_ensemble": "2",
+            "batch_size": "8", "split_fractions": "0.7,0.3", "out": str(out)})
+        run_train(config)
+        trained = [read_run_config(str(run)).cells()[0]
+                   for run in sorted(out.glob("*/seed*"))]
+        assert trained == config.cells()
+
 class TestEvaluateCommand:
     def test_evaluate_stored_run(self, tiny_run, tmp_path):
         run_dir = os.path.join(tiny_run, "classical", "seed0")
