@@ -38,8 +38,11 @@ of input rows, ``result[b] = run_circuit(template, params, inputs[b])``,
 from the template's compiled ``blocks``, computed once per template:
 
 * a run of gates that read no input (constant and trainable gates, H
-  included) becomes one 2^n x 2^n unitary, built once per forward, or
-  once when compiled if no gate of the run reads params;
+  included) becomes one 2^n x 2^n unitary.  Its compiled template holds
+  the run's constant factors, and a build copies it, scatters the
+  trainable gates in and multiplies it out in place into the prefix
+  stack, once per forward, or once when compiled if no gate of the run
+  reads params;
 * a run of input-reading diagonal gates and angle-free permutations (every
   embedding gate: RZ(enc1) and CNOT.RZ(enc2).CNOT) becomes one fixed index
   permutation and one coefficient matrix A, applied per input row as
