@@ -51,8 +51,11 @@ from the template's compiled ``blocks``, computed once per template:
   ``_FUSE_MAX_QUBITS``, does not compile: ``blocks`` raises a ``ValueError``.
 
 So the input-only blocks run once per input row and the params-only
-blocks once per params vector, whatever the batch size.  <Z> is read as
-``|psi|^2 @ zsign``.
+blocks once per params vector, whatever the batch size.  A run without a
+tape takes its input rows through the blocks in row blocks of
+``RUN_BLOCK_AMPLITUDES`` amplitudes; a taped run keeps its whole-batch
+states for the sweep.  <Z> is read as ``|psi|^2 @ zsign``, one product
+over all rows.
 
 ``adjoint_vjp``, which training uses, gives the params gradient of
 ``sum(grad * <Z>)`` by one backward sweep over the blocks, reading the
@@ -493,15 +496,33 @@ def run_circuit_batch(template: CircuitTemplate, params, inputs,
     ``params`` is one (P,) vector and ``inputs`` is (B, I), giving (B, n),
     or (I,), giving (n,).  A ``tape``, if given, records the run for
     ``adjoint_vjp`` in place of what it held; the outputs are the same bits
-    either way.
+    either way.  Without a tape the rows run in equal blocks of at most
+    ``RUN_BLOCK_AMPLITUDES`` amplitudes, each block's |psi|^2 written into
+    one (B, 2^n) array, so no (B, 2^n) complex state is ever held.
     """
     params, inputs = _check_slots(template, params, inputs)
     grid_inputs = np.atleast_2d(inputs)
-    psi = _run_blocks(template, params, grid_inputs, tape)
-    probs = psi.real**2
-    probs += psi.imag**2
-    del psi
-    z = np.clip(probs @ template.zsign, -1.0, 1.0)
+    builds = _builds(template, params)
+    # A state that reads no input is one row shared by every input row.  The
+    # probabilities are C-ordered whatever the layout of the states, which a
+    # gather can leave transposed: <Z>'s bits depend on the product's layout.
+    reads_inputs = any(build is None for build in builds)
+    probs = np.empty((len(grid_inputs) if reads_inputs else 1, 2**template.n_qubits))
+    if tape is not None:
+        tape.key = params.tobytes()
+        _born(_run_blocks(template, builds, grid_inputs, tape), probs)
+    else:
+        # blocks of equal size, so that none has one row unless the run has:
+        # numpy multiplies a one-row matrix as a vector, to other bits
+        blocks = max(1, -(-len(probs) // (RUN_BLOCK_AMPLITUDES >> template.n_qubits)))
+        step = max(1, -(-len(probs) // blocks))
+        for start in range(0, len(probs), step):
+            rows = slice(start, start + step)
+            _born(_run_blocks(template, builds, grid_inputs[rows]), probs[rows])
+    # One product over all rows: its last bits can depend on how many rows
+    # it is given, so a product per block would tie <Z> to the block size.
+    z = probs @ template.zsign
+    np.clip(z, -1.0, 1.0, out=z)
     z = np.broadcast_to(z, (len(grid_inputs), template.n_qubits))
     return np.ascontiguousarray(z[0] if inputs.ndim == 1 else z)
 
@@ -519,8 +540,8 @@ def adjoint_vjp(template: CircuitTemplate, params, inputs, grad,
     if np.shape(grad) != shape:
         raise ValueError(f"grad must have the output's shape {shape}, got {np.shape(grad)}")
     if tape is None:
-        tape = Tape()
-        _run_blocks(template, params, np.atleast_2d(inputs), tape)
+        tape = Tape(params.tobytes())
+        _run_blocks(template, _builds(template, params), np.atleast_2d(inputs), tape)
     elif tape.key != params.tobytes():
         raise ValueError("the tape was recorded at other params; run the forward again")
     lam = (np.atleast_2d(grad) @ template.zsign.T) * tape.psi
@@ -537,28 +558,49 @@ def adjoint_vjp(template: CircuitTemplate, params, inputs, grad,
     return out
 
 
-def _run_blocks(template: CircuitTemplate, params: np.ndarray, inputs: np.ndarray,
+# Rows of a run without a tape go through the blocks this many amplitudes at
+# a time (1024 rows of 4 qubits, 256 kB of complex state), so its complex
+# temporaries stay that size however many rows it has.  The bits do not
+# depend on it: every step before |psi|^2 gives each row the same bits in
+# any block of two or more rows.
+RUN_BLOCK_AMPLITUDES = 1 << 14
+
+
+def _builds(template: CircuitTemplate, params: np.ndarray) -> list:
+    """Per block in block order: a fused block's prefix stack at ``params``,
+    None for a phase block."""
+    return [None if isinstance(block, _PhasePermutation) else block.build(params)
+            for block in template.blocks]
+
+
+def _run_blocks(template: CircuitTemplate, builds: list, inputs: np.ndarray,
                 tape: Tape | None = None) -> np.ndarray:
-    """The (B or 1, 2^n) state for 2-D ``inputs``, recorded on ``tape``."""
+    """The (B or 1, 2^n) state for 2-D ``inputs``, from the template's
+    ``_builds`` at one params vector, recorded on ``tape``."""
     psi = np.zeros((1, 2**template.n_qubits), dtype=np.complex128)
     psi[0, 0] = 1.0
     if tape is not None:
-        tape.key, tape.kept = params.tobytes(), []
-    for block in template.blocks:
-        if isinstance(block, _PhasePermutation):
+        tape.kept = []
+    for block, prefix in zip(template.blocks, builds):
+        if prefix is None:
             phase = block.phases(inputs)
             if tape is not None:
                 tape.kept.append(phase.conj())
             psi = block.apply(psi, phase)
             del phase  # or the applied phases stay alive through the next product
         else:
-            prefix = block.build(params)
             if tape is not None:
                 tape.kept.append((psi, prefix))
             psi = psi @ prefix[-1]
     if tape is not None:
         tape.psi = psi
     return psi
+
+
+def _born(psi: np.ndarray, out: np.ndarray):
+    """|psi|^2 into ``out``."""
+    np.square(psi.real, out=out)
+    out += np.square(psi.imag)
 
 
 # --- compiled blocks ----------------------------------------------------------
@@ -682,8 +724,12 @@ class _FusedUnitary:
         flat = prefix.reshape(-1)
         for g, (dest, src) in zip(self.groups, self.builds):
             flat[dest] = gate_matrix(g.kind, params[g.params]).ravel()[src]
+        # each factor moves to one scratch matrix first: a product whose output
+        # overlaps an operand makes numpy allocate a copy of that operand
+        factor = np.empty_like(prefix[0])
         for s in range(2, len(prefix)):
-            np.matmul(prefix[s - 1], prefix[s], out=prefix[s])
+            factor[...] = prefix[s]
+            np.matmul(prefix[s - 1], factor, out=prefix[s])
         prefix.flags.writeable = False
         return prefix
 

@@ -27,9 +27,11 @@ from qcbnn.statevector import (
     parameter_shift_grad,
     run_circuit,
     run_circuit_batch,
+    RUN_BLOCK_AMPLITUDES,
     _FUSE_MAX_QUBITS,
     _KINDS,
     _FusedUnitary,
+    _PhasePermutation,
     _derivative_rule,
 )
 
@@ -612,6 +614,48 @@ class TestExecutorMemory:
         finally:
             tracemalloc.stop()
         assert peak < 3.5 * state_bytes, f"peak {peak / state_bytes:.2f} states"
+
+
+def whole_batch_oracle(template, params, inputs):
+    """<Z> for (B, I) ``inputs`` with every block run on the whole batch:
+    the compiled blocks in order, then |psi|^2, then one product with
+    ``zsign``, its (B or 1, n) result broadcast over the rows."""
+    psi = np.zeros((1, 2**template.n_qubits), dtype=np.complex128)
+    psi[0, 0] = 1.0
+    for block in template.blocks:
+        if isinstance(block, _PhasePermutation):
+            psi = block.apply(psi, block.phases(inputs))
+        else:
+            psi = psi @ block.build(params)[-1]
+    probs = psi.real**2
+    probs += psi.imag**2
+    z = np.clip(probs @ template.zsign, -1.0, 1.0)
+    return np.broadcast_to(z, (len(inputs), template.n_qubits))
+
+
+_BLOCK_ROWS = RUN_BLOCK_AMPLITUDES >> CHUNK_DIM
+_NO_INPUT = CircuitTemplate(4, (
+    Gate("H", (0,)), Gate("RX", (1,), (("p", 0),)), Gate("CNOT", (0, 2)),
+    Gate("CRY", (2, 3), (("p", 1),)),
+), 2, 4, name="no_input")
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("rows", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                      3 * _BLOCK_ROWS + 7])
+    @pytest.mark.parametrize("template", [
+        assemble_pqc(arch, CHUNK_DIM, layers, reupload) for arch in Architecture
+        for layers, reupload in ((1, False), (2, True))] + [_NO_INPUT], ids=lambda t: t.name)
+    def test_tape_less_run_equals_whole_batch_oracle(self, template, rows):
+        """A run without a tape goes through the blocks a row block at a
+        time and gives the whole-batch bits, for every row of a state that
+        reads no input too."""
+        rng = np.random.default_rng(rows)
+        params = rng.uniform(0, 2 * math.pi, template.param_slots)
+        inputs = rng.uniform(0, 2 * math.pi, (rows, template.input_slots))
+        want = whole_batch_oracle(template, params, inputs)
+        assert run_circuit_batch(template, params, inputs).tobytes() == \
+            np.ascontiguousarray(want).tobytes()
 
 
 class TestUncompilableTemplates:
