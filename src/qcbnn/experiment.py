@@ -23,6 +23,7 @@ byte-deterministic for a fixed (config, seed).
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import replace
 from functools import partial
@@ -57,6 +58,7 @@ SUMMARY_FIELDS = [
 ]
 TOY_EVAL_EVERY = 250  # steps between KS checks in the toy-adversarial trace
 TOY_DRAWS = 1000  # weight draws behind each toy KS statistic
+DUMP_BLOCK_DRAWS = 64  # weight draws formatted at a time by dump_weight_samples
 
 
 def _fmt(value) -> str:
@@ -176,13 +178,15 @@ def dump_weight_samples(model: ModelState, n_draws: int, path):
     if n_draws < 1:
         raise ConfigError(f"draw count must be >= 1, got {n_draws}")
     samples = draw_weight_samples(model, n_draws, stream(model.config.seed, "dump"))
-    values = iter(np.concatenate([ws.chunks for ws in samples]).reshape(-1).tolist())
     with open(path, "w", newline="") as fh:
         fh.write("pass_index,qubit,value\n")
-        # one f-string per circuit pass, one line for each of its 4 qubits;
-        # a flat list keeps the memory of one float per value
-        fh.writelines(f"{k},0,{a!r}\n{k},1,{b!r}\n{k},2,{c!r}\n{k},3,{d!r}\n"
-                      for k, (a, b, c, d) in enumerate(zip(values, values, values, values)))
+        # one f-string per circuit pass, one line for each of its 4 qubits,
+        # a block of draws at a time, so that only one block's Python floats
+        # are alive at once
+        for first in range(0, n_draws, DUMP_BLOCK_DRAWS):
+            block = np.concatenate([ws.chunks for ws in samples[first:first + DUMP_BLOCK_DRAWS]])
+            fh.writelines(f"{k},0,{a!r}\n{k},1,{b!r}\n{k},2,{c!r}\n{k},3,{d!r}\n"
+                          for k, (a, b, c, d) in enumerate(block.tolist(), first * N_CHUNKS))
 
 
 def run_train(config: RunConfig, progress: bool = False) -> str:
@@ -314,15 +318,29 @@ def _read_rows(path, parse) -> list:
             raise ConfigError(f"truncated or malformed row in {path}") from None
 
 
-def _read_weights(path) -> list[float]:
+def _finite(text: str) -> float:
+    """A finite float of a run CSV's field; a ValueError for nan or inf,
+    which no run writes and which would turn a whole figure into nan."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
+def _read_weights(path) -> np.ndarray:
     """The values of a weight dump, a ConfigError naming the file for a
-    row without exactly three fields or with a value that does not parse."""
+    row without exactly three fields or with a value that does not parse
+    or is not finite."""
     with open(path) as fh:
         next(fh, None)  # header
         try:
-            return [float(v) for _, _, v in (line.split(",") for line in fh)]
+            values = np.fromiter((float(v) for _, _, v in (line.split(",") for line in fh)),
+                                 dtype=np.float64)
         except ValueError:
             raise ConfigError(f"truncated or malformed row in {path}") from None
+    if not np.isfinite(values).all():
+        raise ConfigError(f"truncated or malformed row in {path}")
+    return values
 
 
 def _read_runs(results_dir: str) -> dict[str, list[tuple]]:
@@ -339,10 +357,10 @@ def _read_runs(results_dir: str) -> dict[str, list[tuple]]:
             if not (name.startswith("seed") and os.path.exists(os.path.join(run, "epochs.csv"))):
                 continue
             epochs = _read_rows(os.path.join(run, "epochs.csv"), lambda r: (
-                r["split"], int(r["epoch"]), float(r["accuracy"])))
+                r["split"], int(r["epoch"]), _finite(r["accuracy"])))
             path = os.path.join(run, "eval_test.csv")
             evals = _read_rows(path, lambda r: (
-                (r["metric"], r["subset"]), float(v) if (v := r["value"]) != "" else None,
+                (r["metric"], r["subset"]), _finite(v) if (v := r["value"]) != "" else None,
             )) if os.path.exists(path) else []
             found.setdefault(label, []).append(
                 (run, epochs, {key: v for key, v in evals if v is not None}))
@@ -423,15 +441,12 @@ def _calibration(runs_by_label, fig) -> list:
 def _weight_kde(runs_by_label, fig) -> list:
     rows = []
     for label, runs in runs_by_label.items():
-        pooled = []
-        for run, _, _ in runs:
-            path = os.path.join(run, "weight_samples.csv")
-            if os.path.exists(path):
-                pooled += _read_weights(path)
-        if len(pooled) < 2:
+        paths = [os.path.join(run, "weight_samples.csv") for run, _, _ in runs]
+        pooled = [_read_weights(path) for path in paths if os.path.exists(path)]
+        if sum(map(len, pooled)) < 2:
             print(f"notice: no weight samples for {label}, omitted from weight_kde")
             continue
-        est = kde_density(np.array(pooled), np.linspace(-1.2, 1.2, 241))
+        est = kde_density(np.concatenate(pooled), np.linspace(-1.2, 1.2, 241))
         rows += [[label, g, d] for g, d in zip(est.grid, est.density)]
         fig.add_line(est.grid, est.density, label=label)
     return rows

@@ -1,5 +1,6 @@
 import os
 import shutil
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -522,16 +523,32 @@ class TestSampleWeightsCommand:
         assert f"draw count must be >= 1, got {draws}" in capsys.readouterr().err
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize("draws", [7, 300])
     @pytest.mark.parametrize("sampler", ["quantum", "classical", "vi"])
-    def test_dump_bytes_match_csv_writer_oracle(self, tmp_path, sampler):
+    def test_dump_bytes_match_csv_writer_oracle(self, tmp_path, sampler, draws):
+        """300 draws span several formatting blocks and circuit row blocks."""
         model = build_model(TrainConfig(seed=2, sampler=sampler), (28, 28))
-        dump_weight_samples(model, 7, tmp_path / "fast.csv")
-        samples = draw_weight_samples(model, 7, stream(model.config.seed, "dump"))
+        dump_weight_samples(model, draws, tmp_path / "fast.csv")
+        samples = draw_weight_samples(model, draws, stream(model.config.seed, "dump"))
         rows = [[d * len(ws.chunks) + c, q, ws.chunks[c, q]]
                 for d, ws in enumerate(samples)
                 for c in range(len(ws.chunks)) for q in range(CHUNK_DIM)]
         _write_csv(tmp_path / "oracle.csv", ["pass_index", "qubit", "value"], rows)
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_quantum_dump_peak_memory(self, tmp_path):
+        """A 1000-draw quantum dump runs 16,000 circuit rows.  It holds no
+        (16000, 16) complex state and no list of all its 64,000 floats, so
+        its traced peak stays under 5 MiB (8.3 MiB when it held both)."""
+        model = build_model(TrainConfig(seed=2, sampler="quantum"), (28, 28))
+        dump_weight_samples(model, 1000, tmp_path / "w.csv")  # compile outside the trace
+        tracemalloc.start()
+        try:
+            dump_weight_samples(model, 1000, tmp_path / "w.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestToyAdversarialCommand:
@@ -603,6 +620,20 @@ class TestReportCommand:
         assert cli.main(["report", str(report_results)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err == f"error: truncated or malformed row in {path}\n"
+
+    @pytest.mark.parametrize("name, value", [
+        ("weight_samples.csv", "nan"), ("weight_samples.csv", "-inf"),
+        ("eval_test.csv", "nan"), ("eval_test.csv", "inf"), ("epochs.csv", "nan"),
+    ])
+    def test_non_finite_value_is_config_error(self, report_results, capsys, name, value):
+        """No run writes nan or inf into a field the report reads; one such
+        value would turn a whole density or curve into nan.  The last field
+        of the first row is the value, the value or the accuracy."""
+        path = report_results / "beta" / "seed2" / name
+        header, first, *rest = path.read_text().splitlines(keepends=True)
+        path.write_text("".join([header, first[: first.rindex(",") + 1] + value + "\n", *rest]))
+        assert cli.main(["report", str(report_results)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: truncated or malformed row in {path}\n"
 
     def test_empty_dir_is_config_error(self, tmp_path):
         assert cli.main(["report", str(tmp_path)]) == cli.EXIT_CONFIG
