@@ -236,10 +236,11 @@ def forward_probs_np(model: ModelState, images: np.ndarray, kernels: np.ndarray)
     fixed kernels, computed without an autodiff graph.
 
     A stacked (M, F, kh, kw) kernel array gives (M, B, 2), one row per
-    member.  The patch matrix of ``ad.conv_patches`` is built once, as in
-    ``ad.conv2d``; per cache-sized image block and member, ``K_m @ patches``
-    is the (b, F, H'*W') activation that training computes, written into one
-    workspace, so the dense layer reads it without a copy.
+    member.  Per cache-sized image block, the block's patch matrix of
+    ``ad.conv_patches`` is built once, as in ``ad.conv2d``; per member,
+    ``K_m @ patches`` is the (b, F, H'*W') activation that training
+    computes, written into one workspace, so the dense layer reads it
+    without a copy.
 
     Every loop runs on contiguous operands of one shape.  Relu takes its
     maximum against a zero array of the workspace's shape: numpy's loop
@@ -252,8 +253,9 @@ def forward_probs_np(model: ModelState, images: np.ndarray, kernels: np.ndarray)
     """
     stack = np.asarray(kernels, dtype=np.float64)
     m, f, kh, kw = stack.shape
-    patches, (hp, wp) = ad.conv_patches(images, (kh, kw), model.config.conv_stride)
-    b = len(patches)
+    stride = model.config.conv_stride
+    _, (hp, wp) = ad.conv_patches(images[:1], (kh, kw), stride)  # checks the shapes
+    b = len(images)
     flat_kernels = stack.reshape(m, f, kh * kw)
     dense_w = model.dense_w.data
     planes = np.empty((dense_w.shape[0], m, b))
@@ -264,8 +266,9 @@ def forward_probs_np(model: ModelState, images: np.ndarray, kernels: np.ndarray)
         stop = min(start + block, b)
         z, z0 = work[: stop - start], zero[: stop - start]
         flat_t = z.reshape(len(z), -1).T
+        patches, _ = ad.conv_patches(images[start:stop], (kh, kw), stride)
         for i in range(m):
-            np.matmul(flat_kernels[i], patches[start:stop], out=z)
+            np.matmul(flat_kernels[i], patches, out=z)
             np.maximum(z, z0, out=z)
             np.matmul(dense_w, flat_t, out=planes[:, i, start:stop])
     planes += model.dense_b.data[:, None, None]
