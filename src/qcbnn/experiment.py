@@ -184,9 +184,11 @@ def dump_weight_samples(model: ModelState, n_draws: int, path):
         # a block of draws at a time, so that only one block's Python floats
         # are alive at once
         for first in range(0, n_draws, DUMP_BLOCK_DRAWS):
-            block = np.concatenate([ws.chunks for ws in samples[first:first + DUMP_BLOCK_DRAWS]])
+            block = samples[first:first + DUMP_BLOCK_DRAWS]
+            values = iter(np.concatenate([ws.chunks for ws in block]).reshape(-1).tolist())
             fh.writelines(f"{k},0,{a!r}\n{k},1,{b!r}\n{k},2,{c!r}\n{k},3,{d!r}\n"
-                          for k, (a, b, c, d) in enumerate(block.tolist(), first * N_CHUNKS))
+                          for k, (a, b, c, d) in enumerate(zip(values, values, values, values),
+                                                           first * N_CHUNKS))
 
 
 def run_train(config: RunConfig, progress: bool = False) -> str:
