@@ -20,7 +20,7 @@ import argparse
 import os
 import sys
 
-from .config import ConfigError, RunConfig, apply_settings, parse_config
+from .config import ConfigError, RunConfig, apply_settings, config_errors, parse_config
 from .experiment import (
     run_evaluate,
     run_report,
@@ -60,7 +60,7 @@ def _add_config_flags(parser: argparse.ArgumentParser):
 
 def _build_config(args) -> RunConfig:
     if args.config:
-        with open(args.config) as fh:
+        with open(args.config) as fh, config_errors():  # bytes that do not decode too
             config = parse_config(fh.read())
     else:
         config = RunConfig()
@@ -143,7 +143,7 @@ def main(argv=None) -> int:
         else:
             written = run_report(args.results_dir, emit_svg=not args.no_svg)
             print(f"{len(written)} report files written")
-    except (ConfigError, FileNotFoundError, ValueError) as err:
+    except (ConfigError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as err:

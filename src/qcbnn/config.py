@@ -9,6 +9,7 @@ expressed as comma lists (architectures, seeds) plus zipped depth lists
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 
 from .circuits import Architecture
@@ -19,6 +20,15 @@ from .training import TrainConfig, TrainSettings
 
 class ConfigError(ValueError):
     """Raised for unparseable, unknown, or inconsistent config input."""
+
+
+@contextmanager
+def config_errors():
+    """Re-raise a ValueError of the block, where outside input enters, as a ConfigError."""
+    try:
+        yield
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
 
 
 @dataclass
@@ -50,7 +60,6 @@ class RunConfig(TrainSettings):
     # reporting
     out: str = "runs"
     calibration_bins: int = 10
-    subset_reference: str = "overall"
 
     def __post_init__(self):
         for f in fields(self):
@@ -76,15 +85,10 @@ class RunConfig(TrainSettings):
         if not 2 <= self.calibration_bins <= MAX_CALIBRATION_BINS:
             raise ConfigError(f"calibration_bins must be in [2, {MAX_CALIBRATION_BINS}], "
                               f"got {self.calibration_bins}")
-        if self.subset_reference not in ("overall", "indicator"):
-            raise ConfigError("subset_reference must be 'overall' or 'indicator', "
-                              f"got {self.subset_reference!r}")
         # every cell must make a valid run, so bad input fails before any output
-        try:
+        with config_errors():
             for cell in self.cells():
                 self.train_config(*cell)
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
 
     def train_config(self, arch: Architecture, layers: int, reupload: bool,
                      seed: int) -> TrainConfig:

@@ -33,7 +33,7 @@ import numpy as np
 from . import svg
 from .autodiff import load_checkpoint, save_checkpoint
 from .circuits import pqc_label
-from .config import ConfigError, RunConfig, format_config, parse_config
+from .config import ConfigError, RunConfig, config_errors, format_config, parse_config
 from .data import Dataset, SynthSpec, load_dataset, read_image_shape, split, synth_generate
 from .metrics import EvalReport, build_eval_report, kde_density, report_rows
 from .samplers import N_CHUNKS
@@ -81,6 +81,7 @@ def _write_csv(path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
+@config_errors()
 def resolve_dataset(config: RunConfig) -> Dataset:
     """Load or generate the configured dataset and tag splits."""
     if config.dataset == "synth":
@@ -97,6 +98,7 @@ def resolve_dataset(config: RunConfig) -> Dataset:
     return split(dataset, config.split_fractions, config.split_seed)
 
 
+@config_errors()
 def dataset_image_shape(config: RunConfig) -> tuple[int, int]:
     """Image (H, W) of the configured dataset, without building or loading
     it: synthetic images have the ``SynthSpec`` size, and a dataset file
@@ -167,8 +169,7 @@ def write_evaluation(model: ModelState, config: RunConfig, subset: Dataset,
     """Ensemble-evaluate ``subset`` and write its (metric, subset, value)
     report CSV; the one evaluation path of training and ``run_evaluate``."""
     probs, votes = ensemble_outputs(model, subset.images, n_members, ("eval-" + tag,))
-    report = build_eval_report(probs, votes, subset.labels,
-                               config.calibration_bins, config.subset_reference)
+    report = build_eval_report(probs, votes, subset.labels, config.calibration_bins)
     _write_csv(path, ["metric", "subset", "value"], report_rows(report))
     return report
 
@@ -247,7 +248,7 @@ def read_run_config(run_dir: str) -> RunConfig:
     path = os.path.join(run_dir, "config.cfg")
     if not os.path.exists(path):
         raise FileNotFoundError(f"missing run artifact: {path}")
-    with open(path) as fh:
+    with open(path) as fh, config_errors():
         return parse_config(fh.read())
 
 
@@ -259,7 +260,8 @@ def load_run(run_dir: str, image_shape: tuple[int, int]) -> tuple[ModelState, Ru
     if not os.path.exists(ckpt_path):
         raise FileNotFoundError(f"missing run artifact: {ckpt_path}")
     model = build_model(config.train_config(*config.cells()[0]), image_shape)
-    model.load_arrays(load_checkpoint(ckpt_path))
+    with config_errors():
+        model.load_arrays(load_checkpoint(ckpt_path))
     return model, config
 
 
@@ -292,10 +294,11 @@ def run_toy_adversarial(out_dir: str, steps: int, seed: int, lr_generator: float
     likelihood disabled, writes the step trace and final pooled samples,
     and returns the final two-sample KS statistic.
     """
+    with config_errors():
+        cfg = TrainConfig(epochs=1, seed=seed, sampler="classical", alpha=0.0, beta=1.0,
+                          lr_generator=lr_generator, lr_discriminator=lr_discriminator,
+                          disc_steps=disc_steps)
     os.makedirs(out_dir, exist_ok=True)
-    cfg = TrainConfig(epochs=1, seed=seed, sampler="classical", alpha=0.0, beta=1.0,
-                      lr_generator=lr_generator, lr_discriminator=lr_discriminator,
-                      disc_steps=disc_steps)
     model = build_model(cfg, (28, 28))
     trace = train_prior_matching(model, steps, eval_every=TOY_EVAL_EVERY)
     _write_csv(os.path.join(out_dir, "toy_trace.csv"),

@@ -218,21 +218,17 @@ class EvalReport:
     calibration_bins: list[CalibrationBin] = field(repr=False)
 
 
-def build_eval_report(class_probs, votes, labels, n_bins: int = 10,
-                      subset_reference: str = "overall") -> EvalReport:
+def build_eval_report(class_probs, votes, labels, n_bins: int = 10) -> EvalReport:
     """Assemble the report from ensemble outputs.
 
     ``class_probs`` is (N, C) probabilities of N images averaged over M
     members, ``votes`` (M, N) per-member argmax classes, ``labels`` (N,).
-    The per-subset confidence error subtracts overall accuracy by default;
-    ``subset_reference="indicator"`` subtracts 1 on the correct subset
-    and 0 on the incorrect one instead.
+    The per-subset confidence error subtracts the overall accuracy on both
+    the correct and the incorrect subset.
     """
     class_probs = np.asarray(class_probs, dtype=np.float64)
     votes = np.asarray(votes, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
-    if subset_reference not in ("overall", "indicator"):
-        raise ValueError("subset_reference must be 'overall' or 'indicator'")
     n = len(labels)
     if class_probs.shape[0] != n or votes.shape[1] != n:
         raise ValueError("prediction, vote and label counts disagree")
@@ -244,17 +240,15 @@ def build_eval_report(class_probs, votes, labels, n_bins: int = 10,
     scores = classification_scores(predicted, labels)
     accuracy = scores.accuracy
 
-    def subset_stats(mask, reference):
+    def subset_stats(mask):
         if not mask.any():
             return None, None, None
         conf = float(confidence[mask].mean())
         frac = float(fractions[mask].mean())
-        return conf, frac, conf - reference
+        return conf, frac, conf - accuracy
 
-    ref_c = accuracy if subset_reference == "overall" else 1.0
-    ref_i = accuracy if subset_reference == "overall" else 0.0
-    conf_c, frac_c, err_c = subset_stats(correct, ref_c)
-    conf_i, frac_i, err_i = subset_stats(~correct, ref_i)
+    conf_c, frac_c, err_c = subset_stats(correct)
+    conf_i, frac_i, err_i = subset_stats(~correct)
 
     no_incorrect = conf_i is None
     return EvalReport(

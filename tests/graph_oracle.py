@@ -28,7 +28,7 @@ from qcbnn.samplers import (
     prior_sample_block,
     sample_noise_block,
 )
-from qcbnn.training import EVAL_BLOCK_FLOATS, LossBreakdown
+from qcbnn.training import CONV_STRIDE, EVAL_BLOCK_FLOATS, LossBreakdown
 
 # -- arithmetic, elementwise, dense and loss ops ---------------------------------------------
 
@@ -186,7 +186,7 @@ def member_loop_probs(model, images: np.ndarray, kernels: np.ndarray) -> np.ndar
     patches`` activation, relu against the scalar 0, (b, C) logit rows,
     then ``softmax_np`` over the trailing class axis."""
     m, f, kh, kw = kernels.shape
-    patches, (hp, wp) = ad.conv_patches(images, (kh, kw), model.config.conv_stride)
+    patches, (hp, wp) = ad.conv_patches(images, (kh, kw), CONV_STRIDE)
     b = len(patches)
     flat_kernels = kernels.reshape(m, f, kh * kw)
     dense_wt = model.dense_w.data.T
@@ -205,7 +205,7 @@ def member_loop_probs(model, images: np.ndarray, kernels: np.ndarray) -> np.ndar
 def classifier_logits(model, images: np.ndarray, kernels: ad.Tensor) -> ad.Tensor:
     """Conv -> relu -> dense logits for a (B, H, W) batch.  Features
     flatten in (f, x, y) order, the layout of ``dense_w``."""
-    feats = relu(ad.conv2d(images, kernels, model.config.conv_stride))
+    feats = relu(ad.conv2d(images, kernels, CONV_STRIDE))
     flat = ad.reshape(feats, (images.shape[0], -1))
     return dense(flat, model.dense_w, model.dense_b)
 

@@ -52,7 +52,6 @@ _FIELD_STRATEGIES = {
     "sampler": st.sampled_from(["quantum", "classical", "vi"]),
     "embedding_pairs": st.sampled_from(["adjacent", "all"]),
     "cr_axis": st.sampled_from(["X", "Y", "Z"]),
-    "conv_stride": _POSITIVE,
     "archs": st.lists(st.sampled_from(list(Architecture)), min_size=1, max_size=3,
                       unique=True),
     "seeds": st.lists(st.integers(0, 2**31), min_size=1, max_size=3, unique=True),
@@ -67,7 +66,6 @@ _FIELD_STRATEGIES = {
     "split_seed": st.integers(0, 2**31),
     "out": _TEXT,
     "calibration_bins": st.integers(2, 100),
-    "subset_reference": st.sampled_from(["overall", "indicator"]),
 }
 
 
@@ -209,6 +207,17 @@ class TestTrainCommand:
         code = cli.main(["train"] + TINY + ["--out", str(tmp_path / "x"), "--quiet"])
         assert code == cli.EXIT_DIVERGENCE
 
+    def test_internal_value_error_is_not_a_config_error(self, monkeypatch, tmp_path):
+        """Exit 2 is for outside input: a ValueError of the program's own,
+        here one raised inside training, surfaces as itself."""
+        def broken(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr("qcbnn.experiment.train_model", broken)
+        with pytest.raises(ValueError, match="could not be broadcast") as raised:
+            cli.main(["train"] + TINY + ["--out", str(tmp_path / "x"), "--quiet"])
+        assert not isinstance(raised.value, ConfigError)
+
     # a huge discriminator step size: its weights overflow after one step,
     # so the generator step's adversarial term (or a second discriminator
     # step) reads NaN at the first batch
@@ -279,6 +288,7 @@ class TestTrainCommand:
         (["--set", "noise_dim=4"], "unknown config key 'noise_dim'"),
         (["--set", "samples_per_step=1"], "unknown config key 'samples_per_step'"),
         (["--set", "scale_likelihood=true"], "unknown config key 'scale_likelihood'"),
+        (["--set", "subset_reference=overall"], "unknown config key 'subset_reference'"),
         # the config echo could not read these back
         (["--out", "o#1"], "out must not contain '#'"),
         (["--set", "dataset=a#b.qbnn"], "dataset must not contain '#'"),
@@ -308,7 +318,8 @@ class TestTrainCommand:
             "subset-reference-bogus", "split-fractions-sum", "synth-imbalance-0",
             "synth-imbalance-nan", "synth-noise-nan", "synth-noise-negative",
             "dataset-missing", "removed-svg", "removed-noise-dim",
-            "removed-samples-per-step", "removed-scale-likelihood", "out-hash",
+            "removed-samples-per-step", "removed-scale-likelihood",
+            "removed-subset-reference", "out-hash",
             "dataset-hash", "split-fraction-negative", "noise-sigma-negative",
             "noise-mu-inf", "prior-sigma-negative", "prior-mu-nan", "alpha-nan",
             "beta-inf", "lr-classifier-inf", "cr-axis-w", "embedding-pairs-ring",
@@ -320,6 +331,19 @@ class TestTrainCommand:
         assert cli.main(argv + flags) == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("line, message", [
+        (b"conv_stride = 2", "unknown config key 'conv_stride'"),
+        (b"out = \xff", "codec can't decode byte 0xff"),
+    ], ids=["removed-conv-stride", "not-utf8"])
+    def test_bad_config_file_writes_nothing(self, line, message, tmp_path, capsys,
+                                            monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_bytes(b"sampler = classical\nepochs = 1\n" + line + b"\n")
+        assert cli.main(["train", "--config", "run.cfg", "--out", "D", "--quiet"]) == \
+            cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["run.cfg"]
 
 
 class TestSweeps:
@@ -396,6 +420,19 @@ class TestEvaluateCommand:
                          "--out-csv", str(out_csv)])
         assert code == cli.EXIT_CONFIG
         assert "split 'validation' has no images" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    def test_run_echo_with_a_removed_key_is_refused(self, tiny_run, tmp_path, capsys):
+        """A run whose config.cfg still names a removed key is read like any
+        config: the key is unknown until its line is deleted."""
+        run_dir = tmp_path / "run"
+        shutil.copytree(os.path.join(tiny_run, "classical", "seed0"), run_dir)
+        echo = run_dir / "config.cfg"
+        echo.write_text(echo.read_text() + "conv_stride = 2\n")
+        out_csv = tmp_path / "eval.csv"
+        assert cli.main(["evaluate", str(run_dir), "--out-csv", str(out_csv)]) == \
+            cli.EXIT_CONFIG
+        assert "unknown config key 'conv_stride'" in capsys.readouterr().err
         assert not out_csv.exists()
 
     @pytest.mark.parametrize("sampler", ["quantum", "classical", "vi"])

@@ -282,16 +282,14 @@ class TestEvalReport:
         )
         assert r.difference == pytest.approx(expected)
 
-    def test_subset_reference_modes(self):
+    def test_subset_confidence_errors_subtract_overall_accuracy(self):
         class_probs, votes, labels = synthetic_outputs(3)
-        overall = mt.build_eval_report(class_probs, votes, labels)
-        indicator = mt.build_eval_report(class_probs, votes, labels,
-                                         subset_reference="indicator")
-        assert indicator.confidence_error_correct == pytest.approx(
-            indicator.mean_confidence_correct - 1.0
+        report = mt.build_eval_report(class_probs, votes, labels)
+        assert report.confidence_error_correct == pytest.approx(
+            report.mean_confidence_correct - report.accuracy
         )
-        assert overall.confidence_error_correct == pytest.approx(
-            overall.mean_confidence_correct - overall.accuracy
+        assert report.confidence_error_incorrect == pytest.approx(
+            report.mean_confidence_incorrect - report.accuracy
         )
 
     def test_bin_counts_sum_to_samples(self):

@@ -65,7 +65,7 @@ def einsum_forward_probs(model, images, kernels):
     """Numpy oracle of the classifier forward: windowed einsum conv, relu,
     and dense over features flattened in (f, x, y) order, the layout that
     stored ``dense_w`` checkpoints were trained against."""
-    stride = model.config.conv_stride
+    stride = tr.CONV_STRIDE
     windows = np.lib.stride_tricks.sliding_window_view(images, (2, 2), axis=(1, 2))
     windows = windows[:, ::stride, ::stride]
     feats = np.maximum(np.einsum("bxykl,fkl->bfxy", windows, kernels), 0.0)
@@ -404,12 +404,10 @@ class TestEndToEndGradient:
 
 
 class TestForwardProbs:
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_matches_einsum_feature_layout_oracle(self, tiny_split, stride):
+    def test_matches_einsum_feature_layout_oracle(self, tiny_split):
         train, _ = tiny_split
-        model = tr.build_model(tr.TrainConfig(seed=5, sampler="classical",
-                                              conv_stride=stride), (28, 28))
-        kernels = np.random.default_rng(stride).normal(size=(16, 2, 2))
+        model = tr.build_model(tr.TrainConfig(seed=5, sampler="classical"), (28, 28))
+        kernels = np.random.default_rng(2).normal(size=(16, 2, 2))
         images = train.images[:12]
         np.testing.assert_allclose(tr.forward_probs_np(model, images, kernels[None])[0],
                                    einsum_forward_probs(model, images, kernels),
@@ -424,28 +422,25 @@ def per_member_probs(model, images, kernel_stack):
     ])
 
 
-def classical_model_with_bias(seed, stride):
-    model = tr.build_model(tr.TrainConfig(seed=seed, sampler="classical",
-                                          conv_stride=stride), (28, 28))
+def classical_model_with_bias(seed):
+    model = tr.build_model(tr.TrainConfig(seed=seed, sampler="classical"), (28, 28))
     model.dense_b.data = np.array([0.3, -0.2])  # a fresh model's bias is zero
     return model
 
 
-def images_per_block(stride):
-    hp, wp = tr.conv_output_shape((28, 28), stride)
+def images_per_block():
+    hp, wp = tr.conv_output_shape((28, 28))
     return max(1, tr.EVAL_BLOCK_FLOATS // (16 * hp * wp))
 
 
 class TestMemberBlockedForward:
     @pytest.mark.parametrize("n_members", [1, 9])
     @pytest.mark.parametrize("n_images", ["1", "7", "block+1"])
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_stacked_matches_per_member_oracle(self, tiny_split, stride, n_images,
-                                               n_members):
+    def test_stacked_matches_per_member_oracle(self, tiny_split, n_images, n_members):
         train, _ = tiny_split
-        count = images_per_block(stride) + 1 if n_images == "block+1" else int(n_images)
+        count = images_per_block() + 1 if n_images == "block+1" else int(n_images)
         assert count <= len(train.images)
-        model = classical_model_with_bias(6, stride)
+        model = classical_model_with_bias(6)
         kernels = np.random.default_rng(n_members).normal(size=(n_members, 16, 2, 2))
         images = train.images[:count]
         got = tr.forward_probs_np(model, images, kernels)
@@ -454,26 +449,24 @@ class TestMemberBlockedForward:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
         np.testing.assert_array_equal(got.argmax(axis=2), want.argmax(axis=2))
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_single_and_stacked_forms_agree(self, tiny_split, stride):
+    def test_single_and_stacked_forms_agree(self, tiny_split):
         train, _ = tiny_split
-        model = classical_model_with_bias(7, stride)
+        model = classical_model_with_bias(7)
         kernels = np.random.default_rng(3).normal(size=(4, 16, 2, 2))
-        images = train.images[:images_per_block(stride) + 3]
+        images = train.images[:images_per_block() + 3]
         stacked = tr.forward_probs_np(model, images, kernels)
         for k, member in zip(kernels, stacked):
             single = tr.forward_probs_np(model, images, k[None])[0]
             assert single.shape == (len(images), 2)
             np.testing.assert_array_equal(single, member)
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_bitwise_equal_to_member_loop(self, stride):
+    def test_bitwise_equal_to_member_loop(self):
         """The hashed eval CSVs need bits, not a tolerance.  The calls run
         back to back with other image and member counts, so a workspace or
         zero operand kept from an earlier call would show."""
-        model = classical_model_with_bias(10, stride)
-        block = images_per_block(stride)
-        rng = np.random.default_rng(stride)
+        model = classical_model_with_bias(10)
+        block = images_per_block()
+        rng = np.random.default_rng(2)
         for count in (2 * block + 3, 1, block + 1, block):
             for n_members in (9, 1):
                 images = rng.random((count, 28, 28))
@@ -942,12 +935,11 @@ class TestFusedNodeVjps:
     @NODE_SETTINGS
     @given(cell=st.sampled_from(["circuit_iii_L1", "classical", "vi"]),
            batch=st.integers(1, 6), height=st.integers(2, 9), width=st.integers(2, 9),
-           stride=st.integers(1, 3), data_scale=st.floats(0.05, 50.0),
-           alpha=st.floats(0.0, 3.0), beta=st.floats(0.0, 3.0),
-           seed=st.integers(0, 2**32 - 1))
-    def test_combined_loss_matches_oracle_graph(self, cell, batch, height, width, stride,
+           data_scale=st.floats(0.05, 50.0), alpha=st.floats(0.0, 3.0),
+           beta=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_combined_loss_matches_oracle_graph(self, cell, batch, height, width,
                                                 data_scale, alpha, beta, seed):
-        model = cell_model(cell, (height, width), conv_stride=stride, alpha=alpha, beta=beta)
+        model = cell_model(cell, (height, width), alpha=alpha, beta=beta)
         rng = np.random.default_rng(seed)
         images, labels = random_batch(rng, batch, (height, width))
         noise = sample_noise_block(rng, model.sampler.noise_law, 16)
@@ -1014,13 +1006,11 @@ class TestFusedNodeVjps:
 
     @NODE_SETTINGS
     @given(batch=st.integers(1, 5), height=st.integers(2, 8), width=st.integers(2, 8),
-           stride=st.integers(1, 3), data_scale=st.floats(0.05, 20.0),
-           seed=st.integers(0, 2**32 - 1))
-    def test_nll_matches_central_differences(self, batch, height, width, stride,
-                                             data_scale, seed):
-        model = cell_model("classical", (height, width), conv_stride=stride)
+           data_scale=st.floats(0.05, 20.0), seed=st.integers(0, 2**32 - 1))
+    def test_nll_matches_central_differences(self, batch, height, width, data_scale, seed):
+        model = cell_model("classical", (height, width))
         rng = np.random.default_rng(seed)
-        hp, wp = tr.conv_output_shape((height, width), stride)
+        hp, wp = tr.conv_output_shape((height, width))
         z = rng.normal(size=(batch, 16, hp, wp))
         z += np.copysign(1e-3, z)  # away from the relu kinks
         model.dense_b.data = rng.normal(size=2)
@@ -1057,10 +1047,9 @@ class TestFusedNodeVjps:
 class TestForwardProbsOracle:
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(batch=st.integers(1, 6), height=st.integers(2, 12), width=st.integers(2, 12),
-           stride=st.integers(1, 4), members=st.integers(1, 4),
-           seed=st.integers(0, 2**32 - 1))
-    def test_matches_op_by_op_classifier(self, batch, height, width, stride, members, seed):
-        model = cell_model("classical", (height, width), conv_stride=stride)
+           members=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_matches_op_by_op_classifier(self, batch, height, width, members, seed):
+        model = cell_model("classical", (height, width))
         rng = np.random.default_rng(seed)
         model.dense_b.data = rng.normal(size=2)
         images, _ = random_batch(rng, batch, (height, width))
@@ -1071,15 +1060,14 @@ class TestForwardProbsOracle:
 
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
     @given(batch=st.integers(1, 12), height=st.integers(2, 30), width=st.integers(2, 30),
-           stride=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-    def test_training_loss_reads_the_evaluation_features(self, batch, height, width,
-                                                         stride, seed):
-        model = cell_model("classical", (height, width), conv_stride=stride)
+           seed=st.integers(0, 2**32 - 1))
+    def test_training_loss_reads_the_evaluation_features(self, batch, height, width, seed):
+        model = cell_model("classical", (height, width))
         rng = np.random.default_rng(seed)
         model.dense_b.data = rng.normal(size=2)
         images, labels = random_batch(rng, batch, (height, width))
         kernels = rng.normal(size=(16, 2, 2))
-        conv = ad.conv2d(images, ad.Tensor(kernels), stride)
+        conv = ad.conv2d(images, ad.Tensor(kernels), tr.CONV_STRIDE)
         probs = tr.forward_probs_np(model, images, kernels[None])[0]
         np.testing.assert_allclose(tr._nll(model, conv, labels, 1.0).item(),
                                    -np.log(probs[np.arange(batch), labels]).sum(),
