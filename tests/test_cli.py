@@ -11,10 +11,18 @@ from hypothesis import strategies as st
 from qcbnn import cli, experiment
 from qcbnn.autodiff import load_checkpoint, save_checkpoint
 from qcbnn.circuits import Architecture
-from qcbnn.config import ConfigError, RunConfig, apply_settings, format_config, parse_config
+from qcbnn.config import (
+    ConfigError,
+    RunConfig,
+    apply_settings,
+    config_errors,
+    format_config,
+    parse_config,
+)
 from qcbnn.data import SynthSpec, save_dataset, synth_generate
 from qcbnn.experiment import (
     _write_csv,
+    dataset_image_shape,
     dump_weight_samples,
     load_run,
     read_run_config,
@@ -346,6 +354,35 @@ class TestTrainCommand:
         assert os.listdir(tmp_path) == ["run.cfg"]
 
 
+class TestInputErrorClass:
+    """A ValueError where outside input enters is a ConfigError (exit 2);
+    other errors keep their own class."""
+
+    def test_config_errors_turns_value_error_into_config_error(self):
+        with pytest.raises(ConfigError, match="^bad input$") as raised:
+            with config_errors():
+                raise ValueError("bad input")
+        assert raised.value.__cause__ is None
+
+    def test_config_errors_lets_other_errors_through(self):
+        with pytest.raises(TypeError, match="not a value error"):
+            with config_errors():
+                raise TypeError("not a value error")
+
+    @pytest.mark.parametrize("read", [resolve_dataset, dataset_image_shape],
+                             ids=["resolve-dataset", "dataset-image-shape"])
+    def test_bad_dataset_file(self, read, tmp_path):
+        path = tmp_path / "bad.qbnn"
+        path.write_bytes(b"NOTADATASET" + bytes(32))
+        with pytest.raises(ConfigError, match="bad dataset magic"):
+            read(RunConfig(dataset=str(path)))
+
+    def test_checkpoint_of_another_image_shape(self, tiny_run):
+        run_dir = os.path.join(tiny_run, "classical", "seed0")
+        with pytest.raises(ConfigError, match="checkpoint tensor .* has shape"):
+            load_run(run_dir, (20, 20))
+
+
 class TestSweeps:
     def test_all_architecture_sweep_summarizes_each(self, tmp_path):
         out = tmp_path / "archsweep"
@@ -597,6 +634,13 @@ class TestToyAdversarialCommand:
         assert "final KS statistic" in capsys.readouterr().out
         assert (tmp_path / "toy" / "toy_trace.csv").exists()
         assert (tmp_path / "toy" / "toy_samples.csv").exists()
+
+    def test_bad_rate_is_config_error_and_writes_nothing(self, tmp_path, capsys):
+        code = cli.main(["toy-adversarial", "--steps", "40", "--lr-generator", "nan",
+                         "--out", str(tmp_path / "toy")])
+        assert code == cli.EXIT_CONFIG
+        assert "lr_generator must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "toy").exists()
 
 
 class TestReportCommand:
