@@ -50,7 +50,6 @@ class RunConfig(TrainSettings):
     prior_sigma: float = PriorSpec.sigma
     # dataset
     dataset: str = "synth"
-    dataset_format: str = "binary"
     synth_samples: int = 250
     synth_imbalance: float = 0.27
     synth_noise: float = 0.12

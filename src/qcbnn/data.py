@@ -8,14 +8,15 @@ class throughout the package.
 
 The synthetic generator draws its random numbers image by image, in one
 fixed stream order, and does all pixel work as in-place passes over
-blocks of images.  A dataset file's image shape can be read from its
-header without loading the images.
+blocks of images.  A dataset file is one binary container (see
+``save_dataset``); its image shape can be read from its header without
+loading the images.
 """
 
 from __future__ import annotations
 
-import csv
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -60,7 +61,7 @@ class Dataset:
         return Dataset(self.images[mask], self.labels[mask])
 
 
-# --- binary container / CSV ----------------------------------------------------
+# --- binary container ---------------------------------------------------------
 
 
 def save_dataset(path, dataset: Dataset):
@@ -76,7 +77,9 @@ def save_dataset(path, dataset: Dataset):
 
 
 def _container_header(fh) -> tuple[int, int, int]:
-    """Image count, height and width from a binary container's header."""
+    """Image count, height and width from a binary container's header,
+    checked against the file's size, which must be exactly the header's
+    24 bytes, one label byte per image and H * W pixel bytes per image."""
     head = fh.read(24)
     if len(head) < 24:
         raise ValueError("truncated container")
@@ -85,33 +88,20 @@ def _container_header(fh) -> tuple[int, int, int]:
     version, n, h, w = struct.unpack_from("<IIII", head, 8)
     if version != DATASET_VERSION:
         raise ValueError(f"unsupported dataset version {version}")
+    size = os.fstat(fh.fileno()).st_size
+    expected = 24 + n + n * h * w
+    if size != expected:
+        what = "truncated container" if size < expected else "container has trailing bytes"
+        raise ValueError(f"{what}: {size} bytes, but a header of {n} images of "
+                         f"{h}x{w} needs {expected}")
     return n, h, w
 
 
-def _csv_header(reader) -> int:
-    """Side of the square images named by the CSV header row."""
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("truncated container") from None
-    if not header or header[0] != "label":
-        raise ValueError("header mismatch at column 'label'")
-    n_pix = len(header) - 1
-    for i, name in enumerate(header[1:]):
-        if name != f"p{i}":
-            raise ValueError(f"header mismatch at column {name!r}")
-    side = math.isqrt(n_pix)
-    if side * side != n_pix:
-        raise ValueError(f"pixel count {n_pix} is not a square image")
-    return side
-
-
-def _load_container(path) -> Dataset:
+def load_dataset(path) -> Dataset:
+    """Load a binary container written by ``save_dataset``."""
     with open(path, "rb") as fh:
         n, h, w = _container_header(fh)
         body = fh.read()
-    if len(body) < n + n * h * w:
-        raise ValueError("truncated container")
     labels = np.frombuffer(body, dtype=np.uint8, count=n)
     if labels.size and labels.max() > 1:
         raise ValueError("label outside {0, 1}")
@@ -120,50 +110,16 @@ def _load_container(path) -> Dataset:
     return Dataset(images, labels.astype(np.int64))
 
 
-def _load_csv(path) -> Dataset:
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        side = _csv_header(reader)
-        n_pix = side * side
-        labels, rows = [], []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != n_pix + 1:
-                raise ValueError(f"row {line_no} has {len(row)} fields, expected {n_pix + 1}")
-            labels.append(int(row[0]))
-            rows.append([int(v) for v in row[1:]])
-    labels_arr = np.array(labels, dtype=np.int64)
-    if labels_arr.size and not np.isin(labels_arr, (0, 1)).all():
-        raise ValueError("label outside {0, 1}")
-    pixels = np.array(rows, dtype=np.float64) / 255.0
-    return Dataset(pixels.reshape(-1, side, side), labels_arr)
-
-
-def load_dataset(path, format: str = "binary") -> Dataset:
-    """Load a dataset from the binary container or the CSV alternative."""
-    if format == "binary":
-        return _load_container(path)
-    if format == "csv":
-        return _load_csv(path)
-    raise ValueError(f"unknown dataset format {format!r}")
-
-
-def read_image_shape(path, format: str = "binary") -> tuple[int, int]:
-    """Image (H, W) of a dataset file, read from its header alone."""
-    if format == "binary":
-        with open(path, "rb") as fh:
-            return _container_header(fh)[1:]
-    if format == "csv":
-        with open(path, "r", newline="") as fh:
-            side = _csv_header(csv.reader(fh))
-        return side, side
-    raise ValueError(f"unknown dataset format {format!r}")
+def read_image_shape(path) -> tuple[int, int]:
+    """Image (H, W) of a binary container, read from its header alone; the
+    file's length is checked against the header from the file's size."""
+    with open(path, "rb") as fh:
+        return _container_header(fh)[1:]
 
 
 def convert_breastmnist_npz(npz_path, out_dir):
     """Convert the public breast-ultrasound npz archive (not bundled) into
     one binary container per split.  Returns the written paths."""
-    import os
-
     archive = np.load(npz_path)
     written = {}
     for tag, img_key, lab_key in (

@@ -43,6 +43,7 @@ from .training import (
     ModelState,
     TrainConfig,
     build_model,
+    conv_output_shape,
     draw_weight_samples,
     ensemble_outputs,
     prior_matching_ks,
@@ -84,6 +85,7 @@ def _write_csv(path, header, rows):
 @config_errors()
 def resolve_dataset(config: RunConfig) -> Dataset:
     """Load or generate the configured dataset and tag splits."""
+    dataset_image_shape(config)  # a bad file or image shape fails before loading
     if config.dataset == "synth":
         dataset = synth_generate(
             SynthSpec(
@@ -94,7 +96,7 @@ def resolve_dataset(config: RunConfig) -> Dataset:
             )
         )
     else:
-        dataset = load_dataset(config.dataset, config.dataset_format)
+        dataset = load_dataset(config.dataset)
     return split(dataset, config.split_fractions, config.split_seed)
 
 
@@ -102,10 +104,14 @@ def resolve_dataset(config: RunConfig) -> Dataset:
 def dataset_image_shape(config: RunConfig) -> tuple[int, int]:
     """Image (H, W) of the configured dataset, without building or loading
     it: synthetic images have the ``SynthSpec`` size, and a dataset file
-    gives it in its header."""
+    gives it in its header.  Images smaller than the convolution kernel
+    are refused."""
     if config.dataset == "synth":
-        return SynthSpec.height, SynthSpec.width
-    return read_image_shape(config.dataset, config.dataset_format)
+        shape = SynthSpec.height, SynthSpec.width
+    else:
+        shape = read_image_shape(config.dataset)
+    conv_output_shape(shape)
+    return shape
 
 
 def cell_label(config: RunConfig, arch, layers: int, reupload: bool) -> str:

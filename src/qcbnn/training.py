@@ -184,8 +184,13 @@ CONV_STRIDE = 2  # the classifier's convolution stride, in both image axes
 
 
 def conv_output_shape(image_shape: tuple[int, int]) -> tuple[int, int]:
+    """Feature-map (H', W') of the classifier's convolution on images of
+    ``image_shape``; images smaller than the kernel are refused."""
     h = (image_shape[0] - KERNEL_SHAPE[1]) // CONV_STRIDE + 1
     w = (image_shape[1] - KERNEL_SHAPE[2]) // CONV_STRIDE + 1
+    if h < 1 or w < 1:
+        raise ValueError(f"images of {image_shape[0]}x{image_shape[1]} are smaller than the "
+                         f"{KERNEL_SHAPE[1]}x{KERNEL_SHAPE[2]} convolution kernel")
     return h, w
 
 

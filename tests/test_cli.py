@@ -1,4 +1,5 @@
 import os
+import re
 import shutil
 import tracemalloc
 from dataclasses import fields
@@ -19,7 +20,7 @@ from qcbnn.config import (
     format_config,
     parse_config,
 )
-from qcbnn.data import SynthSpec, save_dataset, synth_generate
+from qcbnn.data import Dataset, SynthSpec, save_dataset, synth_generate
 from qcbnn.experiment import (
     _write_csv,
     dataset_image_shape,
@@ -67,7 +68,7 @@ _FIELD_STRATEGIES = {
     "noise_mu": _FINITE, "noise_sigma": _SCALE,
     "prior_law": st.sampled_from(["uniform", "clipped-gaussian"]),
     "prior_mu": _FINITE, "prior_sigma": _SCALE,
-    "dataset": _TEXT, "dataset_format": st.sampled_from(["binary", "csv"]),
+    "dataset": _TEXT,
     "synth_samples": _POSITIVE, "synth_imbalance": _FINITE, "synth_noise": _FINITE,
     "synth_seed": st.integers(0, 2**31),
     "split_fractions": st.lists(_FINITE, min_size=1, max_size=3),
@@ -297,6 +298,7 @@ class TestTrainCommand:
         (["--set", "samples_per_step=1"], "unknown config key 'samples_per_step'"),
         (["--set", "scale_likelihood=true"], "unknown config key 'scale_likelihood'"),
         (["--set", "subset_reference=overall"], "unknown config key 'subset_reference'"),
+        (["--set", "dataset_format=binary"], "unknown config key 'dataset_format'"),
         # the config echo could not read these back
         (["--out", "o#1"], "out must not contain '#'"),
         (["--set", "dataset=a#b.qbnn"], "dataset must not contain '#'"),
@@ -327,7 +329,7 @@ class TestTrainCommand:
             "synth-imbalance-nan", "synth-noise-nan", "synth-noise-negative",
             "dataset-missing", "removed-svg", "removed-noise-dim",
             "removed-samples-per-step", "removed-scale-likelihood",
-            "removed-subset-reference", "out-hash",
+            "removed-subset-reference", "removed-dataset-format", "out-hash",
             "dataset-hash", "split-fraction-negative", "noise-sigma-negative",
             "noise-mu-inf", "prior-sigma-negative", "prior-mu-nan", "alpha-nan",
             "beta-inf", "lr-classifier-inf", "cr-axis-w", "embedding-pairs-ring",
@@ -339,6 +341,17 @@ class TestTrainCommand:
         assert cli.main(argv + flags) == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_images_smaller_than_the_kernel_write_nothing(self, tmp_path, capsys,
+                                                          monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        save_dataset(tmp_path / "one.qbnn", _one_pixel_images(20))
+        argv = ["train", "--set", "dataset=one.qbnn", "--sampler", "classical",
+                "--epochs", "1", "--out", "D", "--quiet"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert "images of 1x1 are smaller than the 2x2 convolution kernel" in \
+            capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["one.qbnn"]
 
     @pytest.mark.parametrize("line, message", [
         (b"conv_stride = 2", "unknown config key 'conv_stride'"),
@@ -352,6 +365,18 @@ class TestTrainCommand:
             cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["run.cfg"]
+
+
+def _fewer_images_in_header(path, saved, claimed):
+    """A container of ``saved`` synthetic images whose header claims ``claimed``."""
+    save_dataset(path, synth_generate(SynthSpec(n_samples=saved, imbalance=0.5)))
+    blob = bytearray(path.read_bytes())
+    blob[12:16] = claimed.to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+
+
+def _one_pixel_images(n):
+    return Dataset(np.full((n, 1, 1), 0.5), np.arange(n) % 2)
 
 
 class TestInputErrorClass:
@@ -371,10 +396,18 @@ class TestInputErrorClass:
 
     @pytest.mark.parametrize("read", [resolve_dataset, dataset_image_shape],
                              ids=["resolve-dataset", "dataset-image-shape"])
-    def test_bad_dataset_file(self, read, tmp_path):
+    @pytest.mark.parametrize("write, message", [
+        (lambda path: path.write_bytes(b"NOTADATASET" + bytes(32)), "bad dataset magic"),
+        (lambda path: _fewer_images_in_header(path, 20, 10),
+         "container has trailing bytes: 15724 bytes, but a header of 10 images of 28x28 "
+         "needs 7874"),
+        (lambda path: save_dataset(path, _one_pixel_images(20)),
+         "images of 1x1 are smaller than the 2x2 convolution kernel"),
+    ], ids=["bad-magic", "header-count-short", "one-pixel-images"])
+    def test_bad_dataset_file(self, read, write, message, tmp_path):
         path = tmp_path / "bad.qbnn"
-        path.write_bytes(b"NOTADATASET" + bytes(32))
-        with pytest.raises(ConfigError, match="bad dataset magic"):
+        write(path)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             read(RunConfig(dataset=str(path)))
 
     def test_checkpoint_of_another_image_shape(self, tiny_run):
@@ -459,17 +492,19 @@ class TestEvaluateCommand:
         assert "split 'validation' has no images" in capsys.readouterr().err
         assert not out_csv.exists()
 
-    def test_run_echo_with_a_removed_key_is_refused(self, tiny_run, tmp_path, capsys):
+    @pytest.mark.parametrize("key, value", [("conv_stride", "2"), ("dataset_format", "binary")])
+    def test_run_echo_with_a_removed_key_is_refused(self, key, value, tiny_run, tmp_path,
+                                                    capsys):
         """A run whose config.cfg still names a removed key is read like any
         config: the key is unknown until its line is deleted."""
         run_dir = tmp_path / "run"
         shutil.copytree(os.path.join(tiny_run, "classical", "seed0"), run_dir)
         echo = run_dir / "config.cfg"
-        echo.write_text(echo.read_text() + "conv_stride = 2\n")
+        echo.write_text(echo.read_text() + f"{key} = {value}\n")
         out_csv = tmp_path / "eval.csv"
         assert cli.main(["evaluate", str(run_dir), "--out-csv", str(out_csv)]) == \
             cli.EXIT_CONFIG
-        assert "unknown config key 'conv_stride'" in capsys.readouterr().err
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
         assert not out_csv.exists()
 
     @pytest.mark.parametrize("sampler", ["quantum", "classical", "vi"])

@@ -1,4 +1,3 @@
-import csv
 import math
 import tracemalloc
 from dataclasses import replace
@@ -16,17 +15,6 @@ import graph_oracle as og
 
 
 # --- local oracles: writers and checks the package itself does not need ---------
-
-
-def save_dataset_csv(path, dataset):
-    """CSV writer matching ``load_dataset(path, format="csv")``."""
-    n, h, w = dataset.images.shape
-    pixels = np.rint(dataset.images * 255.0).astype(np.int64).reshape(n, h * w)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["label"] + [f"p{i}" for i in range(h * w)])
-        for label, row in zip(dataset.labels, pixels):
-            writer.writerow([int(label)] + row.tolist())
 
 
 def normalize(dataset, per_image=True):
@@ -179,35 +167,30 @@ class TestContainer:
         with pytest.raises(ValueError, match="label"):
             dio.load_dataset(path)
 
-
-class TestCsv:
-    def test_round_trip(self, tmp_path):
-        dataset = small_dataset(n=6)
-        path = tmp_path / "data.csv"
-        save_dataset_csv(path, dataset)
-        loaded = dio.load_dataset(path, format="csv")
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 6), h=st.integers(2, 9), w=st.integers(2, 9))
+    def test_any_shape_round_trips_and_any_other_length_is_refused(self, data, n, h, w,
+                                                                   tmp_path_factory):
+        labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        pixels = np.frombuffer(data.draw(st.binary(min_size=n * h * w, max_size=n * h * w)),
+                               dtype=np.uint8)
+        dataset = dio.Dataset(pixels.reshape(n, h, w) / 255.0, labels)
+        path = tmp_path_factory.mktemp("prop") / "d.qbnn"
+        dio.save_dataset(path, dataset)
+        loaded = dio.load_dataset(path)
         np.testing.assert_array_equal(loaded.images, dataset.images)
         np.testing.assert_array_equal(loaded.labels, dataset.labels)
+        assert dio.read_image_shape(path) == (h, w)
 
-    def test_header_mismatch_names_column(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("label,p0,pixel1,p2\n0,1,2,3\n")
-        with pytest.raises(ValueError, match="'pixel1'"):
-            dio.load_dataset(path, format="csv")
-
-    def test_unknown_format(self):
-        with pytest.raises(ValueError, match="format"):
-            dio.load_dataset("whatever", format="json")
-        with pytest.raises(ValueError, match="format"):
-            dio.read_image_shape("whatever", format="json")
-
-    def test_image_shape_from_header(self, tmp_path):
-        path = tmp_path / "data.csv"
-        save_dataset_csv(path, small_dataset(n=3))
-        assert dio.read_image_shape(path, format="csv") == (28, 28)
-        path.write_text("label,p0,p1,p2\n")
-        with pytest.raises(ValueError, match="not a square image"):
-            dio.read_image_shape(path, format="csv")
+        blob = path.read_bytes()
+        assert len(blob) == 24 + n + n * h * w
+        extra = data.draw(st.integers(1, 8))
+        cut = data.draw(st.integers(1, min(8, len(blob))))
+        for wrong in (blob + bytes(extra), blob[:-cut]):
+            path.write_bytes(wrong)
+            for read in (dio.load_dataset, dio.read_image_shape):
+                with pytest.raises(ValueError, match="truncated container|trailing bytes"):
+                    read(path)
 
 
 class TestNormalize:
