@@ -20,6 +20,8 @@ import struct
 
 import numpy as np
 
+from .files import write_file
+
 
 class Tensor:
     """Array node in the autodiff graph."""
@@ -210,7 +212,7 @@ CHECKPOINT_VERSION = 1
 def save_checkpoint(path, tensors: dict[str, np.ndarray]):
     """Write named float64 arrays: magic, version, then one block per array
     (name length u32, utf-8 name, rank u32, dims u32 each, f64 LE values)."""
-    with open(path, "wb") as fh:
+    with write_file(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         for name, arr in tensors.items():

@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .files import write_file
 from .seeding import stream
 
 DATASET_MAGIC = b"QBNNDATA"
@@ -69,7 +70,7 @@ def save_dataset(path, dataset: Dataset):
     then raw 0..255 pixel bytes."""
     n, h, w = dataset.images.shape
     pixels = np.rint(dataset.images * 255.0).astype(np.uint8)
-    with open(path, "wb") as fh:
+    with write_file(path, "wb") as fh:
         fh.write(DATASET_MAGIC)
         fh.write(struct.pack("<IIII", DATASET_VERSION, n, h, w))
         fh.write(dataset.labels.astype(np.uint8).tobytes())

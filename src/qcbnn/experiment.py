@@ -35,10 +35,12 @@ from .autodiff import load_checkpoint, save_checkpoint
 from .circuits import pqc_label
 from .config import ConfigError, RunConfig, config_errors, format_config, parse_config
 from .data import Dataset, SynthSpec, load_dataset, read_image_shape, split, synth_generate
+from .files import write_file
 from .metrics import EvalReport, build_eval_report, kde_density, report_rows
 from .samplers import N_CHUNKS
 from .seeding import stream
 from .training import (
+    TOY_DRAWS,
     DivergenceError,
     ModelState,
     TrainConfig,
@@ -58,7 +60,6 @@ SUMMARY_FIELDS = [
     "ensemble_fraction_correct", "ensemble_fraction_incorrect", "difference",
 ]
 TOY_EVAL_EVERY = 250  # steps between KS checks in the toy-adversarial trace
-TOY_DRAWS = 1000  # weight draws behind each toy KS statistic
 DUMP_BLOCK_DRAWS = 64  # weight draws formatted at a time by dump_weight_samples
 
 
@@ -75,7 +76,7 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
+    with write_file(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -123,7 +124,6 @@ def cell_label(config: RunConfig, arch, layers: int, reupload: bool) -> str:
 def train_one_run(config: RunConfig, tagged: Dataset, arch, layers, reupload, seed,
                   run_dir: str, progress: bool = False) -> dict:
     """Train one sweep cell, write its artifacts, return its summary row."""
-    os.makedirs(run_dir, exist_ok=True)
     train_cfg = config.train_config(arch, layers, reupload, seed)
     train_set = tagged.subset("train")
     has_val = "validation" in tagged.tags
@@ -141,6 +141,7 @@ def train_one_run(config: RunConfig, tagged: Dataset, arch, layers, reupload, se
     except DivergenceError as err:
         raise DivergenceError(f"{cell_label(config, arch, layers, reupload)} {err}") from None
 
+    os.makedirs(run_dir, exist_ok=True)  # only now: a diverged cell creates none
     rows = []
     for h in history:
         rows.append([h["epoch"], "train", h["likelihood"], h["kl"], h["disc"],
@@ -160,7 +161,7 @@ def train_one_run(config: RunConfig, tagged: Dataset, arch, layers, reupload, se
 
     single = replace(config, archs=[arch], layers_list=[layers],
                      reupload_list=[reupload], seeds=[seed])
-    with open(os.path.join(run_dir, "config.cfg"), "w") as fh:
+    with write_file(os.path.join(run_dir, "config.cfg")) as fh:
         fh.write(format_config(single))
 
     last = history[-1]
@@ -185,7 +186,7 @@ def dump_weight_samples(model: ModelState, n_draws: int, path):
     if n_draws < 1:
         raise ConfigError(f"draw count must be >= 1, got {n_draws}")
     samples = draw_weight_samples(model, n_draws, stream(model.config.seed, "dump"))
-    with open(path, "w", newline="") as fh:
+    with write_file(path) as fh:
         fh.write("pass_index,qubit,value\n")
         # one f-string per circuit pass, one line for each of its 4 qubits,
         # a block of draws at a time, so that only one block's Python floats
@@ -203,7 +204,7 @@ def run_train(config: RunConfig, progress: bool = False) -> str:
     tagged = resolve_dataset(config)  # a bad dataset setting fails before any output
     out = os.path.abspath(config.out)
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "config_echo.cfg"), "w") as fh:
+    with write_file(os.path.join(out, "config_echo.cfg")) as fh:
         fh.write(format_config(config))
 
     finished = []  # (label, layers, reupload, seed, summary row) per cell
@@ -215,12 +216,7 @@ def run_train(config: RunConfig, progress: bool = False) -> str:
         try:
             row = train_one_run(config, tagged, arch, layers, reupload, seed,
                                 run_dir, progress=progress)
-        except DivergenceError:
-            # a diverged cell leaves no empty directory behind, and the
-            # cells that finished still get their summary
-            for path in (run_dir, os.path.dirname(run_dir)):
-                if os.path.isdir(path) and not os.listdir(path):
-                    os.rmdir(path)
+        except DivergenceError:  # the cells that finished still get their summary
             _write_summary(out, finished)
             raise
         finished.append((label, layers, reupload, seed, row))
@@ -320,8 +316,8 @@ def run_toy_adversarial(out_dir: str, steps: int, seed: int, lr_generator: float
 
 def _read_rows(path, parse) -> list:
     """``parse`` of each row of a run CSV; a row with a missing field, or a
-    value that does not parse, is a ConfigError naming the file (nothing
-    writes atomically yet, so a killed run can leave a half-written row)."""
+    value that does not parse, is a ConfigError naming the file (a run
+    directory from an older version or edited by hand can hold one)."""
     with open(path, newline="") as fh:
         try:
             return [parse(row) for row in csv.DictReader(fh)]
@@ -535,6 +531,7 @@ def run_report(results_dir: str, emit_svg: bool = True) -> list[str]:
         _write_csv(path + ".csv", header, rows)
         written.append(path + ".csv")
         if emit_svg:
-            fig.save(path + ".svg")
+            with write_file(path + ".svg") as fh:
+                fh.write(fig.render())
             written.append(path + ".svg")
     return written

@@ -154,7 +154,3 @@ class Figure:
                 legend_y += 15
         parts.append("</svg>")
         return "\n".join(parts) + "\n"
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.render())

@@ -520,6 +520,8 @@ def _votes(members: np.ndarray) -> np.ndarray:
 
 # --- toy prior-matching run ----------------------------------------------------------
 
+TOY_DRAWS = 1000  # weight draws behind each toy KS statistic
+
 
 def train_prior_matching(model: ModelState, steps: int,
                          eval_every: int = 0) -> list[dict]:
@@ -543,7 +545,7 @@ def train_prior_matching(model: ModelState, steps: int,
         row = {"step": step, "logit_term": breakdown.kl_term,
                "disc": breakdown.discriminator_loss}
         if eval_every and (step + 1) % eval_every == 0:
-            row["ks"] = prior_matching_ks(model, 1000)
+            row["ks"] = prior_matching_ks(model, TOY_DRAWS)
         trace.append(row)
     return trace
 

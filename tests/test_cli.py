@@ -1,4 +1,6 @@
+import csv
 import os
+import pathlib
 import re
 import shutil
 import tracemalloc
@@ -40,6 +42,8 @@ from qcbnn.training import (
     TrainConfig,
     build_model,
     draw_weight_samples,
+    ensemble_outputs,
+    train_epoch,
     train_model,
 )
 
@@ -459,6 +463,32 @@ class TestSweeps:
         trained = [read_run_config(str(run)).cells()[0]
                    for run in sorted(out.glob("*/seed*"))]
         assert trained == config.cells()
+
+    def test_validation_rows_are_the_ensemble_accuracy_on_the_validation_split(
+            self, tmp_path):
+        """A three-fraction sweep's validation rows in ``epochs.csv`` are the
+        ``("eval-val", epoch)`` ensemble accuracy on the validation split,
+        recomputed on a twin model trained epoch by epoch."""
+        config = apply_settings(RunConfig(), {
+            "sampler": "classical", "seed": "0", "epochs": "3", "synth_samples": "40",
+            "n_ensemble": "4", "eval_ensemble": "4", "batch_size": "7",
+            "split_fractions": "0.5,0.3,0.2", "out": str(tmp_path / "x")})
+        run_dir = pathlib.Path(run_train(config)) / "classical" / "seed0"
+        tagged = resolve_dataset(config)
+        train_set, val_set = tagged.subset("train"), tagged.subset("validation")
+        twin = build_model(config.train_config(*config.cells()[0]), train_set.images.shape[1:])
+        want = []
+        for epoch in range(config.epochs):
+            train_epoch(twin, train_set.images, train_set.labels, epoch)
+            probs, _ = ensemble_outputs(twin, val_set.images, config.eval_ensemble,
+                                        ("eval-val", epoch))
+            want.append(float((probs.argmax(axis=1) == val_set.labels).mean()))
+        with open(run_dir / "epochs.csv", newline="") as fh:
+            got = [float(row["accuracy"]) for row in csv.DictReader(fh)
+                   if row["split"] == "validation"]
+        assert got == want
+        assert any(accuracy != 0.5 for accuracy in want)  # so 1 - accuracy differs
+
 
 class TestEvaluateCommand:
     def test_evaluate_stored_run(self, tiny_run, tmp_path):

@@ -87,3 +87,37 @@ def test_guard_reports_a_dead_private_name():
     read = names_read(source)
     assert [n for n in private_definitions(source) if n not in read] == \
         ["_spare", "_dead", "_helper"]
+
+
+def write_opens(source: str) -> list[str]:
+    """The functions holding an ``open`` call whose mode writes (contains
+    ``w``, ``a``, ``x`` or ``+``, or is not a literal), one entry per call."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+            if not isinstance(mode, ast.Constant) or set("wax+") & set(mode.value):
+                found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_every_write_goes_through_write_file():
+    sites = {path.name: write_opens(path.read_text()) for path in MODULES}
+    assert {module: names for module, names in sites.items() if names} == \
+        {"files.py": ["write_file"]}
+
+
+def test_guard_reports_a_write_open():
+    source = ("def read(p):\n    return open(p).read(), open(p, 'rb'), open(p, mode='r')\n\n"
+              "def save(p, mode):\n    open(p, 'w'), open(p, mode=mode)\n\n"
+              "class K:\n    def log(self, p):\n        open(p, 'a+')\n\n"
+              "open('x', 'xb')\n")
+    assert write_opens(source) == ["save", "save", "log", "<module>"]

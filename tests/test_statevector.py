@@ -689,6 +689,27 @@ class TestUncompilableTemplates:
             template.blocks
 
 
+class TestFuseWidthLimit:
+    """The compiled executor's width limit, with literal widths: 5 qubits
+    compile, 6 do not."""
+
+    def test_five_qubits_compile_and_match_run_circuit(self):
+        template = assemble_pqc(Architecture.CIRCUIT_IV, 5, 2, True, cr_axis="Y")
+        assert template.blocks
+        rng = np.random.default_rng(5)
+        params = rng.uniform(-2 * math.pi, 2 * math.pi, template.param_slots)
+        inputs = rng.uniform(0, 2 * math.pi, (3, template.input_slots))
+        want = np.stack([run_circuit(template, params, row) for row in inputs])
+        np.testing.assert_allclose(run_circuit_batch(template, params, inputs), want,
+                                   rtol=0, atol=1e-12)
+
+    def test_six_qubits_do_not_compile(self):
+        template = assemble_pqc(Architecture.CIRCUIT_IV, 6, 2, True, cr_axis="Y")
+        with pytest.raises(ValueError, match="cannot compile a 6-qubit template: "
+                                             "fused blocks take at most 5 qubits"):
+            template.blocks
+
+
 class TestShiftRows:
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(template=random_templates(compilable=True), seed=st.integers(0, 2**32 - 1))

@@ -768,6 +768,16 @@ class TestPriorMatching:
         for a, b in zip(first, blocks):
             assert not np.array_equal(a, b)
 
+    def test_ks_rows_fall_on_every_eval_every_th_step(self):
+        """Exactly the steps whose count is a multiple of ``eval_every``
+        carry ``ks``; the last is the trained model's ``TOY_DRAWS`` KS."""
+        cfg = tr.TrainConfig(epochs=1, seed=3, sampler="classical", alpha=0.0)
+        model = tr.build_model(cfg, (28, 28))
+        trace = tr.train_prior_matching(model, 6, eval_every=3)
+        assert [row["step"] for row in trace] == list(range(6))
+        assert [row["step"] for row in trace if "ks" in row] == [2, 5]
+        assert trace[-1]["ks"] == tr.prior_matching_ks(model, tr.TOY_DRAWS)
+
 
 # --- the fused training step against the op-by-op graph -----------------------------
 
