@@ -169,7 +169,7 @@ def _sample_weights(args) -> str:
         model, _ = load_run(args.run_dir, dataset_image_shape(read_run_config(args.run_dir)))
     else:
         config = _build_config(args)
-        model = build_model(config.train_config(*config.cells()[0]), (28, 28))
+        model = build_model(config.train_config(*config.cells()[0]), dataset_image_shape(config))
     dump_weight_samples(model, args.draws, args.out_csv)
     return args.out_csv
 

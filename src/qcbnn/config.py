@@ -12,6 +12,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 
+import numpy as np
+
 from .circuits import Architecture
 from .metrics import MAX_CALIBRATION_BINS
 from .samplers import NoiseLaw, PriorSpec
@@ -134,8 +136,6 @@ def _parse_value(name: str, value: str, default):
             return [_parse_bool(v) for v in value.split(",")]
         if name == "split_fractions":
             return [float(v) for v in value.split(",")]
-        if isinstance(default, bool):
-            return _parse_bool(value)
         if isinstance(default, int):
             return int(value)
         if isinstance(default, float):
@@ -177,18 +177,26 @@ def parse_config(text: str) -> RunConfig:
     return apply_settings(RunConfig(), settings)
 
 
+def format_value(value) -> str:
+    """The one text form of a CSV cell or config echo value: "" for None, comma
+    lists, architecture ids, lower-case bools, shortest round-trip floats."""
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return ",".join(format_value(v) for v in value)
+    if isinstance(value, Architecture):
+        return value.value
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return str(value)
+
+
 def format_config(config: RunConfig) -> str:
     """Effective-config echo in the same key = value format."""
     lines = ["# effective configuration"]
-    for f in fields(RunConfig):
-        value = getattr(config, f.name)
-        if f.name == "archs":
-            text = ",".join(a.value for a in value)
-        elif isinstance(value, list):
-            text = ",".join(str(v).lower() if isinstance(v, bool) else str(v) for v in value)
-        elif isinstance(value, bool):
-            text = str(value).lower()
-        else:
-            text = str(value)
-        lines.append(f"{f.name} = {text}")
+    lines += [f"{f.name} = {format_value(getattr(config, f.name))}" for f in fields(RunConfig)]
     return "\n".join(lines) + "\n"

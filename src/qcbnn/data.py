@@ -120,19 +120,18 @@ def read_image_shape(path) -> tuple[int, int]:
 
 def convert_breastmnist_npz(npz_path, out_dir):
     """Convert the public breast-ultrasound npz archive (not bundled) into
-    one binary container per split.  Returns the written paths."""
+    one binary container per split.  Returns the written paths.  Every
+    split is checked before any container is written."""
     archive = np.load(npz_path)
+    splits = {
+        tag: Dataset(np.asarray(archive[f"{key}_images"], dtype=np.float64) / 255.0,
+                     np.asarray(archive[f"{key}_labels"]).reshape(-1))
+        for tag, key in (("train", "train"), ("validation", "val"), ("test", "test"))
+    }
     written = {}
-    for tag, img_key, lab_key in (
-        ("train", "train_images", "train_labels"),
-        ("validation", "val_images", "val_labels"),
-        ("test", "test_images", "test_labels"),
-    ):
-        images = np.asarray(archive[img_key], dtype=np.float64) / 255.0
-        labels = np.asarray(archive[lab_key]).reshape(-1)
-        path = os.path.join(out_dir, f"{tag}.qbnn")
-        save_dataset(path, Dataset(images, labels))
-        written[tag] = path
+    for tag, dataset in splits.items():
+        written[tag] = os.path.join(out_dir, f"{tag}.qbnn")
+        save_dataset(written[tag], dataset)
     return written
 
 

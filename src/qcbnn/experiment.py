@@ -33,13 +33,21 @@ import numpy as np
 from . import svg
 from .autodiff import load_checkpoint, save_checkpoint
 from .circuits import pqc_label
-from .config import ConfigError, RunConfig, config_errors, format_config, parse_config
+from .config import (
+    ConfigError,
+    RunConfig,
+    config_errors,
+    format_config,
+    format_value,
+    parse_config,
+)
 from .data import Dataset, SynthSpec, load_dataset, read_image_shape, split, synth_generate
 from .files import write_file
 from .metrics import EvalReport, build_eval_report, kde_density, report_rows
 from .samplers import N_CHUNKS
 from .seeding import stream
 from .training import (
+    LOSS_COLUMNS,
     TOY_DRAWS,
     DivergenceError,
     ModelState,
@@ -53,26 +61,15 @@ from .training import (
     train_prior_matching,
 )
 
-EPOCH_HEADER = ["epoch", "split", "likelihood", "kl", "disc", "combined", "accuracy"]
+EPOCH_HEADER = ["epoch", "split", *LOSS_COLUMNS, "accuracy"]
 SUMMARY_FIELDS = [
     "train_accuracy", "val_accuracy", "test_accuracy", "precision", "recall",
     "f1", "mean_confidence", "confidence_error_correct", "confidence_error_incorrect",
     "ensemble_fraction_correct", "ensemble_fraction_incorrect", "difference",
 ]
+TOY_TRACE_HEADER = ["step", "logit_term", "disc", "ks"]  # keys of the trace rows
 TOY_EVAL_EVERY = 250  # steps between KS checks in the toy-adversarial trace
 DUMP_BLOCK_DRAWS = 64  # weight draws formatted at a time by dump_weight_samples
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))  # shortest round-trip form, byte-stable
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
 
 
 def _write_csv(path, header, rows):
@@ -80,7 +77,7 @@ def _write_csv(path, header, rows):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([format_value(v) for v in row])
 
 
 @config_errors()
@@ -144,10 +141,10 @@ def train_one_run(config: RunConfig, tagged: Dataset, arch, layers, reupload, se
     os.makedirs(run_dir, exist_ok=True)  # only now: a diverged cell creates none
     rows = []
     for h in history:
-        rows.append([h["epoch"], "train", h["likelihood"], h["kl"], h["disc"],
-                     h["combined"], h["train_accuracy"]])
+        rows.append([h["epoch"], "train", *(h[name] for name in LOSS_COLUMNS),
+                     h["train_accuracy"]])
         if "val_accuracy" in h:
-            rows.append([h["epoch"], "validation", None, None, None, None,
+            rows.append([h["epoch"], "validation", *[None] * len(LOSS_COLUMNS),
                          h["val_accuracy"]])
     _write_csv(os.path.join(run_dir, "epochs.csv"), EPOCH_HEADER, rows)
 
@@ -301,11 +298,10 @@ def run_toy_adversarial(out_dir: str, steps: int, seed: int, lr_generator: float
                           lr_generator=lr_generator, lr_discriminator=lr_discriminator,
                           disc_steps=disc_steps)
     os.makedirs(out_dir, exist_ok=True)
-    model = build_model(cfg, (28, 28))
+    model = build_model(cfg, (SynthSpec.height, SynthSpec.width))
     trace = train_prior_matching(model, steps, eval_every=TOY_EVAL_EVERY)
-    _write_csv(os.path.join(out_dir, "toy_trace.csv"),
-               ["step", "logit_term", "disc", "ks"],
-               [[r["step"], r["logit_term"], r["disc"], r.get("ks")] for r in trace])
+    _write_csv(os.path.join(out_dir, "toy_trace.csv"), TOY_TRACE_HEADER,
+               [[r.get(key) for key in TOY_TRACE_HEADER] for r in trace])
     dump_weight_samples(model, TOY_DRAWS // N_CHUNKS,
                         os.path.join(out_dir, "toy_samples.csv"))
     return prior_matching_ks(model, TOY_DRAWS)

@@ -12,7 +12,7 @@ report can be rebuilt bit-exactly from recorded predictions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -54,12 +54,14 @@ def confidence_error(mean_confidence: float, accuracy: float) -> float:
     return mean_confidence - accuracy
 
 
-def ensemble_fraction(votes, final: int) -> float:
-    """Share of ensemble members whose argmax matches the final prediction."""
+def ensemble_fraction(votes, final) -> float:
+    """Share of ensemble members whose argmax matches the final prediction;
+    for (M, N) votes of N images, the mean of the N images' shares (the
+    flat mean of all M * N matches can differ from it in the last bit)."""
     votes = np.asarray(votes)
     if votes.size == 0:
         raise ValueError("votes must be non-empty")
-    return float(np.mean(votes == final))
+    return float(np.mean(np.mean(votes == final, axis=0)))
 
 
 def difference_metric(conf_correct, frac_correct, conf_incorrect, frac_incorrect) -> float:
@@ -197,7 +199,8 @@ def kde_density(samples, grid=None, bandwidth: float | None = None) -> DensityEs
 
 @dataclass(frozen=True)
 class EvalReport:
-    """All per-run test metrics, derived purely from logged predictions."""
+    """All per-run test metrics, derived purely from logged predictions;
+    the fields are the report CSV's rows, in order (see ``report_rows``)."""
 
     n_samples: int
     n_members: int
@@ -206,9 +209,9 @@ class EvalReport:
     recall: float | None
     f1: float | None
     mean_confidence: float
+    confidence_error: float
     mean_confidence_correct: float | None
     mean_confidence_incorrect: float | None
-    confidence_error_overall: float
     confidence_error_correct: float | None
     confidence_error_incorrect: float | None
     ensemble_fraction_correct: float | None
@@ -235,7 +238,6 @@ def build_eval_report(class_probs, votes, labels, n_bins: int = 10) -> EvalRepor
     predicted = class_probs.argmax(axis=1)
     confidence = class_probs[np.arange(n), predicted]
     correct = predicted == labels
-    fractions = (votes == predicted[None, :]).mean(axis=0)
 
     scores = classification_scores(predicted, labels)
     accuracy = scores.accuracy
@@ -244,8 +246,8 @@ def build_eval_report(class_probs, votes, labels, n_bins: int = 10) -> EvalRepor
         if not mask.any():
             return None, None, None
         conf = float(confidence[mask].mean())
-        frac = float(fractions[mask].mean())
-        return conf, frac, conf - accuracy
+        return (conf, ensemble_fraction(votes[:, mask], predicted[mask]),
+                confidence_error(conf, accuracy))
 
     conf_c, frac_c, err_c = subset_stats(correct)
     conf_i, frac_i, err_i = subset_stats(~correct)
@@ -259,9 +261,9 @@ def build_eval_report(class_probs, votes, labels, n_bins: int = 10) -> EvalRepor
         recall=scores.recall,
         f1=scores.f1,
         mean_confidence=float(confidence.mean()),
+        confidence_error=confidence_error(float(confidence.mean()), accuracy),
         mean_confidence_correct=conf_c,
         mean_confidence_incorrect=conf_i,
-        confidence_error_overall=confidence_error(float(confidence.mean()), accuracy),
         confidence_error_correct=err_c,
         confidence_error_incorrect=err_i,
         ensemble_fraction_correct=frac_c,
@@ -273,27 +275,20 @@ def build_eval_report(class_probs, votes, labels, n_bins: int = 10) -> EvalRepor
 
 
 def report_rows(report: EvalReport) -> list[tuple[str, str, object]]:
-    """Flatten a report into (metric, subset, value) rows for CSV output."""
-    rows: list[tuple[str, str, object]] = [
-        ("n_samples", "all", report.n_samples),
-        ("n_members", "all", report.n_members),
-        ("accuracy", "all", report.accuracy),
-        ("precision", "all", report.precision),
-        ("recall", "all", report.recall),
-        ("f1", "all", report.f1),
-        ("mean_confidence", "all", report.mean_confidence),
-        ("confidence_error", "all", report.confidence_error_overall),
-        ("mean_confidence", "correct", report.mean_confidence_correct),
-        ("mean_confidence", "incorrect", report.mean_confidence_incorrect),
-        ("confidence_error", "correct", report.confidence_error_correct),
-        ("confidence_error", "incorrect", report.confidence_error_incorrect),
-        ("ensemble_fraction", "correct", report.ensemble_fraction_correct),
-        ("ensemble_fraction", "incorrect", report.ensemble_fraction_incorrect),
-        ("difference", "all", report.difference),
-        ("no_incorrect_samples", "all", int(report.no_incorrect_samples)),
-    ]
+    """Flatten a report into (metric, subset, value) CSV rows: one per field
+    in field order, a ``_correct`` or ``_incorrect`` suffix naming the subset
+    (else ``all``) and a bool written as an int, then three per calibration bin."""
+    rows: list[tuple[str, str, object]] = []
+    for f in fields(report):
+        if f.name == "calibration_bins":
+            continue
+        value = getattr(report, f.name)
+        metric, _, subset = f.name.rpartition("_")
+        if subset not in ("correct", "incorrect"):
+            metric, subset = f.name, "all"
+        rows.append((metric, subset, int(value) if isinstance(value, bool) else value))
     for b in report.calibration_bins:
-        rows.append((f"calibration_bin_{b.low:.2f}_{b.high:.2f}", "count", b.count))
-        rows.append((f"calibration_bin_{b.low:.2f}_{b.high:.2f}", "confidence", b.mean_confidence))
-        rows.append((f"calibration_bin_{b.low:.2f}_{b.high:.2f}", "accuracy", b.accuracy))
+        name = f"calibration_bin_{b.low:.2f}_{b.high:.2f}"
+        rows += [(name, "count", b.count), (name, "confidence", b.mean_confidence),
+                 (name, "accuracy", b.accuracy)]
     return rows

@@ -18,8 +18,6 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 62, 16, 30, 46
 
 
 def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     raw = (hi - lo) / target
     mag = 10 ** math.floor(math.log10(raw))
     step = min((s for s in (1 * mag, 2 * mag, 5 * mag, 10 * mag) if s >= raw),

@@ -65,12 +65,16 @@ def _check_finite(terms: dict[str, float]):
 
 @dataclass
 class LossBreakdown:
-    """Loss terms of one step; combined = alpha*likelihood + beta*kl."""
+    """Loss terms of one step, named as the ``epochs.csv`` columns; combined =
+    alpha*likelihood + beta*kl, disc is the discriminator objective (nan for VI)."""
 
-    likelihood_term: float
-    kl_term: float
-    discriminator_loss: float
+    likelihood: float
+    kl: float
+    disc: float
     combined: float
+
+
+LOSS_COLUMNS = tuple(f.name for f in fields(LossBreakdown))
 
 
 @dataclass
@@ -376,9 +380,9 @@ def combined_loss_graph(model: ModelState, chunk_tensors: list[ad.Tensor],
     combined = ad._node(likelihood.data * alpha + kl * beta, (likelihood,) + kl_terms,
                         lambda g: (g * alpha,) + (g * beta,) * len(kl_terms))
     breakdown = LossBreakdown(
-        likelihood_term=float(likelihood.data),
-        kl_term=float(kl),
-        discriminator_loss=float("nan"),
+        likelihood=float(likelihood.data),
+        kl=float(kl),
+        disc=float("nan"),
         combined=float(combined.data),
     )
     return combined, breakdown
@@ -418,9 +422,9 @@ def train_step(model: ModelState, images, labels, data_scale: float,
             model.opt_discriminator.step()
 
     combined, breakdown = combined_loss_graph(model, [chunks], images, labels, data_scale)
-    breakdown.discriminator_loss = disc_value
-    _check_finite({"likelihood term": breakdown.likelihood_term,
-                   "kl term": breakdown.kl_term, "combined loss": breakdown.combined})
+    breakdown.disc = disc_value
+    _check_finite({"likelihood term": breakdown.likelihood,
+                   "kl term": breakdown.kl, "combined loss": breakdown.combined})
     model.opt_generator.zero_grad()
     model.opt_classifier.zero_grad()
     combined.backward()
@@ -461,13 +465,8 @@ def train_model(model: ModelState, train_images, train_labels,
     history = []
     for epoch in range(cfg.epochs):
         trace = train_epoch(model, train_images, train_labels, epoch)
-        row = {
-            "epoch": epoch,
-            "likelihood": float(np.mean([t.likelihood_term for t in trace])),
-            "kl": float(np.mean([t.kl_term for t in trace])),
-            "disc": float(np.mean([t.discriminator_loss for t in trace])),
-            "combined": float(np.mean([t.combined for t in trace])),
-        }
+        row = {"epoch": epoch, **{name: float(np.mean([getattr(t, name) for t in trace]))
+                                  for name in LOSS_COLUMNS}}
         probs, _ = ensemble_outputs(model, train_images, cfg.eval_ensemble,
                                     stream_tag=("eval-train", epoch))
         row["train_accuracy"] = float((probs.argmax(axis=1) == train_labels).mean())
@@ -542,8 +541,7 @@ def train_prior_matching(model: ModelState, steps: int,
     trace = []
     for step in range(steps):
         breakdown = train_step(model, None, None, 1.0, rng_noise, rng_prior)
-        row = {"step": step, "logit_term": breakdown.kl_term,
-               "disc": breakdown.discriminator_loss}
+        row = {"step": step, "logit_term": breakdown.kl, "disc": breakdown.disc}
         if eval_every and (step + 1) % eval_every == 0:
             row["ks"] = prior_matching_ks(model, TOY_DRAWS)
         trace.append(row)

@@ -337,7 +337,7 @@ def train_step(model, images, labels, data_scale, rng_noise, rng_prior) -> LossB
             model.opt_discriminator.step()
     combined, breakdown = combined_loss(model, sampler_forward(sampler, noise), images,
                                         labels, data_scale)
-    breakdown.discriminator_loss = disc_value
+    breakdown.disc = disc_value
     model.opt_generator.zero_grad()
     model.opt_classifier.zero_grad()
     combined.backward()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcbnn import cli, experiment
+from qcbnn import cli, experiment, training
 from qcbnn.autodiff import load_checkpoint, save_checkpoint
 from qcbnn.circuits import Architecture
 from qcbnn.config import (
@@ -208,6 +208,17 @@ class TestTrainCommand:
         assert cli.main(["train"] + TINY + ["--quiet"]) == 0
         assert target.exists() and (target / "summary.csv").exists()
 
+    def test_progress_lines(self, tmp_path, capsys):
+        """Without --quiet, one line per cell and one per epoch."""
+        assert cli.main(["train"] + TINY + ["--out", str(tmp_path / "o")]) == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "[classical seed 0] training..."
+        assert lines[3] == "[classical seed 1] training..."
+        for line, epoch in zip(lines[1:3] + lines[4:6], (0, 1, 0, 1)):
+            assert re.fullmatch(rf"epoch +{epoch}  combined +-?\d+\.\d{{3}}  "
+                                r"train acc \d\.\d{3}", line), line
+        assert lines[6:] == [f"artifacts written to {tmp_path / 'o'}"]
+
     def test_config_error_exit_code(self, capsys):
         assert cli.main(["train", "--arch", "circuit_v"]) == cli.EXIT_CONFIG
         assert "valid" in capsys.readouterr().err
@@ -328,6 +339,14 @@ class TestTrainCommand:
          "sweep lists architecture circuit_iii more than once"),
         (["--layers", "1,1", "--reupload", "false,false"],
          "sweep lists (layers, reupload) pair (1, False) more than once"),
+        # an empty sweep axis, a value that does not parse, and values that the
+        # depth, split and prior checks refuse
+        (["--set", "foo"], "--set expects KEY=VALUE, got 'foo'"),
+        (["--arch", ","], "need at least one architecture"),
+        (["--reupload", "maybe"], "not a boolean: 'maybe'"),
+        (["--sampler", "quantum", "--layers", "0"], "layers must be positive"),
+        (["--set", "split_fractions=1"], "need 2 or 3 split fractions"),
+        (["--set", "prior_law=laplace"], "unknown prior law 'laplace'"),
     ], ids=["epochs-0", "sampler-bogus", "calibration-bins-1", "calibration-bins-101",
             "subset-reference-bogus", "split-fractions-sum", "synth-imbalance-0",
             "synth-imbalance-nan", "synth-noise-nan", "synth-noise-negative",
@@ -337,7 +356,9 @@ class TestTrainCommand:
             "dataset-hash", "split-fraction-negative", "noise-sigma-negative",
             "noise-mu-inf", "prior-sigma-negative", "prior-mu-nan", "alpha-nan",
             "beta-inf", "lr-classifier-inf", "cr-axis-w", "embedding-pairs-ring",
-            "seed-repeated", "arch-repeated", "depth-repeated"])
+            "seed-repeated", "arch-repeated", "depth-repeated", "set-without-equals",
+            "arch-empty", "reupload-maybe", "layers-0", "split-fractions-one",
+            "prior-law-laplace"])
     def test_invalid_training_value_writes_nothing(self, flags, message, tmp_path,
                                                    capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)  # a relative --out lands here
@@ -379,6 +400,13 @@ def _fewer_images_in_header(path, saved, claimed):
     path.write_bytes(bytes(blob))
 
 
+def _version_two_container(path):
+    save_dataset(path, synth_generate(SynthSpec(n_samples=20, imbalance=0.5)))
+    blob = bytearray(path.read_bytes())
+    blob[8:12] = (2).to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+
+
 def _one_pixel_images(n):
     return Dataset(np.full((n, 1, 1), 0.5), np.arange(n) % 2)
 
@@ -407,7 +435,8 @@ class TestInputErrorClass:
          "needs 7874"),
         (lambda path: save_dataset(path, _one_pixel_images(20)),
          "images of 1x1 are smaller than the 2x2 convolution kernel"),
-    ], ids=["bad-magic", "header-count-short", "one-pixel-images"])
+        (_version_two_container, "unsupported dataset version 2"),
+    ], ids=["bad-magic", "header-count-short", "one-pixel-images", "version-2"])
     def test_bad_dataset_file(self, read, write, message, tmp_path):
         path = tmp_path / "bad.qbnn"
         write(path)
@@ -521,6 +550,16 @@ class TestEvaluateCommand:
         assert code == cli.EXIT_CONFIG
         assert "split 'validation' has no images" in capsys.readouterr().err
         assert not out_csv.exists()
+
+    def test_run_without_checkpoint(self, tiny_run, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(os.path.join(tiny_run, "classical", "seed0"), run_dir)
+        os.remove(run_dir / "checkpoint.qckpt")
+        before = sorted(os.listdir(run_dir))
+        assert cli.main(["evaluate", str(run_dir)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"error: missing run artifact: {run_dir / 'checkpoint.qckpt'}\n"
+        assert sorted(os.listdir(run_dir)) == before
 
     @pytest.mark.parametrize("key, value", [("conv_stride", "2"), ("dataset_format", "binary")])
     def test_run_echo_with_a_removed_key_is_refused(self, key, value, tiny_run, tmp_path,
@@ -653,6 +692,40 @@ class TestSampleWeightsCommand:
         assert "truncated container" in capsys.readouterr().err
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize("write, message", [
+        (lambda path: path.write_bytes(b"QBNNDATA" + bytes(4)), "truncated container"),
+        (_version_two_container, "unsupported dataset version 2"),
+        (None, "No such file or directory: 'bad.qbnn'"),
+    ], ids=["truncated-12-bytes", "version-2", "missing"])
+    def test_fresh_model_checks_the_dataset(self, write, message, tmp_path, capsys,
+                                            monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        if write:
+            write(tmp_path / "bad.qbnn")
+        before = sorted(os.listdir(tmp_path))
+        code = cli.main(["sample-weights", "--set", "dataset=bad.qbnn", "--out-csv", "ws.csv"])
+        assert code == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_fresh_model_at_the_container_image_shape(self, tmp_path, monkeypatch):
+        """The model is built for the configured dataset's images; the
+        dump draws only the generator, so its bytes are the synth ones."""
+        monkeypatch.chdir(tmp_path)
+        save_dataset(tmp_path / "rect.qbnn",
+                     synth_generate(SynthSpec(n_samples=10, height=20, width=24)))
+        shapes = []
+
+        def build(cfg, shape):
+            shapes.append(shape)
+            return build_model(cfg, shape)
+
+        monkeypatch.setattr(training, "build_model", build)
+        for dataset, out_csv in (("rect.qbnn", "rect.csv"), ("synth", "synth.csv")):
+            assert cli.main(["sample-weights", "--set", f"dataset={dataset}", "--draws", "2",
+                             "--out-csv", out_csv]) == cli.EXIT_OK
+        assert shapes == [(20, 24), (28, 28)]
+        assert (tmp_path / "rect.csv").read_bytes() == (tmp_path / "synth.csv").read_bytes()
 
     @pytest.mark.parametrize("draws", ["0", "-2"])
     def test_non_positive_draws_rejected(self, tmp_path, capsys, draws):
@@ -781,6 +854,33 @@ class TestReportCommand:
         path.write_text("".join([header, first[: first.rindex(",") + 1] + value + "\n", *rest]))
         assert cli.main(["report", str(report_results)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"error: truncated or malformed row in {path}\n"
+
+    def test_label_without_weight_samples_is_named(self, report_results, capsys):
+        for path in report_results.glob("beta/seed*/weight_samples.csv"):
+            os.remove(path)
+        assert cli.main(["report", "--no-svg", str(report_results)]) == cli.EXIT_OK
+        assert "notice: no weight samples for beta, omitted from weight_kde\n" in \
+            capsys.readouterr().out
+        rows = (report_results / "figures" / "weight_kde.csv").read_text().splitlines()
+        assert {row.split(",")[0] for row in rows[1:]} == {"alpha"}
+
+    def test_point_mass_densities_render_an_empty_figure(self, report_results):
+        """Each series of one common value over seeds is a point mass: a CSV
+        row at its value, no line, and an SVG frame on the unit square."""
+        for path in report_results.glob("*/seed*/eval_test.csv"):
+            path.write_text("".join(
+                f"confidence_error,{line.split(',')[1]},0.25\n"
+                if line.startswith("confidence_error,") else line
+                for line in path.read_text().splitlines(keepends=True)))
+        assert cli.main(["report", str(report_results)]) == cli.EXIT_OK
+        fig_dir = report_results / "figures"
+        assert (fig_dir / "confidence_error_density.csv").read_text() == (
+            "series,grid,density\n" + "".join(f"{label}/{subset},0.25,\n"
+                                               for label in ("alpha", "beta")
+                                               for subset in ("correct", "incorrect")))
+        figure = (fig_dir / "confidence_error_density.svg").read_text()
+        assert "<polyline" not in figure and "<circle" not in figure
+        assert '>0</text>' in figure and '>1</text>' in figure
 
     def test_empty_dir_is_config_error(self, tmp_path):
         assert cli.main(["report", str(tmp_path)]) == cli.EXIT_CONFIG

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -332,3 +333,21 @@ class TestConverter:
         assert set(written) == {"train", "validation", "test"}
         loaded = dio.load_dataset(written["train"])
         assert len(loaded) == 8 and loaded.images.shape[1:] == (28, 28)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("test_images", np.zeros((4, 28, 28, 3), np.uint8), "images must be (N, H, W)"),
+        ("test_labels", np.zeros((3, 1), np.uint8), "image count != label count"),
+        ("test_labels", np.full((4, 1), 2, np.uint8), "labels must be 0 or 1"),
+    ], ids=["rgb-images", "label-count", "label-2"])
+    def test_bad_archive_writes_nothing(self, key, value, message, tmp_path):
+        """A bad last split fails before the first split is written."""
+        arrays = {f"{tag}_{kind}": np.zeros((4, 28, 28) if kind == "images" else (4, 1),
+                                            np.uint8)
+                  for tag in ("train", "val", "test") for kind in ("images", "labels")}
+        arrays[key] = value
+        np.savez(tmp_path / "archive.npz", **arrays)
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dio.convert_breastmnist_npz(tmp_path / "archive.npz", out)
+        assert not list(out.iterdir())

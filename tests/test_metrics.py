@@ -73,6 +73,16 @@ class TestEnsembleFraction:
         assert total == pytest.approx(1.0, abs=1e-12)
         assert mt.ensemble_fraction(votes, 1) <= 1.0
 
+    def test_votes_of_many_images_average_each_image_share(self):
+        """(M, N) votes against N predictions give the mean of the N
+        one-image fractions, bit for bit; the flat mean of all six
+        matches, 5/6, lies one bit above it here."""
+        votes = np.array([[0, 1], [0, 0], [0, 0]])
+        final = np.array([0, 0])
+        per_image = np.mean([mt.ensemble_fraction(votes[:, j], final[j]) for j in range(2)])
+        assert mt.ensemble_fraction(votes, final) == per_image
+        assert np.mean(votes == final) != per_image
+
 
 class TestDifferenceMetric:
     def test_arithmetic(self):
@@ -304,6 +314,43 @@ class TestEvalReport:
         assert len(names) == 100
         with pytest.raises(ValueError, match="at most 100 bins"):
             mt.build_eval_report(class_probs, votes, labels, n_bins=101)
+
+    def test_subset_statistics_come_from_the_metric_helpers(self):
+        class_probs, votes, labels = synthetic_outputs(7)
+        report = mt.build_eval_report(class_probs, votes, labels)
+        predicted = class_probs.argmax(axis=1)
+        for mask, subset in ((predicted == labels, "correct"), (predicted != labels, "incorrect")):
+            assert getattr(report, f"ensemble_fraction_{subset}") == \
+                mt.ensemble_fraction(votes[:, mask], predicted[mask])
+            assert getattr(report, f"confidence_error_{subset}") == mt.confidence_error(
+                getattr(report, f"mean_confidence_{subset}"), report.accuracy)
+
+    def test_report_rows_follow_the_fields(self):
+        """The CSV layout: the report's fields in order, a ``_correct`` or
+        ``_incorrect`` suffix naming the subset, a bool as an int, then
+        three rows per calibration bin."""
+        class_probs = np.array([[0.1, 0.9], [0.8, 0.2]])
+        report = mt.build_eval_report(class_probs, np.array([[1, 0], [1, 1]]),
+                                      np.array([1, 0]), n_bins=2)
+        rows = mt.report_rows(report)
+        assert [(m, s) for m, s, _ in rows] == [
+            ("n_samples", "all"), ("n_members", "all"), ("accuracy", "all"),
+            ("precision", "all"), ("recall", "all"), ("f1", "all"),
+            ("mean_confidence", "all"), ("confidence_error", "all"),
+            ("mean_confidence", "correct"), ("mean_confidence", "incorrect"),
+            ("confidence_error", "correct"), ("confidence_error", "incorrect"),
+            ("ensemble_fraction", "correct"), ("ensemble_fraction", "incorrect"),
+            ("difference", "all"), ("no_incorrect_samples", "all"),
+            ("calibration_bin_0.00_0.50", "count"), ("calibration_bin_0.00_0.50", "confidence"),
+            ("calibration_bin_0.00_0.50", "accuracy"), ("calibration_bin_0.50_1.00", "count"),
+            ("calibration_bin_0.50_1.00", "confidence"), ("calibration_bin_0.50_1.00", "accuracy"),
+        ]
+        values = dict(((m, s), v) for m, s, v in rows)
+        assert values["no_incorrect_samples", "all"] == 1
+        assert type(values["no_incorrect_samples", "all"]) is int
+        assert values["ensemble_fraction", "correct"] == 0.75
+        assert values["mean_confidence", "incorrect"] is None
+        assert values["calibration_bin_0.00_0.50", "confidence"] is None
 
     def test_report_rows_cover_headline_metrics(self):
         class_probs, votes, labels = synthetic_outputs(5)

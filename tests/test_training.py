@@ -198,7 +198,7 @@ class TestGeneratorLoss:
         combined, breakdown = tr.combined_loss_graph(
             model, [chunks], train.images[:4], train.labels[:4], 1.0
         )
-        assert breakdown.combined == model.config.alpha * breakdown.likelihood_term
+        assert breakdown.combined == model.config.alpha * breakdown.likelihood
 
     def test_breakdown_reassembles_bitwise(self, tiny_split):
         train, _ = tiny_split
@@ -209,7 +209,7 @@ class TestGeneratorLoss:
         _, b = tr.combined_loss_graph(model, [chunks], train.images[:4],
                                       train.labels[:4], 1.5)
         cfg = model.config
-        assert b.combined == cfg.alpha * b.likelihood_term + cfg.beta * b.kl_term
+        assert b.combined == cfg.alpha * b.likelihood + cfg.beta * b.kl
 
     def test_graph_and_value_paths_agree(self, tiny_split):
         train, _ = tiny_split
@@ -222,7 +222,7 @@ class TestGeneratorLoss:
                                       train.labels[:6], 2.0)
         ws = WeightSample(chunk_values, noise)
         value = generator_loss(model, [ws], train.images[:6], train.labels[:6], 2.0)
-        assert b.kl_term == pytest.approx(value, rel=1e-12)
+        assert b.kl == pytest.approx(value, rel=1e-12)
 
 
 class TestLogitTermSanity:
@@ -286,7 +286,7 @@ class TestTrainStepAndEpoch:
                                        model.sampler.noise_law, 16)
             chunks = ad.Tensor(model.sampler.expectations(noise))
             _, b = tr.combined_loss_graph(model, [chunks], images, labels, scale)
-            return b.likelihood_term
+            return b.likelihood
 
         assert breakdown_with(4.0) == pytest.approx(4.0 * breakdown_with(1.0), rel=1e-12)
 
