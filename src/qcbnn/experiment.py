@@ -297,9 +297,9 @@ def run_toy_adversarial(out_dir: str, steps: int, seed: int, lr_generator: float
         cfg = TrainConfig(epochs=1, seed=seed, sampler="classical", alpha=0.0, beta=1.0,
                           lr_generator=lr_generator, lr_discriminator=lr_discriminator,
                           disc_steps=disc_steps)
-    os.makedirs(out_dir, exist_ok=True)
     model = build_model(cfg, (SynthSpec.height, SynthSpec.width))
     trace = train_prior_matching(model, steps, eval_every=TOY_EVAL_EVERY)
+    os.makedirs(out_dir, exist_ok=True)  # only now: a diverged run creates none
     _write_csv(os.path.join(out_dir, "toy_trace.csv"), TOY_TRACE_HEADER,
                [[r.get(key) for key in TOY_TRACE_HEADER] for r in trace])
     dump_weight_samples(model, TOY_DRAWS // N_CHUNKS,

@@ -50,12 +50,15 @@ from the template's compiled ``blocks``, computed once per template:
 * a template with any other input-reading gate, or wider than
   ``_FUSE_MAX_QUBITS``, does not compile: ``blocks`` raises a ``ValueError``.
 
-So the input-only blocks run once per input row and the params-only
-blocks once per params vector, whatever the batch size.  A run without a
-tape takes its input rows through the blocks in row blocks of
-``RUN_BLOCK_AMPLITUDES`` amplitudes; a taped run keeps its whole-batch
-states for the sweep.  <Z> is read as ``|psi|^2 @ zsign``, one product
-over all rows.
+Identical gate runs compile to one shared block object: a re-uploaded
+embedding is one phase block, repeated.  So the input-only blocks run once
+per input row and the params-only blocks once per params vector, whatever
+the batch size, and a run computes a repeated phase block's phases once
+per row block (and tapes their conjugate once), applying them at every
+occurrence.  A run without a tape takes its input rows through the blocks
+in row blocks of ``RUN_BLOCK_AMPLITUDES`` amplitudes; a taped run keeps its
+whole-batch states for the sweep.  <Z> is read as ``|psi|^2 @ zsign``, one
+product over all rows.
 
 ``adjoint_vjp``, which training uses, gives the params gradient of
 ``sum(grad * <Z>)`` by one backward sweep over the blocks, reading the
@@ -167,7 +170,8 @@ class CircuitTemplate:
     @cached_property
     def blocks(self) -> tuple:
         """The gate list split into fused blocks, in circuit order; a
-        ``ValueError`` for a template that does not compile."""
+        ``ValueError`` for a template that does not compile.  Identical gate
+        runs, such as a re-uploaded embedding, are one shared block object."""
         if self.n_qubits > _FUSE_MAX_QUBITS:
             raise ValueError(f"cannot compile a {self.n_qubits}-qubit template: "
                              f"fused blocks take at most {_FUSE_MAX_QUBITS} qubits")
@@ -187,7 +191,10 @@ class CircuitTemplate:
                 runs[-1][1].append(gate)
             else:
                 runs.append((kind, [gate]))
-        return tuple(kind(gates, self.n_qubits) for kind, gates in runs)
+        keys = [(kind, tuple(gates)) for kind, gates in runs]
+        compiled = {(kind, gates): kind(gates, self.n_qubits)
+                    for kind, gates in dict.fromkeys(keys)}
+        return tuple(compiled[key] for key in keys)
 
     @cached_property
     def zsign(self) -> np.ndarray:
@@ -480,7 +487,8 @@ class Tape:
     """What one ``run_circuit_batch`` forward keeps for ``adjoint_vjp``: the
     bytes of the params it ran at, one record per block in block order (a
     fused block's (B or 1, 2^n) input state and its prefix stack, whose last
-    entry is its matrix; a phase block's (B, 2^n) conjugate phases) and the
+    entry is its matrix; a phase block's (B, 2^n) conjugate phases, one
+    array for all its occurrences) and the
     final (B or 1, 2^n) state.  A forward's builds live here and nowhere
     else, so the sweep reads the very matrices the forward multiplied by."""
 
@@ -576,16 +584,27 @@ def _builds(template: CircuitTemplate, params: np.ndarray) -> list:
 def _run_blocks(template: CircuitTemplate, builds: list, inputs: np.ndarray,
                 tape: Tape | None = None) -> np.ndarray:
     """The (B or 1, 2^n) state for 2-D ``inputs``, from the template's
-    ``_builds`` at one params vector, recorded on ``tape``."""
+    ``_builds`` at one params vector, recorded on ``tape``.  A phase block
+    that recurs (a re-uploaded embedding) computes its phases, and its
+    taped conjugate, once, and they are kept until its last occurrence."""
     psi = np.zeros((1, 2**template.n_qubits), dtype=np.complex128)
     psi[0, 0] = 1.0
     if tape is not None:
         tape.kept = []
-    for block, prefix in zip(template.blocks, builds):
+    computed: dict = {}  # phase block -> (phases, taped conjugate or None)
+    for at, (block, prefix) in enumerate(zip(template.blocks, builds)):
         if prefix is None:
-            phase = block.phases(inputs)
+            if block not in computed:
+                phase = block.phases(inputs)
+                computed[block] = phase, None if tape is None else phase.conj()
+            if block in template.blocks[at + 1:]:
+                phase, conj = computed[block]
+                if psi.shape != phase.shape:
+                    phase = phase.copy()  # ``apply`` would write into it
+            else:
+                phase, conj = computed.pop(block)
             if tape is not None:
-                tape.kept.append(phase.conj())
+                tape.kept.append(conj)
             psi = block.apply(psi, phase)
             del phase  # or the applied phases stay alive through the next product
         else:

@@ -527,7 +527,8 @@ def train_prior_matching(model: ModelState, steps: int,
     """Adversarial distribution matching without data (likelihood off).
 
     Drives the generator toward the prior; the trace records the
-    discriminator objective and generator logit term per step.
+    discriminator objective and generator logit term per step.  A
+    ``DivergenceError`` names the seed and the step.
     """
     if isinstance(model.sampler, GaussianPosterior):
         raise TypeError("unsupported sampler for adversarial training: the "
@@ -540,7 +541,10 @@ def train_prior_matching(model: ModelState, steps: int,
     rng_prior = stream(cfg.seed, "toy-prior", start)
     trace = []
     for step in range(steps):
-        breakdown = train_step(model, None, None, 1.0, rng_noise, rng_prior)
+        try:
+            breakdown = train_step(model, None, None, 1.0, rng_noise, rng_prior)
+        except DivergenceError as err:
+            raise DivergenceError(f"seed {cfg.seed}, step {step}: {err}") from None
         row = {"step": step, "logit_term": breakdown.kl, "disc": breakdown.disc}
         if eval_every and (step + 1) % eval_every == 0:
             row["ks"] = prior_matching_ks(model, TOY_DRAWS)

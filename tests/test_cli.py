@@ -780,6 +780,17 @@ class TestToyAdversarialCommand:
         assert "lr_generator must be finite" in capsys.readouterr().err
         assert not (tmp_path / "toy").exists()
 
+    def test_divergence_names_the_step_and_writes_nothing(self, tmp_path, capsys):
+        """Huge step sizes overflow both networks at the first step: the run
+        exits as diverged, names where, and leaves no output directory."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["toy-adversarial", "--steps", "20", "--lr-generator", "1e300",
+                             "--lr-discriminator", "1e300", "--out", str(tmp_path / "toy")])
+        assert code == cli.EXIT_DIVERGENCE
+        err = capsys.readouterr().err
+        assert err == "error: seed 0, step 0: non-finite discriminator objective (nan)\n"
+        assert not (tmp_path / "toy").exists()
+
 
 class TestReportCommand:
     def test_full_report(self, tiny_run, tmp_path):

@@ -9,7 +9,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qcbnn.circuits import Architecture, assemble_pqc
+from qcbnn.circuits import (
+    Architecture,
+    assemble_pqc,
+    build_calculation_layer,
+    build_embedding,
+)
 from qcbnn.samplers import CHUNK_DIM
 from qcbnn.seeding import stream
 from qcbnn.statevector import (
@@ -444,6 +449,12 @@ _PERMUTED = CircuitTemplate(3, (
 ), 4, 1)
 
 
+# Every architecture at L1, L2 and L3, with and without re-uploading: a
+# re-uploaded template repeats its embedding before every layer.
+_PQCS = [assemble_pqc(arch, CHUNK_DIM, layers, reupload) for arch in Architecture
+         for layers in (1, 2, 3) for reupload in (False, True)]
+
+
 def _adjoint_of_ones(template, params, inputs):
     """``adjoint_vjp`` with a grad of ones, called like the other entry points."""
     return adjoint_vjp(template, params, inputs,
@@ -463,6 +474,14 @@ class TestCompiledExecutor:
     @example(template=assemble_pqc(Architecture.CIRCUIT_IV, 4, 2, True, cr_axis="Z"), seed=1)
     @example(template=_MIXED, seed=2)
     def test_grid_matches_reference_path(self, template, seed):
+        self.check_grid_matches_reference_path(template, seed)
+
+    @pytest.mark.parametrize("template", _PQCS, ids=lambda t: t.name)
+    def test_pqc_matches_reference_path(self, template):
+        self.check_grid_matches_reference_path(template, 4)
+
+    @staticmethod
+    def check_grid_matches_reference_path(template, seed):
         rng = np.random.default_rng(seed)
         params = rng.uniform(-2 * math.pi, 2 * math.pi, (3, template.param_slots))
         inputs = rng.uniform(0, 2 * math.pi, (2, template.input_slots))
@@ -595,15 +614,27 @@ class TestPrefixStackBytes:
         assert digest.hexdigest() == PINNED_PREFIXES[template.name]
 
 
+def _two_embeddings():
+    """circuit_iii at L2 with two distinct embeddings: adjacent pairs, then all."""
+    first, used = build_calculation_layer(Architecture.CIRCUIT_III, 4, 0)
+    second, more = build_calculation_layer(Architecture.CIRCUIT_III, 4, used)
+    gates = build_embedding(4) + first + build_embedding(4, pairs="all") + second
+    return CircuitTemplate(4, gates, used + more, 4, name="two_embeddings")
+
+
 class TestExecutorMemory:
-    def test_peak_stays_near_three_states(self):
+    @pytest.mark.parametrize("template", [
+        assemble_pqc(Architecture.CIRCUIT_III, 4, 2, True), _two_embeddings(),
+    ], ids=lambda t: t.name)
+    def test_peak_stays_near_three_states(self, template):
         """A tape-less run holds its (B, 2^n) probabilities and, inside one
-        row block, about three and a half block states (the state, the
-        phases and their real angles, inside ``phases``).  A phase block's
-        phases, a state's worth, are dropped once applied; if they outlived
-        their block into the next matrix product, the run would peak near
-        four and a half."""
-        template = assemble_pqc(Architecture.CIRCUIT_III, 4, 2, True)
+        row block, about three and a half block states: the state, the
+        phases and their real angles, inside ``phases``, or the state, the
+        re-uploaded embedding's phases, kept for its next copy, and the
+        next product.  A phase block's phases, a state's worth, are
+        dropped once applied for the last time; if a second embedding's
+        outlived its block into the next matrix product, the run would
+        peak near four and a half."""
         rng = np.random.default_rng(0)
         params = rng.uniform(0, 2 * math.pi, template.param_slots)
         block_rows = RUN_BLOCK_AMPLITUDES >> template.n_qubits
@@ -648,9 +679,7 @@ _NO_INPUT = CircuitTemplate(4, (
 class TestRowBlocks:
     @pytest.mark.parametrize("rows", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
                                       3 * _BLOCK_ROWS + 7])
-    @pytest.mark.parametrize("template", [
-        assemble_pqc(arch, CHUNK_DIM, layers, reupload) for arch in Architecture
-        for layers, reupload in ((1, False), (2, True))] + [_NO_INPUT], ids=lambda t: t.name)
+    @pytest.mark.parametrize("template", _PQCS + [_NO_INPUT], ids=lambda t: t.name)
     def test_tape_less_run_equals_whole_batch_oracle(self, template, rows):
         """A run without a tape goes through the blocks a row block at a
         time and gives the whole-batch bits, for every row of a state that
@@ -661,6 +690,41 @@ class TestRowBlocks:
         want = whole_batch_oracle(template, params, inputs)
         assert run_circuit_batch(template, params, inputs).tobytes() == \
             np.ascontiguousarray(want).tobytes()
+
+
+class TestSharedPhaseBlocks:
+    @pytest.mark.parametrize("template", _PQCS, ids=lambda t: t.name)
+    def test_reuploaded_embedding_is_one_block(self, template):
+        """Every copy of the embedding compiles to the same phase block
+        object, and no other block is shared."""
+        embeddings = [b for b in template.blocks if isinstance(b, _PhasePermutation)]
+        copies = sum(gate.angles == (("enc1", 0),) for gate in template.gates)
+        assert len(embeddings) == copies
+        assert all(block is embeddings[0] for block in embeddings)
+        assert len(set(map(id, template.blocks))) == len(template.blocks) - copies + 1
+
+    @pytest.mark.parametrize("template", _PQCS, ids=lambda t: t.name)
+    def test_phases_run_once_per_row_block(self, template, monkeypatch):
+        """A tape-less run of three row blocks computes the embedding's
+        phases once per row block, however many copies the template has, a
+        taped run once, and both give the bits of the whole-batch oracle,
+        which computes them at every occurrence."""
+        rng = np.random.default_rng(7)
+        params = rng.uniform(0, 2 * math.pi, template.param_slots)
+        inputs = rng.uniform(0, 2 * math.pi, (2 * _BLOCK_ROWS + 52, template.input_slots))
+        want = np.ascontiguousarray(whole_batch_oracle(template, params, inputs)).tobytes()
+        embedding = next(b for b in template.blocks if isinstance(b, _PhasePermutation))
+        calls = []
+        phases = _PhasePermutation.phases
+        monkeypatch.setattr(_PhasePermutation, "phases",
+                            lambda block, rows: calls.append(block) or phases(block, rows))
+        assert run_circuit_batch(template, params, inputs).tobytes() == want
+        assert calls == [embedding] * 3
+        calls.clear()
+        tape = Tape()
+        assert run_circuit_batch(template, params, inputs, tape).tobytes() == want
+        assert calls == [embedding]
+        assert len(tape.kept) == len(template.blocks)
 
 
 class TestUncompilableTemplates:
@@ -776,6 +840,22 @@ class TestAdjointVjp:
         assert np.array_equal(adjoint_vjp(template, params, inputs, grad, tape), want)
         # the sweep leaves the tape as it was, so it can be read again
         assert np.array_equal(adjoint_vjp(template, params, inputs, grad, tape), want)
+
+    @pytest.mark.parametrize("template", _PQCS, ids=lambda t: t.name)
+    def test_pqc_matches_parameter_shift_grad(self, template):
+        """The sweep over a taped forward, and over one it runs itself, of a
+        template whose embedding blocks are shared, against the shift rule."""
+        rng = np.random.default_rng(5)
+        params = rng.uniform(-2 * math.pi, 2 * math.pi, template.param_slots)
+        inputs = rng.uniform(0, 2 * math.pi, (6, template.input_slots))
+        grad = rng.normal(size=(6, template.n_qubits))
+        want = np.einsum("bq,bqp->p", grad, parameter_shift_grad(template, params, inputs))
+        tape = Tape()
+        run_circuit_batch(template, params, inputs, tape)
+        np.testing.assert_allclose(adjoint_vjp(template, params, inputs, grad, tape), want,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(adjoint_vjp(template, params, inputs, grad), want,
+                                   rtol=0, atol=1e-12)
 
     def test_stale_tape_raises(self):
         template = assemble_pqc(Architecture.CIRCUIT_III, 4, 2, True)
