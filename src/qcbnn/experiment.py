@@ -293,6 +293,8 @@ def run_toy_adversarial(out_dir: str, steps: int, seed: int, lr_generator: float
     likelihood disabled, writes the step trace and final pooled samples,
     and returns the final two-sample KS statistic.
     """
+    if steps < 1:
+        raise ConfigError(f"step count must be >= 1, got {steps}")
     with config_errors():
         cfg = TrainConfig(epochs=1, seed=seed, sampler="classical", alpha=0.0, beta=1.0,
                           lr_generator=lr_generator, lr_discriminator=lr_discriminator,

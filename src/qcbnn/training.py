@@ -241,6 +241,16 @@ def build_model(config: TrainConfig, image_shape: tuple[int, int]) -> ModelState
 EVAL_BLOCK_FLOATS = 1 << 16
 
 
+def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised C-contiguous float64 array of ``shape`` whose data
+    starts on a 64-byte cache-line boundary: the view of a buffer 8 floats
+    longer, at the first such boundary in it."""
+    n = math.prod(shape)
+    raw = np.empty(n + 8)
+    start = -raw.ctypes.data % 64 // 8
+    return raw[start:start + n].reshape(shape)
+
+
 def forward_probs_np(model: ModelState, images: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     """Softmax probabilities of the classifier (conv -> relu -> dense) for
     fixed kernels, computed without an autodiff graph.
@@ -252,9 +262,18 @@ def forward_probs_np(model: ModelState, images: np.ndarray, kernels: np.ndarray)
     computes, written into one workspace, so the dense layer reads it
     without a copy.
 
-    Every loop runs on contiguous operands of one shape.  Relu takes its
-    maximum against a zero array of the workspace's shape: against a scalar
-    0.0, train-baselines ran 8% fewer steps/s in 5 of 5 paired runs.  The logits
+    Every loop runs on contiguous operands of one shape.  The workspace, the
+    zero array and a copy of the dense weights come from ``_aligned_empty``,
+    so each starts on a 64-byte cache line: glibc's malloc aligns numpy's
+    arrays only to 16 bytes, and at 16, 32 or 48 bytes past a line every 64-byte
+    vector access of the member loop straddles two lines.  A misaligned
+    workspace made a member step 10-25% slower
+    (``tools/workspace_alignment.py`` prints the table), and misaligned
+    dense weights made the whole forward about 3% slower.  Relu takes
+    its maximum against that zero array: on the aligned workspace, one
+    member step on a 20-image block took 37-41 us, against 39-43 us with a
+    scalar 0.0 and 50-54 us with a broadcast (1, F, H'*W') zero row
+    (numpy 2.4.6, OpenBLAS 0.3.31, 1 thread, an idle AVX-512 host).  The logits
     are kept as (C, M, B) class planes, so the softmax over the two classes
     is a few whole-plane passes in place instead of reductions over a
     trailing axis of length 2.  The last pass, the division, writes a
@@ -266,11 +285,13 @@ def forward_probs_np(model: ModelState, images: np.ndarray, kernels: np.ndarray)
     _, (hp, wp) = ad.conv_patches(images[:1], (kh, kw), CONV_STRIDE)  # checks the shapes
     b = len(images)
     flat_kernels = stack.reshape(m, f, kh * kw)
-    dense_w = model.dense_w.data
+    dense_w = _aligned_empty(model.dense_w.data.shape)
+    dense_w[...] = model.dense_w.data
     planes = np.empty((dense_w.shape[0], m, b))
     block = max(1, EVAL_BLOCK_FLOATS // (f * hp * wp))
-    work = np.empty((min(block, b), f, hp * wp))
-    zero = np.zeros_like(work)
+    work = _aligned_empty((min(block, b), f, hp * wp))
+    zero = _aligned_empty(work.shape)
+    zero[...] = 0.0
     for start in range(0, b, block):
         stop = min(start + block, b)
         z, z0 = work[: stop - start], zero[: stop - start]

@@ -780,6 +780,15 @@ class TestToyAdversarialCommand:
         assert "lr_generator must be finite" in capsys.readouterr().err
         assert not (tmp_path / "toy").exists()
 
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_non_positive_steps_rejected(self, tmp_path, capsys, steps):
+        code = cli.main(["toy-adversarial", "--steps", steps, "--out", str(tmp_path / "toy")])
+        assert code == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"error: step count must be >= 1, got {steps}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "toy").exists()
+
     def test_divergence_names_the_step_and_writes_nothing(self, tmp_path, capsys):
         """Huge step sizes overflow both networks at the first step: the run
         exits as diverged, names where, and leaves no output directory."""

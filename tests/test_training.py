@@ -513,6 +513,96 @@ class TestMemberBlockedForward:
             tr.ensemble_outputs(model, train.images[:0], 4)
 
 
+def empty_at(offset):
+    """A stand-in for ``_aligned_empty`` whose arrays start ``offset`` bytes
+    past a 64-byte boundary."""
+    def empty(shape):
+        n = math.prod(shape)
+        raw = np.empty(n + 16)
+        start = (-raw.ctypes.data % 64 + offset) // 8
+        out = raw[start:start + n].reshape(shape)
+        assert out.ctypes.data % 64 == offset
+        return out
+    return empty
+
+
+class TestAlignedWorkspace:
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(shape=st.lists(st.integers(1, 30), min_size=1, max_size=4).map(tuple))
+    def test_cache_line_aligned_writable_float64(self, shape):
+        first, second = tr._aligned_empty(shape), tr._aligned_empty(shape)
+        for buf in (first, second):
+            assert buf.shape == shape and buf.dtype == np.float64
+            assert buf.flags.c_contiguous and buf.flags.writeable
+            assert buf.ctypes.data % 64 == 0
+        first[...] = 1.0
+        second[...] = 2.0
+        assert (first == 1.0).all()
+
+    def test_forward_runs_its_loop_in_the_helper_buffers(self, monkeypatch, tiny_split):
+        """Three helper arrays per call, the dense weights, the workspace and
+        the zero operand: every dense product reads the weights, every relu
+        reads and writes the other two, and the workspace ends holding the
+        last member's activation on the last image block."""
+        train, _ = tiny_split
+        block = images_per_block()
+        images = train.images[:block + 3]
+        model = classical_model_with_bias(4)
+        kernels = np.random.default_rng(4).normal(size=(5, 16, 2, 2))
+        made, relus, products = [], [], []
+        real_empty, real_maximum, real_matmul = tr._aligned_empty, np.maximum, np.matmul
+
+        def spy_empty(shape):
+            made.append(real_empty(shape))
+            return made[-1]
+
+        def spy_maximum(a, b, out):
+            relus.append((a, b, out))
+            return real_maximum(a, b, out=out)
+
+        def spy_matmul(a, b, out):
+            products.append(a)
+            return real_matmul(a, b, out=out)
+
+        monkeypatch.setattr(tr, "_aligned_empty", spy_empty)
+        monkeypatch.setattr(np, "maximum", spy_maximum)
+        monkeypatch.setattr(np, "matmul", spy_matmul)
+        tr.forward_probs_np(model, images, kernels)
+        monkeypatch.undo()
+
+        hp, wp = tr.conv_output_shape((28, 28))
+        assert [buf.shape for buf in made] == [(2, 16 * hp * wp)] + [(block, 16, hp * wp)] * 2
+        dense, work, zero = made
+        assert not np.shares_memory(dense, model.dense_w.data)
+        np.testing.assert_array_equal(dense, model.dense_w.data)
+        assert sum(a is dense for a in products) == 2 * len(kernels)
+        assert len(relus) == 2 * len(kernels)
+        for a, b, out in relus:
+            assert np.shares_memory(a, work) and np.shares_memory(out, work)
+            assert np.shares_memory(b, zero)
+        assert not zero.any()
+        patches, _ = ad.conv_patches(images[block:], (2, 2), tr.CONV_STRIDE)
+        last = np.maximum(kernels[-1].reshape(16, 4) @ patches, 0.0)
+        np.testing.assert_array_equal(work[:3], last)
+
+    @pytest.mark.parametrize("offset", [8, 16, 32, 48])
+    def test_output_bytes_do_not_depend_on_buffer_placement(self, monkeypatch,
+                                                               synth_split, offset):
+        """At 1, 50 and 200 images (several blocks at 200), misaligned
+        helper buffers give the bytes of aligned ones."""
+        train, _ = synth_split
+        model = quantum_model(seed=12)
+        kernels = np.random.default_rng(offset).normal(size=(100, 16, 2, 2))
+        for count in (1, 50, 200):
+            images = train.images[:count]
+            assert len(images) == count
+            aligned = tr.forward_probs_np(model, images, kernels)
+            with monkeypatch.context() as patch:
+                patch.setattr(tr, "_aligned_empty", empty_at(offset))
+                placed = tr.forward_probs_np(model, images, kernels)
+            assert placed.tobytes() == aligned.tobytes()
+
+
 class TestCheckpointArrays:
     def test_quantum_checkpoint_under_classical_config_rejected(self):
         arrays = quantum_model(seed=11).named_arrays()
