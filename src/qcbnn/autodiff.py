@@ -16,6 +16,7 @@ functions of the tensor values.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -152,6 +153,16 @@ def conv2d(images: np.ndarray, kernels: Tensor, stride: int = 2) -> Tensor:
 # -- optimizer -----------------------------------------------------------------
 
 
+def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised C-contiguous float64 array of ``shape`` whose data
+    starts on a 64-byte cache-line boundary: the view of a buffer 8 floats
+    longer, at the first such boundary in it."""
+    n = math.prod(shape)
+    raw = np.empty(n + 8)
+    start = -raw.ctypes.data % 64 // 8
+    return raw[start:start + n].reshape(shape)
+
+
 class Adam:
     """Standard Adam with bias correction over a list of parameter tensors.
 
@@ -159,7 +170,10 @@ class Adam:
     ``values`` buffer, and each tensor's ``data`` becomes a reshaped view
     of its part.  The moments live in one flat buffer each, so a step is
     one set of elementwise operations over the concatenated gradient,
-    ending in one in-place ``values -= update``.  A tensor whose ``data``
+    ending in one in-place ``values -= update``.  All three buffers start
+    on a 64-byte cache line, so the first tensor does too: the classifier's
+    dense weights, which the ensemble forward reads in its member loop.
+    A tensor whose ``data``
     is rebound to another array is detached: the optimizer no longer
     moves it.  Write restored values in place (``data[...] = x``).
     """
@@ -169,12 +183,15 @@ class Adam:
         self.params = list(params)
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.step_count = 0
-        self.values = np.concatenate([np.ravel(p.data) for p in self.params])
         ends = np.cumsum([p.data.size for p in self.params])
+        self.values = _aligned_empty((int(ends[-1]),))
+        np.concatenate([np.ravel(p.data) for p in self.params], out=self.values)
         for p, part in zip(self.params, np.split(self.values, ends[:-1])):
             p.data = part.reshape(p.data.shape)
-        self.m = np.zeros_like(self.values)
-        self.v = np.zeros_like(self.values)
+        self.m = _aligned_empty(self.values.shape)
+        self.m[...] = 0.0
+        self.v = _aligned_empty(self.values.shape)
+        self.v[...] = 0.0
 
     def zero_grad(self):
         for p in self.params:

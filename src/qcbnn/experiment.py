@@ -44,7 +44,7 @@ from .config import (
 from .data import Dataset, SynthSpec, load_dataset, read_image_shape, split, synth_generate
 from .files import write_file
 from .metrics import EvalReport, build_eval_report, kde_density, report_rows
-from .samplers import N_CHUNKS
+from .samplers import CHUNK_DIM, N_CHUNKS
 from .seeding import stream
 from .training import (
     LOSS_COLUMNS,
@@ -54,7 +54,7 @@ from .training import (
     TrainConfig,
     build_model,
     conv_output_shape,
-    draw_weight_samples,
+    draw_chunks,
     ensemble_outputs,
     prior_matching_ks,
     train_model,
@@ -182,18 +182,19 @@ def dump_weight_samples(model: ModelState, n_draws: int, path):
     """Weight-sample dump: one row per (circuit pass, qubit) value."""
     if n_draws < 1:
         raise ConfigError(f"draw count must be >= 1, got {n_draws}")
-    samples = draw_weight_samples(model, n_draws, stream(model.config.seed, "dump"))
+    chunks, _ = draw_chunks(model, n_draws, stream(model.config.seed, "dump"))
+    flat = chunks.reshape(-1)
+    block_passes = DUMP_BLOCK_DRAWS * N_CHUNKS
     with write_file(path) as fh:
         fh.write("pass_index,qubit,value\n")
         # one f-string per circuit pass, one line for each of its 4 qubits,
-        # a block of draws at a time, so that only one block's Python floats
-        # are alive at once
-        for first in range(0, n_draws, DUMP_BLOCK_DRAWS):
-            block = samples[first:first + DUMP_BLOCK_DRAWS]
-            values = iter(np.concatenate([ws.chunks for ws in block]).reshape(-1).tolist())
-            fh.writelines(f"{k},0,{a!r}\n{k},1,{b!r}\n{k},2,{c!r}\n{k},3,{d!r}\n"
-                          for k, (a, b, c, d) in enumerate(zip(values, values, values, values),
-                                                           first * N_CHUNKS))
+        # and one joined string per block of draws, so that only one block's
+        # Python floats and text are alive at once
+        for first in range(0, n_draws * N_CHUNKS, block_passes):
+            values = iter(flat[first * CHUNK_DIM:(first + block_passes) * CHUNK_DIM].tolist())
+            fh.write("".join(f"{k},0,{a!r}\n{k},1,{b!r}\n{k},2,{c!r}\n{k},3,{d!r}\n"
+                             for k, a, b, c, d in zip(map(str, range(first, first + block_passes)),
+                                                      values, values, values, values)))
 
 
 def run_train(config: RunConfig, progress: bool = False) -> str:

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import autodiff as ad
+from .autodiff import _aligned_empty
 from .circuits import CR_AXES, EMBEDDING_PAIRS, Architecture, assemble_pqc
 from .samplers import (
     CHUNK_DIM,
@@ -241,16 +242,6 @@ def build_model(config: TrainConfig, image_shape: tuple[int, int]) -> ModelState
 EVAL_BLOCK_FLOATS = 1 << 16
 
 
-def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialised C-contiguous float64 array of ``shape`` whose data
-    starts on a 64-byte cache-line boundary: the view of a buffer 8 floats
-    longer, at the first such boundary in it."""
-    n = math.prod(shape)
-    raw = np.empty(n + 8)
-    start = -raw.ctypes.data % 64 // 8
-    return raw[start:start + n].reshape(shape)
-
-
 def forward_probs_np(model: ModelState, images: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     """Softmax probabilities of the classifier (conv -> relu -> dense) for
     fixed kernels, computed without an autodiff graph.
@@ -262,31 +253,32 @@ def forward_probs_np(model: ModelState, images: np.ndarray, kernels: np.ndarray)
     computes, written into one workspace, so the dense layer reads it
     without a copy.
 
-    Every loop runs on contiguous operands of one shape.  The workspace, the
-    zero array and a copy of the dense weights come from ``_aligned_empty``,
-    so each starts on a 64-byte cache line: glibc's malloc aligns numpy's
-    arrays only to 16 bytes, and at 16, 32 or 48 bytes past a line every 64-byte
-    vector access of the member loop straddles two lines.  A misaligned
-    workspace made a member step 10-25% slower
-    (``tools/workspace_alignment.py`` prints the table), and misaligned
-    dense weights made the whole forward about 3% slower.  Relu takes
-    its maximum against that zero array: on the aligned workspace, one
-    member step on a 20-image block took 37-41 us, against 39-43 us with a
-    scalar 0.0 and 50-54 us with a broadcast (1, F, H'*W') zero row
-    (numpy 2.4.6, OpenBLAS 0.3.31, 1 thread, an idle AVX-512 host).  The logits
-    are kept as (C, M, B) class planes, so the softmax over the two classes
-    is a few whole-plane passes in place instead of reductions over a
-    trailing axis of length 2.  The last pass, the division, writes a
-    C-contiguous (M, B, C) array: a reduction over members of a transposed
-    view would add in another order (pairwise, for one image).
+    Every loop runs on contiguous operands of one shape.  The workspace and
+    the zero array come from ``_aligned_empty``, so each starts on a 64-byte
+    cache line: glibc's malloc aligns numpy's arrays only to 16 bytes, and
+    at 16, 32 or 48 bytes past a line every 64-byte vector access of the
+    member loop straddles two lines.  A misaligned workspace made a member
+    step 10-25% slower (``tools/workspace_alignment.py`` prints the table).
+    The dense product reads ``model.dense_w.data`` in place: it is the first
+    tensor of the classifier's ``ad.Adam``, whose flat buffer starts on a
+    cache line too (misaligned, the weights made the forward about 3%
+    slower).  Relu takes its maximum against that zero array: on the
+    aligned workspace, one member step on a 20-image block took 37-41 us,
+    against 39-43 us with a scalar 0.0 and 50-54 us with a broadcast
+    (1, F, H'*W') zero row (numpy 2.4.6, OpenBLAS 0.3.31, 1 thread, an idle
+    AVX-512 host).  The logits are kept as (C, M, B) class planes, so the
+    softmax over the two classes is a few whole-plane passes in place
+    instead of reductions over a trailing axis of length 2.  The last pass,
+    the division, writes a C-contiguous (M, B, C) array: a reduction over
+    members of a transposed view would add in another order (pairwise, for
+    one image).
     """
     stack = np.asarray(kernels, dtype=np.float64)
     m, f, kh, kw = stack.shape
     _, (hp, wp) = ad.conv_patches(images[:1], (kh, kw), CONV_STRIDE)  # checks the shapes
     b = len(images)
     flat_kernels = stack.reshape(m, f, kh * kw)
-    dense_w = _aligned_empty(model.dense_w.data.shape)
-    dense_w[...] = model.dense_w.data
+    dense_w = model.dense_w.data
     planes = np.empty((dense_w.shape[0], m, b))
     block = max(1, EVAL_BLOCK_FLOATS // (f * hp * wp))
     work = _aligned_empty((min(block, b), f, hp * wp))
@@ -505,15 +497,23 @@ def train_model(model: ModelState, train_images, train_labels,
 # --- ensemble prediction -----------------------------------------------------------
 
 
-def draw_weight_samples(model: ModelState, count: int,
-                        rng: np.random.Generator) -> list[WeightSample]:
+def draw_chunks(model: ModelState, count: int,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """``count`` independent weight draws from one noise block and one
-    generator call; draw i is rows [i * N_CHUNKS, (i + 1) * N_CHUNKS)."""
+    generator call: the (count, N_CHUNKS, CHUNK_DIM) chunks and the
+    (count, N_CHUNKS, I) noise behind them, draw i being noise rows
+    [i * N_CHUNKS, (i + 1) * N_CHUNKS)."""
     sampler = model.sampler
     noise = sample_noise_block(rng, sampler.noise_law, count * N_CHUNKS)
     chunks = sampler.expectations(noise).reshape(count, N_CHUNKS, CHUNK_DIM)
-    noise = noise.reshape(count, N_CHUNKS, -1)
-    return [WeightSample(chunks[i], noise[i]) for i in range(count)]
+    return chunks, noise.reshape(count, N_CHUNKS, -1)
+
+
+def draw_weight_samples(model: ModelState, count: int,
+                        rng: np.random.Generator) -> list[WeightSample]:
+    """The draws of ``draw_chunks``, one ``WeightSample`` view each."""
+    chunks, noise = draw_chunks(model, count, rng)
+    return [WeightSample(c, n) for c, n in zip(chunks, noise)]
 
 
 def ensemble_outputs(model: ModelState, images: np.ndarray, n_members: int,
@@ -525,8 +525,8 @@ def ensemble_outputs(model: ModelState, images: np.ndarray, n_members: int,
     if len(images) == 0:
         raise ValueError("ensemble evaluation needs at least one image, got 0")
     rng = stream(model.config.seed, *stream_tag)
-    samples = draw_weight_samples(model, n_members, rng)
-    members = forward_probs_np(model, images, np.stack([ws.kernels for ws in samples]))
+    chunks, _ = draw_chunks(model, n_members, rng)
+    members = forward_probs_np(model, images, chunks.reshape(n_members, *KERNEL_SHAPE))
     return members.sum(axis=0) / n_members, _votes(members)
 
 
@@ -580,7 +580,7 @@ def prior_matching_ks(model: ModelState, n_draws: int) -> float:
     cfg = model.config
     rng_gen = stream(cfg.seed, "toy-eval", 1)
     rng_prior = stream(cfg.seed, "toy-eval", 2)
-    samples = draw_weight_samples(model, n_draws, rng_gen)
-    generated = np.concatenate([ws.chunks.reshape(-1) for ws in samples])
+    chunks, _ = draw_chunks(model, n_draws, rng_gen)
+    generated = chunks.reshape(-1)
     prior = prior_sample_block(cfg.prior, rng_prior, n_draws * N_CHUNKS).reshape(-1)
     return ks_statistic(generated, prior)

@@ -24,6 +24,7 @@ from qcbnn.config import (
 )
 from qcbnn.data import Dataset, SynthSpec, save_dataset, synth_generate
 from qcbnn.experiment import (
+    DUMP_BLOCK_DRAWS,
     _write_csv,
     dataset_image_shape,
     dump_weight_samples,
@@ -737,9 +738,11 @@ class TestSampleWeightsCommand:
 
     @pytest.mark.parametrize("sampler", ["quantum", "classical", "vi"])
     def test_dump_bytes_match_csv_writer_oracle(self, tmp_path, sampler):
-        """300 draws span several formatting blocks and circuit row blocks."""
+        """Draw counts at each edge of a formatting block, and 300 draws,
+        which span several formatting blocks and circuit row blocks."""
         model = build_model(TrainConfig(seed=2, sampler=sampler), (28, 28))
-        for draws in (7, 300):
+        block = DUMP_BLOCK_DRAWS
+        for draws in (1, block - 1, block, block + 1, 2 * block + 1, 300):
             dump_weight_samples(model, draws, tmp_path / "fast.csv")
             samples = draw_weight_samples(model, draws, stream(model.config.seed, "dump"))
             rows = [[d * len(ws.chunks) + c, q, ws.chunks[c, q]]

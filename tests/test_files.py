@@ -1,6 +1,7 @@
 """The one write path: a write that fails partway, Ctrl-C included, leaves
 its target as it was and no ``*.tmp`` beside it."""
 
+import contextlib
 import os
 
 import numpy as np
@@ -10,7 +11,7 @@ from qcbnn import experiment
 from qcbnn.autodiff import save_checkpoint
 from qcbnn.experiment import DUMP_BLOCK_DRAWS, _write_csv, dump_weight_samples
 from qcbnn.files import write_file
-from qcbnn.training import TrainConfig, build_model, draw_weight_samples
+from qcbnn.training import TrainConfig, build_model
 
 
 def fail_partway(target, error):
@@ -24,15 +25,19 @@ def rows_then_fail(rows, target, error):
     fail_partway(target, error)
 
 
-class _FailingDraw:
-    """A weight draw whose chunks raise when the dump formats them."""
+class _FailingHandle:
+    """A file handle whose ``fail_at``-th write raises; the writes before
+    it go through."""
 
-    def __init__(self, target, error):
-        self.target, self.error = target, error
+    def __init__(self, fh, target, error, fail_at):
+        self.fh, self.target, self.error, self.fail_at = fh, target, error, fail_at
+        self.writes = 0
 
-    @property
-    def chunks(self):
-        fail_partway(self.target, self.error)
+    def write(self, text):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            fail_partway(self.target, self.error)
+        return self.fh.write(text)
 
 
 class _FailingArrays(dict):
@@ -51,10 +56,16 @@ def write_csv_then_fail(path, error, monkeypatch):
 
 
 def dump_then_fail(path, error, monkeypatch):
-    """A dump whose second block of draws raises, after the first block."""
-    draw = draw_weight_samples
-    monkeypatch.setattr(experiment, "draw_weight_samples", lambda *args: (
-        draw(*args)[:DUMP_BLOCK_DRAWS] + [_FailingDraw(path, error)]))
+    """A dump whose write of its second block of draws raises, after the
+    header and the first block are written."""
+    real_write_file = experiment.write_file
+
+    @contextlib.contextmanager
+    def failing_write_file(target, *args):
+        with real_write_file(target, *args) as fh:
+            yield _FailingHandle(fh, target, error, fail_at=3)
+
+    monkeypatch.setattr(experiment, "write_file", failing_write_file)
     model = build_model(TrainConfig(epochs=1, seed=0, sampler="classical"), (28, 28))
     dump_weight_samples(model, DUMP_BLOCK_DRAWS + 1, path)
 

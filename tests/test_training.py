@@ -14,6 +14,7 @@ from qcbnn import statevector as sv
 from qcbnn import training as tr
 from qcbnn.circuits import Architecture
 from qcbnn.config import RunConfig, format_config
+from qcbnn.metrics import ks_statistic
 from qcbnn.samplers import (
     Discriminator,
     NoiseLaw,
@@ -540,10 +541,10 @@ class TestAlignedWorkspace:
         assert (first == 1.0).all()
 
     def test_forward_runs_its_loop_in_the_helper_buffers(self, monkeypatch, tiny_split):
-        """Three helper arrays per call, the dense weights, the workspace and
-        the zero operand: every dense product reads the weights, every relu
-        reads and writes the other two, and the workspace ends holding the
-        last member's activation on the last image block."""
+        """Two helper arrays per call, the workspace and the zero operand:
+        every relu reads and writes them, every dense product reads the
+        model's own dense weights, and the workspace ends holding the last
+        member's activation on the last image block."""
         train, _ = tiny_split
         block = images_per_block()
         images = train.images[:block + 3]
@@ -571,11 +572,9 @@ class TestAlignedWorkspace:
         monkeypatch.undo()
 
         hp, wp = tr.conv_output_shape((28, 28))
-        assert [buf.shape for buf in made] == [(2, 16 * hp * wp)] + [(block, 16, hp * wp)] * 2
-        dense, work, zero = made
-        assert not np.shares_memory(dense, model.dense_w.data)
-        np.testing.assert_array_equal(dense, model.dense_w.data)
-        assert sum(a is dense for a in products) == 2 * len(kernels)
+        assert [buf.shape for buf in made] == [(block, 16, hp * wp)] * 2
+        work, zero = made
+        assert sum(a is model.dense_w.data for a in products) == 2 * len(kernels)
         assert len(relus) == 2 * len(kernels)
         for a, b, out in relus:
             assert np.shares_memory(a, work) and np.shares_memory(out, work)
@@ -584,6 +583,21 @@ class TestAlignedWorkspace:
         patches, _ = ad.conv_patches(images[block:], (2, 2), tr.CONV_STRIDE)
         last = np.maximum(kernels[-1].reshape(16, 4) @ patches, 0.0)
         np.testing.assert_array_equal(work[:3], last)
+
+    @pytest.mark.parametrize("sampler", ["quantum", "classical", "vi"])
+    def test_optimizer_buffers_and_dense_weights_on_a_cache_line(self, sampler):
+        """The optimizers' flat values and moments start on a 64-byte line,
+        so the dense weights, the classifier optimizer's first tensor, do
+        too; restoring a checkpoint writes in place and keeps them there."""
+        model = tr.build_model(tr.TrainConfig(seed=5, sampler=sampler), (28, 28))
+        restored = tr.build_model(tr.TrainConfig(seed=6, sampler=sampler), (28, 28))
+        restored.load_arrays(model.named_arrays())
+        for state in (model, restored):
+            for opt in (state.opt_generator, state.opt_classifier, state.opt_discriminator):
+                for buf in (opt.values, opt.m, opt.v):
+                    assert buf.ctypes.data % 64 == 0
+            assert state.dense_w.data.ctypes.data % 64 == 0
+            assert np.shares_memory(state.dense_w.data, state.opt_classifier.values)
 
     @pytest.mark.parametrize("offset", [8, 16, 32, 48])
     def test_output_bytes_do_not_depend_on_buffer_placement(self, monkeypatch,
@@ -815,6 +829,29 @@ class TestPlainVi:
 
 
 class TestDrawWeightSamples:
+    @pytest.mark.parametrize("sampler", ["quantum", "classical", "vi"])
+    def test_ensemble_outputs_match_stacked_draws_oracle(self, sampler, synth_split):
+        """The members' kernels are the stacked ``draw_weight_samples``
+        kernels, to the byte."""
+        train, _ = synth_split
+        model = tr.build_model(tr.TrainConfig(seed=4, sampler=sampler), (28, 28))
+        images = train.images[:30]
+        probs, votes = tr.ensemble_outputs(model, images, 23, stream_tag=("oracle",))
+        samples = tr.draw_weight_samples(model, 23, stream(model.config.seed, "oracle"))
+        members = tr.forward_probs_np(model, images, np.stack([ws.kernels for ws in samples]))
+        assert probs.tobytes() == (members.sum(axis=0) / 23).tobytes()
+        assert votes.tobytes() == members.argmax(axis=2).tobytes()
+
+    @pytest.mark.parametrize("sampler", ["quantum", "classical", "vi"])
+    def test_prior_matching_ks_matches_concatenated_draws_oracle(self, sampler):
+        model = tr.build_model(tr.TrainConfig(seed=4, sampler=sampler), (28, 28))
+        samples = tr.draw_weight_samples(model, 40, stream(model.config.seed, "toy-eval", 1))
+        generated = np.concatenate([ws.chunks.reshape(-1) for ws in samples])
+        prior = prior_sample_block(model.config.prior, stream(model.config.seed, "toy-eval", 2),
+                                   40 * 16).reshape(-1)
+        want = ks_statistic(generated, prior)
+        assert repr(tr.prior_matching_ks(model, 40)) == repr(want)
+
     @pytest.mark.parametrize("count", [1, 7])
     @pytest.mark.parametrize("sampler", ["quantum", "classical", "vi"])
     def test_one_block_equals_per_draw_oracle(self, sampler, count):

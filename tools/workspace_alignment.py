@@ -13,8 +13,10 @@ with ``work`` and ``zero`` placed at 0, 16, 32 and 48 bytes past a 64-byte
 boundary: 16 placements.  Each round times every placement once, in a
 shuffled order, over ``--members`` member steps; the table gives the
 median and the quartiles over rounds, in microseconds per member step.
-The dense weights sit on a cache line throughout, and
-``forward_probs_np`` puts all three buffers there (``_aligned_empty``).
+The dense weights sit on a cache line throughout, as the model's own do:
+they are the first tensor of the classifier's optimizer, whose flat buffer
+``autodiff.Adam`` aligns, and ``forward_probs_np`` reads them in place.  It
+takes the other two buffers from ``_aligned_empty``, on a line as well.
 Rerun it after a numpy, BLAS or host change to see whether that still
 matters.  BLAS runs on one thread, as in the benchmark.  Standard library
 and numpy only; it is not part of the test suite.
@@ -39,8 +41,8 @@ import numpy as np
 from qcbnn import autodiff as ad
 from qcbnn.data import SynthSpec, synth_generate
 from qcbnn.seeding import stream
-from qcbnn.training import (CONV_STRIDE, EVAL_BLOCK_FLOATS, TrainConfig, build_model,
-                            draw_weight_samples)
+from qcbnn.samplers import KERNEL_SHAPE
+from qcbnn.training import CONV_STRIDE, EVAL_BLOCK_FLOATS, TrainConfig, build_model, draw_chunks
 
 OFFSETS = (0, 16, 32, 48)  # bytes past a 64-byte boundary
 
@@ -76,16 +78,16 @@ def main() -> None:
 
     spec = SynthSpec()
     model = build_model(TrainConfig(sampler="classical"), (spec.height, spec.width))
-    kernels = np.stack([ws.kernels for ws in
-                        draw_weight_samples(model, args.members, stream(0, "align"))])
-    m, f, kh, kw = kernels.shape
-    flat_kernels = kernels.reshape(m, f, kh * kw)
+    chunks, _ = draw_chunks(model, args.members, stream(0, "align"))
+    m = args.members
+    f, kh, kw = KERNEL_SHAPE
+    flat_kernels = chunks.reshape(m, f, kh * kw)
     images = synth_generate(spec).images
     _, (hp, wp) = ad.conv_patches(images[:1], (kh, kw), CONV_STRIDE)
     block = max(1, EVAL_BLOCK_FLOATS // (f * hp * wp))
     patches, _ = ad.conv_patches(images[:block], (kh, kw), CONV_STRIDE)
-    dense_w = placed(model.dense_w.data.shape, 0)
-    dense_w[...] = model.dense_w.data
+    dense_w = model.dense_w.data
+    assert dense_w.ctypes.data % 64 == 0
     planes = np.empty((dense_w.shape[0], m, block))
     shape = (block, f, hp * wp)
     buffers = {}
